@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .basis import coherence_vector, generate_gell_mann, structure_constants, verify_nice_basis
+from .basis import DATA_TOL, NiceBasis, generate_gell_mann, structure_constants, verify_nice_basis
 from .cp import DEFAULT_CP_TOL, check_lindblad
 from .forward import MasterEqParams, OdePair, forward_map
 from .inverse import decompose_g, h_from_g, inverse_map, r_image_check
@@ -42,12 +42,20 @@ def _real_out(m: np.ndarray):
     return [_real_out(row) for row in m]
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return (_is_int(x) or isinstance(x, float)) and np.isfinite(x)
+
+
 def _parse_number(v) -> complex:
-    if isinstance(v, (int, float)):
+    if _is_real(v):
         return complex(v)
-    if isinstance(v, list) and len(v) == 2 and all(isinstance(x, (int, float)) for x in v):
+    if isinstance(v, list) and len(v) == 2 and all(_is_real(x) for x in v):
         return complex(v[0], v[1])
-    raise CliError(f"expected a number or [re, im] pair, got {v!r}")
+    raise CliError(f"expected a finite number or [re, im] pair, got {v!r}")
 
 
 def _parse_matrix(rows, name: str) -> np.ndarray:
@@ -95,10 +103,21 @@ def _require_dim(args) -> int:
     return args.dim
 
 
+def _require(data: dict, key: str):
+    if key not in data:
+        raise CliError(f"input must contain {key}")
+    return data[key]
+
+
+def _tol(args, default: float) -> float:
+    tol = default if args.tol is None else args.tol
+    if not _is_real(tol) or tol < 0:
+        raise CliError(f"--tol must be a finite non-negative number, got {tol!r}")
+    return tol
+
+
 def _pair_from_input(data: dict, basis) -> OdePair:
-    if "G" not in data:
-        raise CliError("input must contain G")
-    g = _parse_matrix(data["G"], "G")
+    g = _parse_matrix(_require(data, "G"), "G")
     if np.max(np.abs(g.imag), initial=0.0) > 0:
         raise CliError("G must be real")
     g = g.real
@@ -108,20 +127,14 @@ def _pair_from_input(data: dict, basis) -> OdePair:
         c = np.zeros(g.shape[0])
     if g.shape[0] != basis.J:
         raise CliError(f"G size {g.shape[0]} does not match --dim {basis.dim} (expected {basis.J})")
-    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(c))):
-        raise CliError("G and c must be finite")
     return OdePair(G=g, c=c)
 
 
 def _meq_from_input(data: dict, basis) -> MasterEqParams:
-    for key in ("H", "a"):
-        if key not in data:
-            raise CliError(f"input must contain {key}")
+    h = _parse_matrix(_require(data, "H"), "H")
+    a = _parse_matrix(_require(data, "a"), "a")
     try:
-        return MasterEqParams(
-            hamiltonian=_parse_matrix(data["H"], "H"),
-            rates=_parse_matrix(data["a"], "a"),
-        )
+        return MasterEqParams(hamiltonian=h, rates=a)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
@@ -147,14 +160,16 @@ def cmd_basis(args) -> int:
 def cmd_verify(args) -> int:
     d = _require_dim(args)
     if args.input:
-        data = _load_input(args.input)
-        elements = np.array([_parse_matrix(m, "element") for m in data["elements"]])
-        from .basis import NiceBasis
-
-        basis = NiceBasis(dim=d, elements=elements)
+        elements = _require(_load_input(args.input), "elements")
+        if not isinstance(elements, list) or not elements:
+            raise CliError("elements must be a non-empty array of matrices")
+        elements = [_parse_matrix(m, "element") for m in elements]
+        if any(m.shape != (d, d) for m in elements):
+            raise CliError(f"every basis element must be {d}x{d}")
+        basis = NiceBasis(dim=d, elements=np.array(elements))
     else:
         basis = generate_gell_mann(d)
-    report = verify_nice_basis(basis, tol=args.tol)
+    report = verify_nice_basis(basis, tol=_tol(args, DATA_TOL))
     _emit(
         {
             "dim": d,
@@ -201,16 +216,13 @@ def cmd_inverse(args) -> int:
 def cmd_decompose(args) -> int:
     d = _require_dim(args)
     basis = generate_gell_mann(d)
-    data = _load_input(args.input)
-    g = _parse_matrix(data["G"], "G")
-    if np.max(np.abs(g.imag), initial=0.0) > 0:
-        raise CliError("G must be real")
-    q, r = decompose_g(g.real, basis)
+    g = _pair_from_input(_load_input(args.input), basis).G
+    q, r = decompose_g(g, basis)
     _emit(
         {
             "Q": _real_out(q),
             "R": _real_out(r),
-            "H": _complex_out(h_from_g(g.real, basis)),
+            "H": _complex_out(h_from_g(g, basis)),
             "r_image_condition": bool(r_image_check(r, basis)),
         },
         args.out,
@@ -222,7 +234,7 @@ def cmd_check_cp(args) -> int:
     d = _require_dim(args)
     basis = generate_gell_mann(d)
     pair = _pair_from_input(_load_input(args.input), basis)
-    report = check_lindblad(pair, basis, tol=args.tol if args.tol else DEFAULT_CP_TOL)
+    report = check_lindblad(pair, basis, tol=_tol(args, DEFAULT_CP_TOL))
     payload = {
         "is_lindblad": bool(report.is_lindblad),
         "marginal": bool(report.marginal),
@@ -262,9 +274,7 @@ def cmd_evolve(args) -> int:
     basis = generate_gell_mann(d)
     data = _load_input(args.input)
     params = _meq_from_input(data, basis)
-    if "rho0" not in data:
-        raise CliError("input must contain rho0")
-    rho0 = _parse_matrix(data["rho0"], "rho0")
+    rho0 = _parse_matrix(_require(data, "rho0"), "rho0")
     times = _parse_vector(data.get("times", [0.0]), "times")
     try:
         rhos = evolve_density(params, rho0, times, basis)
@@ -281,6 +291,8 @@ def cmd_rarity(args) -> int:
     if args.samples is None or args.samples < 1:
         raise CliError("--samples must be a positive integer")
     seed = args.seed if args.seed is not None else 0
+    if not 0 <= seed < 2**64:
+        raise CliError(f"--seed must be an integer in [0, 2^64), got {seed}")
     if args.ensemble == "gue":
         est = estimate_p_gue(_require_dim(args), args.samples, seed)
     else:
@@ -334,7 +346,17 @@ _COMMANDS = {
     "roundtrip": cmd_roundtrip,
 }
 
-_CONFIG_KEYS = {"dim", "tol", "seed", "samples", "ensemble", "in", "out"}
+_ENSEMBLES = ("ginoe", "gue")
+# config key -> check of its value
+_CONFIG_KEYS = {
+    "dim": _is_int,
+    "tol": _is_real,
+    "seed": _is_int,
+    "samples": _is_int,
+    "ensemble": lambda v: v in _ENSEMBLES,
+    "in": lambda v: isinstance(v, str),
+    "out": lambda v: isinstance(v, str),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -347,13 +369,13 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--dim", type=int, default=None, help="Hilbert space dimension (matrix size for gue)")
-        p.add_argument("--tol", type=float, default=1e-9)
+        p.add_argument("--tol", type=float, default=None, help="tolerance (verify, check-cp)")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--samples", type=int, default=None)
         p.add_argument("--in", dest="input", default=None, help="input JSON file")
         p.add_argument("--out", default=None, help="output JSON file (default: stdout)")
         if name == "rarity":
-            p.add_argument("--ensemble", choices=("ginoe", "gue"), default="ginoe")
+            p.add_argument("--ensemble", choices=_ENSEMBLES, default=None, help="default: ginoe")
     return parser
 
 
@@ -367,9 +389,12 @@ def _apply_config(args, argv) -> None:
         raise CliError(f"cannot read config: {exc}") from exc
     if not isinstance(cfg, dict):
         raise CliError("config must be a JSON object")
-    unknown = set(cfg) - _CONFIG_KEYS
+    unknown = set(cfg) - set(_CONFIG_KEYS)
     if unknown:
         raise CliError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in cfg.items():
+        if not _CONFIG_KEYS[key](value):
+            raise CliError(f"config value for {key} is invalid: {value!r}")
     explicit = {a.split("=")[0] for a in argv if a.startswith("--")}
     mapping = {"in": "input"}
     for key, value in cfg.items():

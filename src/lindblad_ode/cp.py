@@ -11,7 +11,7 @@ import numpy as np
 
 from .basis import NiceBasis, coordinatize
 from .forward import DiagonalDissipator, MasterEqParams, OdePair, diagonalize_dissipator, forward_map, q_from_h
-from .inverse import _g_tilde, a_from_gc
+from .inverse import a_from_gc
 
 DEFAULT_CP_TOL = 1e-9
 
@@ -53,6 +53,12 @@ def check_lindblad(pair: OdePair, basis: NiceBasis, tol: float = DEFAULT_CP_TOL)
         tolerance_used=tol,
         diagonal_form=diag,
     )
+
+
+def _g_tilde(g: np.ndarray, c: np.ndarray, basis: NiceBasis) -> np.ndarray:
+    """Stack of operators G~_n = sum_m G_nm F_m + c_n I."""
+    eye = np.eye(basis.dim)
+    return np.einsum("nm,mab->nab", g, basis.traceless) + c[:, None, None] * eye
 
 
 def cp_quadratic_form(pair: OdePair, big_b: np.ndarray, basis: NiceBasis) -> float:

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import core
 from .basis import DATA_TOL, NiceBasis, structure_constants
 
 _REAL_TOL = 1e-12
@@ -144,36 +145,22 @@ def _real(m: np.ndarray, what: str, tol: float = _REAL_TOL) -> np.ndarray:
 
 def q_from_h(h: np.ndarray, basis: NiceBasis) -> np.ndarray:
     """Antisymmetric Q with Q_ij = -i Tr(F_i [H, F_j])."""
-    h = np.asarray(h, dtype=complex)
-    ft = basis.traceless
-    comm = np.einsum("ab,jbc->jac", h, ft) - np.einsum("jab,bc->jac", ft, h)
-    q = -1j * np.einsum("iab,jba->ij", ft, comm)
-    return _real(q, "Q")
+    s = core.hamiltonian_superop(np.asarray(h, dtype=complex))
+    return _real(core.coordinates(s, basis)[1:, 1:], "Q")
 
 
 def r_from_a(a: np.ndarray, basis: NiceBasis) -> np.ndarray:
     """R_kl = sum_ij a_ij Tr[F_k (F_i F_l F_j - 1/2 {F_j F_i, F_l})]."""
-    a = np.asarray(a, dtype=complex)
-    ft = basis.traceless
-    if not basis.J:
-        return np.zeros((0, 0))
-    t1 = np.einsum("ij,kab,ibc,lcd,jda->kl", a, ft, ft, ft, ft, optimize=True)
-    m = np.einsum("ij,jab,ibc->ac", a, ft, ft, optimize=True)
-    t2 = np.einsum("kab,bc,lca->kl", ft, m, ft, optimize=True)
-    t3 = np.einsum("kab,lbc,ca->kl", ft, ft, m, optimize=True)
-    return _real(t1 - 0.5 * (t2 + t3), "R")
+    return _real(_dissipator_coordinates(a, basis)[1:, 1:], "R")
 
 
 def c_from_a(a: np.ndarray, basis: NiceBasis) -> np.ndarray:
     """c_k = (1/d) sum_ij a_ij Tr([F_i, F_j] F_k)."""
-    a = np.asarray(a, dtype=complex)
-    ft = basis.traceless
-    if not basis.J:
-        return np.zeros(0)
-    prod = np.einsum("iab,jbc,kca->ijk", ft, ft, ft, optimize=True)
-    comm_tr = prod - prod.transpose(1, 0, 2)
-    c = np.einsum("ij,ijk->k", a, comm_tr) / basis.dim
-    return _real(c, "c")
+    return _real(_dissipator_coordinates(a, basis)[1:, 0] / np.sqrt(basis.dim), "c")
+
+
+def _dissipator_coordinates(a: np.ndarray, basis: NiceBasis) -> np.ndarray:
+    return core.coordinates(core.dissipator_superop(np.asarray(a, dtype=complex), basis), basis)
 
 
 def c_from_a_structure(a: np.ndarray, basis: NiceBasis) -> np.ndarray:
@@ -186,19 +173,16 @@ def c_from_a_structure(a: np.ndarray, basis: NiceBasis) -> np.ndarray:
 def forward_map(params: MasterEqParams, basis: NiceBasis) -> OdePair:
     """Map (H, a) to the ODE pair (G = Q + R, c)."""
     q = q_from_h(params.hamiltonian, basis)
-    r = r_from_a(params.rates, basis)
-    c = c_from_a(params.rates, basis)
+    lhat = _dissipator_coordinates(params.rates, basis)
+    r = _real(lhat[1:, 1:], "R")
+    c = _real(lhat[1:, 0] / np.sqrt(basis.dim), "c")
     return OdePair(G=q + r, c=c, Q=q, R=r)
 
 
 def liouvillian_matrix(params: MasterEqParams, basis: NiceBasis) -> np.ndarray:
     """(J+1)x(J+1) real matrix of L: zero top row, sqrt(d) c left column, G block."""
     pair = forward_map(params, basis)
-    j = basis.J
-    out = np.zeros((j + 1, j + 1))
-    out[1:, 0] = np.sqrt(basis.dim) * pair.c
-    out[1:, 1:] = pair.G
-    return out
+    return core.gc_coordinates(pair.G, pair.c, basis.dim)
 
 
 def spectrum_relation_check(params: MasterEqParams, basis: NiceBasis, tol: float = 1e-8) -> bool:

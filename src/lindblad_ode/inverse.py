@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .basis import NiceBasis, structure_constants
-from .forward import MasterEqParams, OdePair, apply_liouvillian
-from .superop import SuperopTensor, tensor_from_map
+from .forward import MasterEqParams, OdePair, _real
+from .superop import SuperopTensor
 
 _INV_TOL = 1e-10
 
@@ -83,10 +84,7 @@ def h_from_g(g: np.ndarray, basis: NiceBasis) -> np.ndarray:
     j = basis.J
     if g.shape != (j, j):
         raise ValueError(f"G must be {j}x{j}, got {g.shape}")
-    ft = basis.traceless
-    prod = np.einsum("nm,mab,nbc->ac", g, ft, ft, optimize=True)
-    prod_rev = np.einsum("nm,nab,mbc->ac", g, ft, ft, optimize=True)
-    return (prod - prod_rev) / (2j * basis.dim)
+    return core.hamiltonian(_gc_to_core(g, np.zeros(j), basis))
 
 
 def h_from_g_structure(g: np.ndarray, basis: NiceBasis) -> np.ndarray:
@@ -96,74 +94,44 @@ def h_from_g_structure(g: np.ndarray, basis: NiceBasis) -> np.ndarray:
     return np.einsum("m,mab->ab", hm, basis.traceless)
 
 
-def _g_tilde(g: np.ndarray, c: np.ndarray, basis: NiceBasis) -> np.ndarray:
-    """Stack of operators G~_n = sum_m G_nm F_m + c_n I."""
-    eye = np.eye(basis.dim)
-    return np.einsum("nm,mab->nab", g, basis.traceless) + c[:, None, None] * eye
-
-
 def a_from_gc(g: np.ndarray, c: np.ndarray, basis: NiceBasis) -> np.ndarray:
-    """Hermitian a with a_mn = sum_i Tr[G~_i F_m F_i F_n]."""
+    """Hermitian a with a_mn = sum_i Tr[G~_i F_m F_i F_n], G~_i = sum_j G_ij F_j + c_i I."""
     g = np.asarray(g, dtype=float)
     c = np.asarray(c, dtype=float)
     j = basis.J
     if g.shape != (j, j) or c.shape != (j,):
         raise ValueError("G/c shapes inconsistent with basis")
-    ft = basis.traceless
-    gt = _g_tilde(g, c, basis)
-    return np.einsum("iab,mbc,icd,nda->mn", gt, ft, ft, ft, optimize=True)
+    return core.rates(_gc_to_core(g, c, basis), basis)
 
 
 def inverse_map(pair: OdePair, basis: NiceBasis) -> MasterEqParams:
     """Unique (traceless H, a) whose coherence-vector ODE is v' = Gv + c."""
-    return MasterEqParams(
-        hamiltonian=h_from_g(pair.G, basis),
-        rates=a_from_gc(pair.G, pair.c, basis),
-    )
+    if pair.G.shape != (basis.J, basis.J):
+        raise ValueError(f"G must be {basis.J}x{basis.J}, got {pair.G.shape}")
+    return _core_to_meq(_gc_to_core(pair.G, pair.c, basis), basis)
 
 
-# --- six-space maps -------------------------------------------------------
+# --- six-space maps: each space to the core superoperator S and back -------
 
 
-def _meq_to_x(p: MasterEqParams, basis: NiceBasis) -> Tensor4:
-    h = p.hamiltonian
-    ft = basis.traceless
-    d = basis.dim
-    delta = np.eye(d)
-    x = (
-        -1j * np.einsum("ij,kl->ijkl", h, delta)
-        + 1j * np.einsum("ij,kl->ijkl", delta, h)
-        + np.einsum("mn,mij,nkl->ijkl", p.rates, ft, ft, optimize=True)
-    )
-    return Tensor4(entries=x, flavor="x")
+def _meq_to_core(p: MasterEqParams, basis: NiceBasis) -> np.ndarray:
+    return core.hamiltonian_superop(p.hamiltonian) + core.dissipator_superop(p.rates, basis)
 
 
-def _x_to_meq(t: Tensor4, basis: NiceBasis) -> MasterEqParams:
-    x = t.entries
-    d = basis.dim
-    h = (np.einsum("kkij->ij", x) - np.einsum("ijkk->ij", x)) / (2j * d)
-    ft = basis.traceless
-    a = np.einsum("mji,ijkl,nlk->mn", ft, x, ft, optimize=True)
-    return MasterEqParams(hamiltonian=h, rates=a)
+def _core_to_meq(s: np.ndarray, basis: NiceBasis) -> MasterEqParams:
+    return MasterEqParams(hamiltonian=core.hamiltonian(s), rates=core.rates(s, basis))
 
 
-def _x_to_superop(t: Tensor4, basis: NiceBasis) -> SuperopTensor:
-    x = t.entries
-    d = basis.dim
-    delta = np.eye(d)
-    s1 = np.einsum("jkij->ki", x)
-    s2 = np.einsum("kljk->lj", x)
-    out = (
-        x
-        - 0.5 * np.einsum("ji,kl->ijkl", s1, delta)
-        - 0.5 * np.einsum("ij,lk->ijkl", delta, s2)
-    )
-    return SuperopTensor(entries=out)
+def _identity_legs(b: np.ndarray) -> np.ndarray:
+    """b_ij delta_kl + delta_ij b_kl."""
+    eye = np.eye(len(b))
+    return np.einsum("ij,kl->ijkl", b, eye) + np.einsum("ij,kl->ijkl", eye, b)
 
 
-def _superop_to_xt(t: SuperopTensor, basis: NiceBasis) -> Tensor4:
-    # identical layout: xt_ijkl = [L(|j><k|)]_il = T[i,j,k,l]
-    return Tensor4(entries=t.entries.copy(), flavor="x_tilde")
+def _x_to_core(t: Tensor4, basis: NiceBasis) -> np.ndarray:
+    # x lacks the anticommutator term -1/2 {K, X}; its partial trace is K
+    k = np.einsum("jkij->ik", t.entries)
+    return core.from_tensor(t.entries - 0.5 * _identity_legs(k))
 
 
 def _b_from_xt(xt: np.ndarray, d: int) -> np.ndarray:
@@ -172,83 +140,38 @@ def _b_from_xt(xt: np.ndarray, d: int) -> np.ndarray:
     return b / (2 * d)
 
 
-def _xt_to_x(t: Tensor4, basis: NiceBasis) -> Tensor4:
-    xt = t.entries
-    d = basis.dim
-    b = _b_from_xt(xt, d)
-    delta = np.eye(d)
-    x = xt - np.einsum("ij,kl->ijkl", b, delta) - np.einsum("ij,kl->ijkl", delta, b)
-    return Tensor4(entries=x, flavor="x")
+def _core_to_x(s: np.ndarray, basis: NiceBasis) -> Tensor4:
+    xt = core.to_tensor(s)
+    return Tensor4(entries=xt - _identity_legs(_b_from_xt(xt, basis.dim)), flavor="x")
 
 
-def _xt_to_meq(t: Tensor4, basis: NiceBasis) -> MasterEqParams:
-    return _x_to_meq(Tensor4(entries=t.entries, flavor="x"), basis)
+def _gc_to_core(g: np.ndarray, c: np.ndarray, basis: NiceBasis) -> np.ndarray:
+    return core.from_coordinates(core.gc_coordinates(g, c, basis.dim), basis)
 
 
-def _meq_to_superop(p: MasterEqParams, basis: NiceBasis) -> SuperopTensor:
-    return tensor_from_map(lambda x: apply_liouvillian(p, x, basis), basis.dim)
+def _core_to_gc(s: np.ndarray, basis: NiceBasis) -> OdePair:
+    lhat = _real(core.coordinates(s, basis)[1:], "(G, c) of the superoperator", tol=1e-9)
+    return OdePair(G=lhat[:, 1:], c=lhat[:, 0] / np.sqrt(basis.dim))
 
 
-def _superop_to_gc(t: SuperopTensor, basis: NiceBasis) -> OdePair:
-    ft = basis.traceless
-    d = basis.dim
-    lf = np.einsum("klmn,qlm->qkn", t.entries, ft, optimize=True)
-    g = np.einsum("nab,qba->nq", ft, lf, optimize=True)
-    li = np.einsum("klln->kn", t.entries)
-    c = np.einsum("nab,ba->n", ft, li) / d
-    if max(np.max(np.abs(g.imag), initial=0.0), np.max(np.abs(c.imag), initial=0.0)) > 1e-9:
-        raise ValueError("superoperator does not yield a real (G, c)")
-    return OdePair(G=g.real, c=c.real)
+# The x-tilde tensor (space 3) and the superoperator tensors (spaces 4 and 5)
+# share one layout: xt_ijkl = T[i,j,k,l] = [L(|j><k|)]_il.
+_TO_CORE = {
+    1: _meq_to_core,
+    2: _x_to_core,
+    3: lambda t, b: core.from_tensor(t.entries),
+    4: lambda t, b: core.from_tensor(t.entries),
+    5: lambda t, b: core.from_tensor(t.entries),
+    6: lambda p, b: _gc_to_core(p.G, p.c, b),
+}
 
-
-def _gc_to_superop(pair: OdePair, basis: NiceBasis) -> SuperopTensor:
-    ft = basis.traceless
-    d = basis.dim
-    gt = _g_tilde(pair.G, pair.c, basis)
-    t = np.einsum("qml,qkn->klmn", gt, ft, optimize=True)
-    return SuperopTensor(entries=t)
-
-
-def _gc_to_xt(pair: OdePair, basis: NiceBasis) -> Tensor4:
-    gt = _g_tilde(pair.G, pair.c, basis)
-    xt = np.einsum("nkj,nil->ijkl", gt, basis.traceless, optimize=True)
-    return Tensor4(entries=xt, flavor="x_tilde")
-
-
-def _gc_to_x(pair: OdePair, basis: NiceBasis) -> Tensor4:
-    ft = basis.traceless
-    d = basis.dim
-    eye = np.eye(d)
-    anti = np.einsum("nm,mab,nbc->ac", pair.G, ft, ft, optimize=True)
-    anti = anti + np.einsum("nm,nab,mbc->ac", pair.G, ft, ft, optimize=True)
-    b = (anti - np.trace(pair.G) * eye / d) / (2 * d)
-    b = b + np.einsum("n,nab->ab", pair.c, ft) / d
-    xt = _gc_to_xt(pair, basis).entries
-    x = xt - np.einsum("ij,kl->ijkl", b, eye) - np.einsum("ij,kl->ijkl", eye, b)
-    return Tensor4(entries=x, flavor="x")
-
-
-def _gc_to_meq(pair: OdePair, basis: NiceBasis) -> MasterEqParams:
-    return inverse_map(pair, basis)
-
-
-_EDGES = {
-    (1, 2): _meq_to_x,
-    (1, 4): _meq_to_superop,
-    (2, 1): _x_to_meq,
-    (2, 4): _x_to_superop,
-    (3, 1): _xt_to_meq,
-    (3, 2): _xt_to_x,
-    (3, 4): lambda t, b: _x_to_superop(t, b),
-    (4, 3): _superop_to_xt,
-    (4, 5): lambda t, b: t,
-    (5, 4): lambda t, b: t,
-    (5, 6): _superop_to_gc,
-    (6, 1): _gc_to_meq,
-    (6, 2): _gc_to_x,
-    (6, 3): _gc_to_xt,
-    (6, 4): _gc_to_superop,
-    (6, 5): _gc_to_superop,
+_FROM_CORE = {
+    1: _core_to_meq,
+    2: _core_to_x,
+    3: lambda s, b: Tensor4(entries=core.to_tensor(s), flavor="x_tilde"),
+    4: lambda s, b: SuperopTensor(entries=core.to_tensor(s)),
+    5: lambda s, b: SuperopTensor(entries=core.to_tensor(s)),
+    6: _core_to_gc,
 }
 
 _VALIDATORS = {
@@ -263,38 +186,11 @@ def _bad_flavor(v, want):
     raise ValueError(f"expected flavor {want!r}, got {v.flavor!r}")
 
 
-def _route(src: int, dst: int) -> list[int]:
-    """Deterministic shortest path in the map graph (BFS, ascending neighbors)."""
-    if src == dst:
-        return [src]
-    adjacency = {}
-    for a, b in sorted(_EDGES):
-        adjacency.setdefault(a, []).append(b)
-    prev = {src: None}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for nb in adjacency.get(node, []):
-                if nb not in prev:
-                    prev[nb] = node
-                    nxt.append(nb)
-        if dst in prev:
-            break
-        frontier = nxt
-    if dst not in prev:
-        raise ValueError(f"no route from space {src} to space {dst}")
-    path = [dst]
-    while prev[path[-1]] is not None:
-        path.append(prev[path[-1]])
-    return path[::-1]
-
-
 def phi(src: int, dst: int, value, basis: NiceBasis):
     """Apply the bijection between generator representations.
 
-    src and dst are space identifiers 1..6 (see module docstring). Requests
-    without a direct formula are composed along a fixed shortest route.
+    src and dst are space identifiers 1..6 (see module docstring). Every
+    request goes from src to the core superoperator and from there to dst.
     """
     for s in (src, dst):
         if s not in range(1, 7):
@@ -306,10 +202,7 @@ def phi(src: int, dst: int, value, basis: NiceBasis):
         raise ValueError("space 1 values must be MasterEqParams")
     elif src == 6 and not isinstance(value, OdePair):
         raise ValueError("space 6 values must be OdePair")
-    path = _route(src, dst)
-    for a, b in zip(path, path[1:]):
-        value = _EDGES[(a, b)](value, basis)
-    return value
+    return _FROM_CORE[dst](_TO_CORE[src](value, basis), basis)
 
 
 # --- decomposition and image diagnostics ----------------------------------

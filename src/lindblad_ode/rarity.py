@@ -109,6 +109,8 @@ def estimate_p_lindblad_ginoe(
     Also counts pairs whose G spectrum is stable (all real parts <= 0); the
     PSD count never exceeds the stable count.
     """
+    if d < 2:
+        raise ValueError(f"GinOE needs dimension d >= 2, got {d}")
     if n_samples < 1:
         raise ValueError("need at least one sample")
     basis = basis or generate_gell_mann(d)

@@ -9,6 +9,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import core
 from .basis import NiceBasis
 
 
@@ -94,34 +95,28 @@ def superop_matrix(t: SuperopTensor, b: NiceBasis) -> SuperopMatrix:
     """E_ij = Tr[F_i E(F_j)]."""
     if t.dim != b.dim:
         raise ValueError(f"tensor dim {t.dim} does not match basis dim {b.dim}")
-    f = b.elements
-    e = np.einsum("ink,klmn,jlm->ij", f, t.entries, f, optimize=True)
-    return SuperopMatrix(entries=e, basis=b)
+    return SuperopMatrix(entries=core.coordinates(core.from_tensor(t.entries), b), basis=b)
 
 
 def tensor_from_matrix(m: SuperopMatrix) -> SuperopTensor:
     """Invert superop_matrix: T[k,l,m,n] = sum_ij E_ij (F_i)_kn (F_j)_ml."""
-    f = m.basis.elements
-    t = np.einsum("ij,ikn,jml->klmn", m.entries, f, f, optimize=True)
-    return SuperopTensor(entries=t)
+    return SuperopTensor(entries=core.to_tensor(core.from_coordinates(m.entries, m.basis)))
 
 
 def faf_from_tensor(t: SuperopTensor, b: NiceBasis) -> FAFRep:
     """Closed-form coefficients c_ij = sum F_i[l,k] F_j[n,m] T[k,l,m,n]."""
     if t.dim != b.dim:
         raise ValueError(f"tensor dim {t.dim} does not match basis dim {b.dim}")
-    f = b.elements
-    c = np.einsum("ilk,jnm,klmn->ij", f, f, t.entries, optimize=True)
-    return FAFRep(c=c)
+    return FAFRep(c=core.sandwich_coefficients(core.from_tensor(t.entries), b))
 
 
 def tensor_from_faf(r: FAFRep, b: NiceBasis) -> SuperopTensor:
     """T[k,l,m,n] = sum_ij c_ij (F_i)_kl (F_j)_mn."""
-    f = b.elements
-    if r.c.shape[0] != f.shape[0]:
+    p = core.basis_matrix(b)
+    if r.c.shape[0] != p.shape[1]:
         raise ValueError("coefficient matrix size does not match basis")
-    t = np.einsum("ij,ikl,jmn->klmn", r.c, f, f, optimize=True)
-    return SuperopTensor(entries=t)
+    d = b.dim
+    return SuperopTensor(entries=(p @ r.c @ p.T).reshape(d, d, d, d))
 
 
 def apply_faf(r: FAFRep, x: np.ndarray, b: NiceBasis) -> np.ndarray:

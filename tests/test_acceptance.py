@@ -31,7 +31,6 @@ from lindblad_ode import (
     image_dimensions,
     inverse_map,
     liouvillian_matrix,
-    phi,
     solve_diagonalizable,
     solve_general,
 )
@@ -55,7 +54,7 @@ from conftest import (
     random_density,
     random_meq,
 )
-from test_inverse import _simple_cycles_through_1
+from test_inverse import SPACE_PAIRS, phi_cycle
 
 
 def _scoreboard(number, description):
@@ -132,17 +131,14 @@ def test_acceptance_05_qutrit_h_recovery(basis3):
 
 @_scoreboard(6, "all representation-space cycles reproduce (H, a) to 1e-9 relative")
 def test_acceptance_06_bijection():
-    cycles = _simple_cycles_through_1()
     for d in (2, 3):
         basis = generate_gell_mann(d)
         rng = np.random.default_rng(600 + d)
         for _ in range(25):
             p = random_meq(d, rng)
             scale = max(np.max(np.abs(p.hamiltonian)), np.max(np.abs(p.rates)))
-            for cycle in cycles:
-                value = p
-                for a, b in zip(cycle, cycle[1:]):
-                    value = phi(a, b, value, basis)
+            for s, t in SPACE_PAIRS:
+                value = phi_cycle(p, s, t, basis)
                 assert np.max(np.abs(value.hamiltonian - p.hamiltonian)) <= 1e-9 * scale
                 assert np.max(np.abs(value.rates - p.rates)) <= 1e-9 * scale
 

@@ -181,3 +181,80 @@ def test_missing_dim_is_an_error(tmp_path, capsys):
     inp = _write_json(tmp_path / "m.json", DEPHASING_MEQ)
     code = main(["forward", "--in", inp])
     assert code == 1
+
+
+
+def _tolerance_used(tmp_path, argv):
+    gc = _write_json(tmp_path / "gc.json", {"G": np.diag([-2.0, -2.0, 0.0]).tolist()})
+    out = tmp_path / "cp.json"
+    assert main(argv + ["--in", gc, "--out", str(out)]) == 0
+    return json.loads(out.read_bytes())["tolerance_used"]
+
+
+def test_check_cp_tolerance_resolution(tmp_path):
+    assert _tolerance_used(tmp_path, ["check-cp", "--dim", "2"]) == 1e-9
+    assert _tolerance_used(tmp_path, ["check-cp", "--dim", "2", "--tol", "0"]) == 0.0
+    cfg = _write_json(tmp_path / "cfg.json", {"tol": 0.25})
+    assert _tolerance_used(tmp_path, ["--config", cfg, "check-cp", "--dim", "2"]) == 0.25
+    # an explicit flag still beats the config file
+    assert _tolerance_used(tmp_path, ["--config", cfg, "check-cp", "--dim", "2", "--tol", "1e-6"]) == 1e-6
+
+
+_G3 = "[[-1, 0, 0], [0, -1, 0], [0, 0, -2]]"
+_ZERO_MEQ = '"H": [[0, 0], [0, 0]], "a": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]'
+
+# name: (argv, input JSON or None, text the error line must contain)
+MALFORMED = {
+    "decompose-without-G": (["decompose", "--dim", "2"], '{"c": [0, 0, 0]}', "must contain G"),
+    "verify-without-elements": (["verify", "--dim", "2"], "{}", "must contain elements"),
+    "verify-elements-not-an-array": (["verify", "--dim", "2"], '{"elements": 3}', "elements"),
+    "verify-elements-wrong-size": (
+        ["verify", "--dim", "2"], '{"elements": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]}', "2x2"
+    ),
+    "check-cp-without-G": (["check-cp", "--dim", "2"], "{}", "must contain G"),
+    "solve-nan-time": (["solve", "--dim", "2"], '{"G": %s, "times": [0, NaN]}' % _G3, "finite"),
+    "solve-overflowing-time": (["solve", "--dim", "2"], '{"G": %s, "times": [0, 1e400]}' % _G3, "finite"),
+    "solve-infinite-v0": (["solve", "--dim", "2"], '{"G": %s, "v0": [Infinity, 0, 0]}' % _G3, "finite"),
+    "solve-boolean-entry": (["solve", "--dim", "2"], '{"G": [[true, 0, 0], [0, -1, 0], [0, 0, -2]]}', "number"),
+    "evolve-nan-time": (
+        ["evolve", "--dim", "2"], '{%s, "rho0": [[1, 0], [0, 0]], "times": [NaN]}' % _ZERO_MEQ, "finite"
+    ),
+    "forward-nan-rate": (
+        ["forward", "--dim", "2"], '{"H": [[0, 0], [0, 0]], "a": [[NaN, 0, 0], [0, 0, 0], [0, 0, 0]]}', "finite"
+    ),
+    "check-cp-negative-tol": (["check-cp", "--dim", "2", "--tol", "-1"], '{"G": %s}' % _G3, "--tol"),
+    "check-cp-nan-tol": (["check-cp", "--dim", "2", "--tol", "nan"], '{"G": %s}' % _G3, "--tol"),
+    "rarity-ginoe-dim-1": (["rarity", "--dim", "1", "--samples", "10"], None, "d >= 2"),
+    "rarity-negative-seed": (["rarity", "--dim", "2", "--samples", "10", "--seed", "-1"], None, "--seed"),
+    "config-tol-not-a-number": (["--config", '{"tol": "x"}', "check-cp", "--dim", "2"], '{"G": %s}' % _G3, "tol"),
+    "config-dim-not-an-integer": (["--config", '{"dim": "x"}', "basis"], None, "dim"),
+    "config-unknown-ensemble": (
+        ["--config", '{"ensemble": "goe"}', "rarity", "--dim", "2", "--samples", "10"], None, "ensemble"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_input_exits_1_without_traceback(name, tmp_path, capsys):
+    argv, payload, needle = MALFORMED[name]
+    argv = list(argv)
+    if argv[0] == "--config":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(argv[1])
+        argv[1] = str(cfg)
+    if payload is not None:
+        inp = tmp_path / "in.json"
+        inp.write_text(payload)
+        argv += ["--in", str(inp)]
+    code = main(argv + ["--out", str(tmp_path / "out.json")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and needle in err
+    assert "Traceback" not in err
+
+
+def test_config_ensemble_is_applied(tmp_path):
+    cfg = _write_json(tmp_path / "cfg.json", {"ensemble": "gue", "dim": 1, "samples": 100})
+    out = tmp_path / "r.json"
+    assert main(["--config", cfg, "rarity", "--out", str(out)]) == 0
+    assert json.loads(out.read_bytes())["ensemble"] == "GUE"
