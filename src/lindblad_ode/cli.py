@@ -28,6 +28,13 @@ class CliError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as CliError, so they print one error line and exit with 1."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
 def _complex_out(m: np.ndarray):
     m = np.asarray(m, dtype=complex)
     if m.ndim == 0:
@@ -360,7 +367,7 @@ _CONFIG_KEYS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lindblad-ode",
         description="Convert between Markovian master equations and coherence-vector ODEs.",
     )

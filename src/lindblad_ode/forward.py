@@ -137,8 +137,9 @@ def apply_liouvillian(params: MasterEqParams, x: np.ndarray, basis: NiceBasis) -
 
 
 def _real(m: np.ndarray, what: str, tol: float = _REAL_TOL) -> np.ndarray:
+    """Re m, once its imaginary residue is at most tol * max(1, max|m|)."""
     resid = float(np.max(np.abs(m.imag), initial=0.0))
-    if resid > tol:
+    if resid > tol * max(1.0, float(np.max(np.abs(m), initial=0.0))):
         raise ValueError(f"{what} has imaginary residue {resid:.3e}")
     return m.real.copy()
 
@@ -151,16 +152,19 @@ def q_from_h(h: np.ndarray, basis: NiceBasis) -> np.ndarray:
 
 def r_from_a(a: np.ndarray, basis: NiceBasis) -> np.ndarray:
     """R_kl = sum_ij a_ij Tr[F_k (F_i F_l F_j - 1/2 {F_j F_i, F_l})]."""
-    return _real(_dissipator_coordinates(a, basis)[1:, 1:], "R")
+    return _dissipator_rc(a, basis)[0]
 
 
 def c_from_a(a: np.ndarray, basis: NiceBasis) -> np.ndarray:
     """c_k = (1/d) sum_ij a_ij Tr([F_i, F_j] F_k)."""
-    return _real(_dissipator_coordinates(a, basis)[1:, 0] / np.sqrt(basis.dim), "c")
+    return _dissipator_rc(a, basis)[1]
 
 
-def _dissipator_coordinates(a: np.ndarray, basis: NiceBasis) -> np.ndarray:
-    return core.coordinates(core.dissipator_superop(np.asarray(a, dtype=complex), basis), basis)
+def _dissipator_rc(a: np.ndarray, basis: NiceBasis) -> tuple[np.ndarray, np.ndarray]:
+    """(R, c) of the dissipator, declared real together so that c is judged on the scale of R."""
+    s = core.dissipator_superop(np.asarray(a, dtype=complex), basis)
+    lhat = _real(core.coordinates(s, basis)[1:], "(R, c)")
+    return lhat[:, 1:], lhat[:, 0] / np.sqrt(basis.dim)
 
 
 def c_from_a_structure(a: np.ndarray, basis: NiceBasis) -> np.ndarray:
@@ -173,9 +177,7 @@ def c_from_a_structure(a: np.ndarray, basis: NiceBasis) -> np.ndarray:
 def forward_map(params: MasterEqParams, basis: NiceBasis) -> OdePair:
     """Map (H, a) to the ODE pair (G = Q + R, c)."""
     q = q_from_h(params.hamiltonian, basis)
-    lhat = _dissipator_coordinates(params.rates, basis)
-    r = _real(lhat[1:, 1:], "R")
-    c = _real(lhat[1:, 0] / np.sqrt(basis.dim), "c")
+    r, c = _dissipator_rc(params.rates, basis)
     return OdePair(G=q + r, c=c, Q=q, R=r)
 
 

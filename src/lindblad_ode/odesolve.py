@@ -55,7 +55,13 @@ class OdeSolution:
         return (expm(self._augmented * t) @ state)[:j]
 
     def trajectory(self, times) -> np.ndarray:
-        return np.array([self.at(float(t)) for t in times])
+        """Evaluate v(t) at every time; row k is v(times[k])."""
+        t = np.asarray(times, dtype=float).reshape(-1)
+        if self.kind == "diagonalizable_invertible":
+            growth = self.initial_coeffs[:, None] * np.exp(np.outer(self.eigenvalues, t))
+            return (self.eigenvectors @ growth).T.real + self.v_infinity
+        state = np.concatenate([self.v0, [1.0]])
+        return (expm(self._augmented * t[:, None, None]) @ state)[:, : self.G.shape[0]]
 
 
 def propagator(g: np.ndarray, t: float) -> np.ndarray:
@@ -153,9 +159,5 @@ def evolve_density(
     v0 = coherence_vector(rho0, basis)
     pair = forward_map(params, basis)
     sol = solve(pair, v0)
-    eye = np.eye(d) / d
-    out = []
-    for t in times:
-        v = sol.at(float(t))
-        out.append(eye + np.einsum("k,kab->ab", v, basis.traceless))
-    return out
+    rhos = np.eye(d) / d + np.einsum("tk,kab->tab", sol.trajectory(times), basis.traceless)
+    return list(rhos)

@@ -7,6 +7,26 @@ Reproducibility: every sample draws from its own counter-based Philox stream
 keyed by (seed, sample_index), so counts are identical regardless of chunking
 or parallelism. Gaussian variates come from numpy's standard_normal (ziggurat);
 bit-equality is promised per build, seed-determinism always.
+
+Work is done in chunks of _CHUNK samples:
+
+- Sampling. A Philox stream is defined by its key alone (Salmon et al.,
+  SC'11), so a chunk builds one Philox and re-keys it for each sample
+  through its public state: key [seed, index], counter 0, empty buffer.
+  The row it fills equals _stream(seed, index).standard_normal(width) bit
+  for bit; _stream and the per-sample samplers stay as the reference.
+- Pruning. The eigensolvers run only on samples that can be counted. By
+  the Rayleigh bound a Hermitian a has lambda_min <= min_m Re a_mm, and its
+  largest |eigenvalue| is at most ||a||_F, so a PSD sample (lambda_min >=
+  -tol max(1, max|lambda|)) has min_m Re a_mm >= -tol max(1, ||a||_F).
+  The eigenvalues of G sum to tr G, so a stable sample (max Re lambda <=
+  tol) has tr G <= J tol. Each condition is widened by _MARGIN (1 + ||.||_F),
+  with _MARGIN = 1e-10 far above the eigensolvers' backward error (of order
+  J eps ||.||), so a sample that fails it would not have been counted.
+- Moments. The covariance checks keep only two running sums over samples,
+  S1 = sum x x^T and S2 = sum |x|^2 (|x|^2)^T with x = vec(a). The mean of
+  a_mn a_kl is S1/n and its sample variance (S2 - n |S1/n|^2) / (n - 1), so
+  memory does not depend on the number of samples.
 """
 from __future__ import annotations
 
@@ -19,6 +39,8 @@ from .forward import OdePair
 
 _CHUNK = 4096
 _PSD_TOL = 1e-9
+# relative widening of the pruning conditions against eigensolver rounding
+_MARGIN = 1e-10
 
 
 @dataclass(frozen=True)
@@ -82,15 +104,65 @@ def sample_gue(j: int, rng: np.random.Generator) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def _ginoe_batch(d: int, seed: int, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+def _normals(seed: int, start: int, count: int, width: int) -> np.ndarray:
+    """Row k holds the first width normals of the stream (seed, start + k)."""
+    key = np.array([seed, start], dtype=np.uint64)
+    bitgen = np.random.Philox(key=key)
+    rng = np.random.Generator(bitgen)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    out = np.empty((count, width))
+    for k, row in enumerate(out):
+        key[1] = start + k
+        bitgen.state = state
+        rng.standard_normal(out=row)
+    return out
+
+
+def _ginoe_batch(
+    d: int, seed: int, start: int, count: int, w: np.ndarray, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """G of each sample and its rate matrix a(G, c); G then c in stream order."""
     j = d * d - 1
-    gs = np.empty((count, j, j))
-    cs = np.empty((count, j))
-    for k in range(count):
-        rng = _stream(seed, start + k)
-        gs[k] = rng.standard_normal((j, j))
-        cs[k] = rng.standard_normal(j) / np.sqrt(d)
-    return gs, cs
+    rows = _normals(seed, start, count, j * j + j)
+    gs = rows[:, : j * j].reshape(count, j, j)
+    cs = rows[:, j * j :] / np.sqrt(d)
+    a = np.einsum("sij,ijmn->smn", gs, w, optimize=True)
+    a += np.einsum("si,imn->smn", cs, u, optimize=True)
+    return gs, a
+
+
+def _gue_batch(j: int, seed: int, start: int, count: int) -> np.ndarray:
+    """Stacked sample_gue(j, _stream(seed, start + k)): real parts then imaginary parts."""
+    if j < 1:
+        raise ValueError("matrix size must be at least 1")
+    rows = _normals(seed, start, count, 2 * j * j).reshape(count, 2, j, j)
+    a = np.sqrt(0.5) * (rows[:, 0] + 1j * rows[:, 1])
+    return (a + a.conj().transpose(0, 2, 1)) / 2
+
+
+def _count_psd(a: np.ndarray, tol: float) -> int:
+    """Samples with lambda_min >= -tol max(1, max|lambda|); eigvalsh runs on candidates only."""
+    fro = np.linalg.norm(a, axis=(1, 2))
+    min_diag = np.diagonal(a, axis1=1, axis2=2).real.min(axis=1)
+    cand = min_diag >= -tol * np.maximum(1.0, fro) - _MARGIN * (1.0 + fro)
+    eigs = np.linalg.eigvalsh(a[cand])
+    norm = np.abs(eigs).max(axis=1)
+    return int(np.sum(eigs[:, 0] >= -tol * np.maximum(1.0, norm)))
+
+
+def _count_stable(gs: np.ndarray, tol: float) -> int:
+    """Samples whose G has max Re lambda <= tol; eigvals runs on candidates only."""
+    j = gs.shape[-1]
+    fro = np.linalg.norm(gs, axis=(1, 2))
+    cand = np.trace(gs, axis1=1, axis2=2) <= j * tol + _MARGIN * (1.0 + fro)
+    return int(np.sum(np.linalg.eigvals(gs[cand]).real.max(axis=1) <= tol))
 
 
 def _a_from_gc_tensors(basis: NiceBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -118,16 +190,9 @@ def estimate_p_lindblad_ginoe(
     n_psd = 0
     n_stable = 0
     for start in range(0, n_samples, _CHUNK):
-        count = min(_CHUNK, n_samples - start)
-        gs, cs = _ginoe_batch(d, seed, start, count)
-        a = np.einsum("sij,ijmn->smn", gs, w, optimize=True)
-        a += np.einsum("si,imn->smn", cs, u, optimize=True)
-        eigs = np.linalg.eigvalsh(a)
-        min_eig = eigs[:, 0]
-        norm = np.abs(eigs).max(axis=1)
-        n_psd += int(np.sum(min_eig >= -_PSD_TOL * np.maximum(1.0, norm)))
-        max_re = np.linalg.eigvals(gs).real.max(axis=1)
-        n_stable += int(np.sum(max_re <= _PSD_TOL))
+        gs, a = _ginoe_batch(d, seed, start, min(_CHUNK, n_samples - start), w, u)
+        n_psd += _count_psd(a, _PSD_TOL)
+        n_stable += _count_stable(gs, _PSD_TOL)
     lo, hi = wilson_interval(n_psd, n_samples)
     return RarityEstimate(
         ensemble="GinOE",
@@ -148,12 +213,7 @@ def estimate_p_gue(j: int, n_samples: int, seed: int) -> RarityEstimate:
         raise ValueError("need at least one sample")
     n_psd = 0
     for start in range(0, n_samples, _CHUNK):
-        count = min(_CHUNK, n_samples - start)
-        batch = np.empty((count, j, j), dtype=complex)
-        for k in range(count):
-            batch[k] = sample_gue(j, _stream(seed, start + k))
-        min_eig = np.linalg.eigvalsh(batch)[:, 0]
-        n_psd += int(np.sum(min_eig >= 0.0))
+        n_psd += _count_psd(_gue_batch(j, seed, start, min(_CHUNK, n_samples - start)), 0.0)
     lo, hi = wilson_interval(n_psd, n_samples)
     return RarityEstimate(
         ensemble="GUE",
@@ -181,13 +241,29 @@ def gue_p_analytic(j: int) -> float:
     raise ValueError("closed form implemented only for sizes 1 and 2")
 
 
-def _second_moment_report(
-    ensemble: str, samples: np.ndarray, analytic: np.ndarray
-) -> CovarianceReport:
-    n = samples.shape[0]
-    prod = np.einsum("smn,skl->smnkl", samples, samples)
-    emp = prod.mean(axis=0)
-    stderr = prod.std(axis=0, ddof=1) / np.sqrt(n)
+def _add_moments(s1: np.ndarray, s2: np.ndarray, samples: np.ndarray) -> None:
+    """Add one chunk to S1 and S2; its arrays are freed before the next chunk is drawn."""
+    x = samples.reshape(len(samples), -1)
+    s1 += x.T @ x
+    sq = np.abs(x) ** 2
+    s2 += sq.T @ sq
+
+
+def _second_moment_report(ensemble: str, n: int, batch, analytic: np.ndarray) -> CovarianceReport:
+    """Compare the mean of a_mn a_kl with analytic[m, n, k, l], in units of its standard error.
+
+    batch(start, count) returns the rate matrices of samples start..start+count-1.
+    """
+    if n < 2:
+        raise ValueError("need at least two samples")
+    size = analytic.shape[0] * analytic.shape[1]
+    s1 = np.zeros((size, size), dtype=complex)
+    s2 = np.zeros((size, size))
+    for start in range(0, n, _CHUNK):
+        _add_moments(s1, s2, batch(start, min(_CHUNK, n - start)))
+    emp = (s1 / n).reshape(analytic.shape)
+    var = (s2 - n * np.abs(s1 / n) ** 2) / (n - 1)
+    stderr = np.sqrt(np.maximum(var, 0.0) / n).reshape(analytic.shape)
     dev = np.abs(emp - analytic)
     stderr = np.maximum(stderr, 1e-300)
     ratio = dev / stderr
@@ -208,32 +284,20 @@ def ginoe_induced_a_covariance(
     basis = basis or generate_gell_mann(d)
     j = basis.J
     w, u = _a_from_gc_tensors(basis)
-    chunks = []
-    for start in range(0, n_samples, _CHUNK):
-        count = min(_CHUNK, n_samples - start)
-        gs, cs = _ginoe_batch(d, seed, start, count)
-        a = np.einsum("sij,ijmn->smn", gs, w, optimize=True)
-        a += np.einsum("si,imn->smn", cs, u, optimize=True)
-        chunks.append(a)
-    samples = np.concatenate(chunks)
     ft = basis.traceless
     eye = np.eye(j)
     delta_term = np.einsum("mq,np->mnpq", eye, eye)
     trace_term = np.einsum("pab,qbc,mcd,nda->mnpq", ft, ft, ft, ft, optimize=True)
     analytic = delta_term - trace_term / d
-    return _second_moment_report("GinOE", samples, analytic)
+    return _second_moment_report(
+        "GinOE", n_samples, lambda start, count: _ginoe_batch(d, seed, start, count, w, u)[1], analytic
+    )
 
 
 def gue_covariance_check(j: int, n_samples: int, seed: int) -> CovarianceReport:
     """Compare E(a_mn a_m'n') of GUE samples against (1/2) delta_mn' delta_nm'."""
-    chunks = []
-    for start in range(0, n_samples, _CHUNK):
-        count = min(_CHUNK, n_samples - start)
-        batch = np.empty((count, j, j), dtype=complex)
-        for k in range(count):
-            batch[k] = sample_gue(j, _stream(seed, start + k))
-        chunks.append(batch)
-    samples = np.concatenate(chunks)
     eye = np.eye(j)
     analytic = 0.5 * np.einsum("mq,np->mnpq", eye, eye)
-    return _second_moment_report("GUE", samples, analytic)
+    return _second_moment_report(
+        "GUE", n_samples, lambda start, count: _gue_batch(j, seed, start, count), analytic
+    )

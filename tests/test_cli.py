@@ -228,6 +228,8 @@ MALFORMED = {
     "rarity-negative-seed": (["rarity", "--dim", "2", "--samples", "10", "--seed", "-1"], None, "--seed"),
     "config-tol-not-a-number": (["--config", '{"tol": "x"}', "check-cp", "--dim", "2"], '{"G": %s}' % _G3, "tol"),
     "config-dim-not-an-integer": (["--config", '{"dim": "x"}', "basis"], None, "dim"),
+    "bad-dim": (["basis", "--dim", "x"], None, "invalid int value"),
+    "unknown-subcommand": (["transmogrify", "--dim", "2"], None, "invalid choice"),
     "config-unknown-ensemble": (
         ["--config", '{"ensemble": "goe"}', "rarity", "--dim", "2", "--samples", "10"], None, "ensemble"
     ),
@@ -250,7 +252,18 @@ def test_malformed_input_exits_1_without_traceback(name, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and needle in err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+def test_usage_errors_exit_1_and_help_exits_0(capsys):
+    assert main([]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "required" in err and err.count("\n") == 1
+    for argv in (["--help"], ["rarity", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
 
 
 def test_config_ensemble_is_applied(tmp_path):

@@ -13,6 +13,7 @@ from lindblad_ode import (
     forward_map,
     generate_gell_mann,
     hermitian_dissipator_checks,
+    inverse_map,
     liouvillian_matrix,
     q_from_h,
     r_from_a,
@@ -200,3 +201,18 @@ def test_hermitian_dissipator_checks(basis2):
     assert not rep_ad.r_symmetric_and_c_zero
     rep0 = hermitian_dissipator_checks(np.zeros((3, 3)), basis2)
     assert rep0.all_agree and rep0.superop_hermitian
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_forward_map_accepts_large_generators(d):
+    # the imaginary residue that forward_map drops grows with the data, and so does its bound
+    rng = np.random.default_rng(900 + d)
+    basis = generate_gell_mann(d)
+    for _ in range(5):
+        p = random_meq(d, rng, psd=True)
+        big = MasterEqParams(hamiltonian=1e4 * p.hamiltonian, rates=1e4 * p.rates)
+        pair = forward_map(big, basis)
+        back = inverse_map(pair, basis)
+        scale = np.max(np.abs(big.rates))
+        assert np.max(np.abs(back.rates - big.rates)) <= 1e-12 * scale
+        assert np.max(np.abs(back.hamiltonian - big.hamiltonian)) <= 1e-12 * scale

@@ -133,6 +133,28 @@ def test_solvers_agree_on_random_systems(d, seed):
         np.testing.assert_allclose(sd.at(t), sg.at(t), atol=1e-8)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_trajectory_matches_per_time_evaluation(d):
+    rng = np.random.default_rng(70 + d)
+    basis = generate_gell_mann(d)
+    pair = forward_map(random_meq(d, rng, psd=True), basis)
+    v0 = rng.normal(size=basis.J) * 0.1
+    times = np.concatenate([[0.0], rng.uniform(0.0, 4.0, size=20), [-0.5]])
+    # the spectral form for this generic pair, and the propagator route for the same pair
+    # and for a Hamiltonian-only generator, whose G is singular
+    h = random_meq(d, rng).hamiltonian
+    hamiltonian_only = forward_map(MasterEqParams(hamiltonian=h, rates=np.zeros((basis.J, basis.J))), basis)
+    sols = [solve(pair, v0), solve_general(pair, v0), solve(hamiltonian_only, v0)]
+    assert [s.kind for s in sols] == ["diagonalizable_invertible", "general", "general"]
+    for sol in sols:
+        traj = sol.trajectory(times)
+        assert traj.shape == (len(times), basis.J)
+        for t, row in zip(times, traj):
+            v = sol.at(t)
+            assert np.max(np.abs(row - v)) <= 1e-12 * max(1.0, np.max(np.abs(v)))
+        assert sol.trajectory([]).shape == (0, basis.J)
+
+
 def test_propagator_properties():
     rng = np.random.default_rng(21)
     g = rng.normal(size=(4, 4))

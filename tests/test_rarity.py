@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,12 @@ from lindblad_ode import (
     sample_gue,
     wilson_interval,
 )
-from lindblad_ode.rarity import _stream
+from lindblad_ode.basis import generate_gell_mann
+from lindblad_ode.rarity import _CHUNK, _a_from_gc_tensors, _ginoe_batch, _gue_batch, _stream
+
+# past 2^63, and the sample count crosses a chunk boundary
+_BIG_SEED = 2**63 + 12345
+_N_ACROSS = _CHUNK + 37
 
 
 def test_wilson_interval_basics():
@@ -129,3 +136,44 @@ def test_probability_decreases_with_dimension():
     p2 = estimate_p_lindblad_ginoe(2, n_samples=30_000, seed=606).p_hat
     p3 = estimate_p_lindblad_ginoe(3, n_samples=30_000, seed=606).p_hat
     assert p3 < p2
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_ginoe_counts_equal_per_sample_oracle(d):
+    # one fresh stream per sample and every eigensolve, with no pruning
+    w, u = _a_from_gc_tensors(generate_gell_mann(d))
+    pairs = [sample_ginoe_pair(d, _stream(_BIG_SEED, k)) for k in range(_N_ACROSS)]
+    gs = np.array([p.G for p in pairs])
+    a = np.einsum("sij,ijmn->smn", gs, w) + np.einsum("si,imn->smn", np.array([p.c for p in pairs]), u)
+    eigs = np.linalg.eigvalsh(a)
+    n_psd = int(np.sum(eigs[:, 0] >= -1e-9 * np.maximum(1.0, np.abs(eigs).max(axis=1))))
+    n_stable = int(np.sum(np.linalg.eigvals(gs).real.max(axis=1) <= 1e-9))
+    est = estimate_p_lindblad_ginoe(d, n_samples=_N_ACROSS, seed=_BIG_SEED)
+    assert (est.n_positive, est.n_spectrum_stable) == (n_psd, n_stable)
+    # the re-keyed sampler reproduces the per-sample streams bit for bit
+    np.testing.assert_array_equal(_ginoe_batch(d, _BIG_SEED, 0, _N_ACROSS, w, u)[0], gs)
+
+
+@pytest.mark.parametrize("j", [1, 2, 8])
+def test_gue_batch_equals_per_sample_streams(j):
+    start = _CHUNK - 5
+    batch = _gue_batch(j, _BIG_SEED, start, 40)
+    np.testing.assert_array_equal(batch, [sample_gue(j, _stream(_BIG_SEED, start + k)) for k in range(40)])
+    oracle = np.stack([sample_gue(j, _stream(_BIG_SEED, k)) for k in range(_N_ACROSS)])
+    n_psd = int(np.sum(np.linalg.eigvalsh(oracle)[:, 0] >= 0.0))
+    assert estimate_p_gue(j, n_samples=_N_ACROSS, seed=_BIG_SEED).n_positive == n_psd
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_covariance_memory_does_not_grow_with_samples():
+    one = _peak_bytes(lambda: ginoe_induced_a_covariance(3, n_samples=_CHUNK, seed=8))
+    three = _peak_bytes(lambda: ginoe_induced_a_covariance(3, n_samples=3 * _CHUNK, seed=8))
+    assert three <= 1.2 * one
