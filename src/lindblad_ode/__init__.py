@@ -27,7 +27,6 @@ from .forward import (
     apply_dissipator,
     apply_liouvillian,
     c_from_a,
-    c_from_a_structure,
     diagonalize_dissipator,
     forward_map,
     hermitian_dissipator_checks,
@@ -41,7 +40,6 @@ from .inverse import (
     a_from_gc,
     decompose_g,
     h_from_g,
-    h_from_g_structure,
     image_dimensions,
     inverse_map,
     phi,

@@ -18,6 +18,9 @@ sum_ij a_ij vec(F_i) vec(F_j)^T into sum_ij a_ij F_i (x) F_j^T.
 - Hamiltonian: B = unreshuffle(S) vec(I) / d equals -iH - K/2 plus a
   multiple of I, so H = i(B - B^dag)/2.
 
+reshuffle, unreshuffle, from_coordinates and rates also act on stacks of
+matrices over their last two axes, matrix by matrix.
+
 Havel, J. Math. Phys. 44, 534 (2003), arXiv:quant-ph/0201127.
 """
 from __future__ import annotations
@@ -35,18 +38,21 @@ def basis_matrix(basis: NiceBasis) -> np.ndarray:
 def reshuffle(m: np.ndarray) -> np.ndarray:
     """Move a d^2 x d^2 matrix from index order [(p,r),(s,q)] to [(p,q),(r,s)]."""
     d = _dim(m)
-    return m.reshape(d, d, d, d).transpose(0, 3, 1, 2).reshape(d * d, d * d)
+    t = np.moveaxis(m.reshape(*m.shape[:-2], d, d, d, d), -1, -3)
+    return t.reshape(m.shape)
 
 
 def unreshuffle(s: np.ndarray) -> np.ndarray:
     """Inverse of reshuffle: [(p,q),(r,s)] back to [(p,r),(s,q)]."""
     d = _dim(s)
-    return s.reshape(d, d, d, d).transpose(0, 2, 3, 1).reshape(d * d, d * d)
+    t = np.moveaxis(s.reshape(*s.shape[:-2], d, d, d, d), -3, -1)
+    return t.reshape(s.shape)
 
 
 def _dim(m: np.ndarray) -> int:
-    d = int(round(np.sqrt(m.shape[0])))
-    if m.shape != (d * d, d * d):
+    """d of a d^2 x d^2 matrix, or of a stack of them over the last two axes."""
+    d = int(round(np.sqrt(m.shape[-1])))
+    if m.shape[-2:] != (d * d, d * d):
         raise ValueError(f"superoperator matrix must be d^2 x d^2, got {m.shape}")
     return d
 
@@ -110,7 +116,7 @@ def sandwich_coefficients(s: np.ndarray, basis: NiceBasis) -> np.ndarray:
 
 def rates(s: np.ndarray, basis: NiceBasis) -> np.ndarray:
     """a = Ft^dag unreshuffle(S) conj(Ft), the traceless block of the sandwich coefficients."""
-    return sandwich_coefficients(s, basis)[1:, 1:]
+    return sandwich_coefficients(s, basis)[..., 1:, 1:]
 
 
 def hamiltonian(s: np.ndarray) -> np.ndarray:

@@ -40,7 +40,8 @@ def check_lindblad(pair: OdePair, basis: NiceBasis, tol: float = DEFAULT_CP_TOL)
     a = a_from_gc(pair.G, pair.c, basis)
     eigs = np.linalg.eigvalsh(a)[::-1].copy()
     min_eig = float(eigs[-1]) if eigs.size else 0.0
-    threshold = tol * max(1.0, float(np.linalg.norm(a, 2))) if a.size else tol
+    # the spectral norm of the Hermitian a is its largest |eigenvalue|
+    threshold = tol * max(1.0, float(np.abs(eigs).max())) if a.size else tol
     verdict = min_eig >= -threshold
     marginal = abs(min_eig) <= 10.0 * threshold
     diag = diagonalize_dissipator(a, basis) if verdict else None

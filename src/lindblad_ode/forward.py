@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core
-from .basis import DATA_TOL, NiceBasis, structure_constants
+from .basis import DATA_TOL, NiceBasis
 
 _REAL_TOL = 1e-12
 
@@ -167,13 +167,6 @@ def _dissipator_rc(a: np.ndarray, basis: NiceBasis) -> tuple[np.ndarray, np.ndar
     return lhat[:, 1:], lhat[:, 0] / np.sqrt(basis.dim)
 
 
-def c_from_a_structure(a: np.ndarray, basis: NiceBasis) -> np.ndarray:
-    """Fast path c_k = (i/d) a_ij f_ijk via the structure constants."""
-    f = structure_constants(basis).f
-    c = 1j * np.einsum("ij,ijk->k", np.asarray(a, dtype=complex), f) / basis.dim
-    return _real(c, "c")
-
-
 def forward_map(params: MasterEqParams, basis: NiceBasis) -> OdePair:
     """Map (H, a) to the ODE pair (G = Q + R, c)."""
     q = q_from_h(params.hamiltonian, basis)
@@ -189,9 +182,8 @@ def liouvillian_matrix(params: MasterEqParams, basis: NiceBasis) -> np.ndarray:
 
 def spectrum_relation_check(params: MasterEqParams, basis: NiceBasis, tol: float = 1e-8) -> bool:
     """Check that the eigenvalues of L are {0} together with those of G."""
-    lmat = liouvillian_matrix(params, basis)
     pair = forward_map(params, basis)
-    left = np.linalg.eigvals(lmat)
+    left = np.linalg.eigvals(core.gc_coordinates(pair.G, pair.c, basis.dim))
     right = np.concatenate([[0.0 + 0.0j], np.linalg.eigvals(pair.G)])
     return _multisets_match(left, right, tol)
 
@@ -249,7 +241,8 @@ def diagonalize_dissipator(a: np.ndarray, basis: NiceBasis) -> DiagonalDissipato
         return DiagonalDissipator(gamma=np.zeros(0), lindblad_ops=[])
     w, v = np.linalg.eigh(a)
     w, v = _canonical_eig_order(w, v)
-    scale = np.linalg.norm(a, 2)
+    # the spectral norm of the Hermitian a is its largest |eigenvalue|
+    scale = np.abs(w).max()
     w = np.where(np.abs(w) < 1e-12 * scale, 0.0, w)
     ops = [np.einsum("j,jab->ab", v[:, k], basis.traceless) for k in range(basis.J)]
     return DiagonalDissipator(gamma=w, lindblad_ops=ops)
@@ -268,8 +261,7 @@ def hermitian_dissipator_checks(
     params = MasterEqParams(hamiltonian=np.zeros((basis.dim, basis.dim)), rates=a)
     t = tensor_from_map(lambda x: apply_liouvillian(params, x, basis), basis.dim)
     herm = float(np.max(np.abs(t.entries - adjoint_tensor(t).entries), initial=0.0)) <= tol * scale
-    r = r_from_a(a, basis)
-    c = c_from_a(a, basis)
+    r, c = _dissipator_rc(a, basis)
     r_sym_c0 = (
         float(np.max(np.abs(r - r.T), initial=0.0)) <= tol * scale
         and float(np.max(np.abs(c), initial=0.0)) <= tol * scale

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .basis import NiceBasis, structure_constants
-from .forward import MasterEqParams, OdePair, _real
+from .basis import NiceBasis
+from .forward import MasterEqParams, OdePair, _dissipator_rc, _real, q_from_h
 from .superop import SuperopTensor
 
 _INV_TOL = 1e-10
@@ -85,13 +85,6 @@ def h_from_g(g: np.ndarray, basis: NiceBasis) -> np.ndarray:
     if g.shape != (j, j):
         raise ValueError(f"G must be {j}x{j}, got {g.shape}")
     return core.hamiltonian(_gc_to_core(g, np.zeros(j), basis))
-
-
-def h_from_g_structure(g: np.ndarray, basis: NiceBasis) -> np.ndarray:
-    """Equivalent route via coordinates h_m = -(1/2d) f_jkm G_jk."""
-    f = structure_constants(basis).f
-    hm = -np.einsum("jkm,jk->m", f, np.asarray(g, dtype=float)) / (2 * basis.dim)
-    return np.einsum("m,mab->ab", hm, basis.traceless)
 
 
 def a_from_gc(g: np.ndarray, c: np.ndarray, basis: NiceBasis) -> np.ndarray:
@@ -209,42 +202,19 @@ def phi(src: int, dst: int, value, basis: NiceBasis):
 
 
 def decompose_g(g: np.ndarray, basis: NiceBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Split G into the Hamiltonian part Q and dissipative part R = G - Q.
+    """Split G into the Hamiltonian part Q = q_from_h(h_from_g(G)) and the dissipative part R = G - Q.
 
-    Q_ij = (1/2d) sum_{nmk} G_nm f_knm f_kij; for d >= 3 this generally
-    differs from the antisymmetric part of G.
+    For d >= 3 Q generally differs from the antisymmetric part of G.
     """
-    g = np.asarray(g, dtype=float)
-    f = structure_constants(basis).f
-    q = np.einsum("nm,knm,kij->ij", g, f, f, optimize=True) / (2 * basis.dim)
-    return q, g - q
+    q = q_from_h(h_from_g(g, basis), basis)
+    return q, np.asarray(g, dtype=float) - q
 
 
 def r_image_check(r: np.ndarray, basis: NiceBasis, tol: float = 1e-9) -> bool:
-    """True iff sum_mn R_mn [F_n, F_m] = 0, i.e. R lies in the image of a -> R."""
+    """True iff sum_mn R_mn [F_n, F_m] = 2id H(R) vanishes, i.e. R lies in the image of a -> R."""
     r = np.asarray(r, dtype=float)
-    ft = basis.traceless
-    s = np.einsum("mn,nab,mbc->ac", r, ft, ft, optimize=True)
-    s = s - np.einsum("mn,mab,nbc->ac", r, ft, ft, optimize=True)
-    return float(np.max(np.abs(s), initial=0.0)) <= tol * max(1.0, float(np.max(np.abs(r), initial=0.0)))
-
-
-def _hermitian_basis(j: int) -> list[np.ndarray]:
-    out = []
-    for m in range(j):
-        e = np.zeros((j, j), dtype=complex)
-        e[m, m] = 1.0
-        out.append(e)
-    for m in range(j):
-        for n in range(m + 1, j):
-            e = np.zeros((j, j), dtype=complex)
-            e[m, n] = e[n, m] = 1.0
-            out.append(e)
-            e = np.zeros((j, j), dtype=complex)
-            e[m, n] = -1j
-            e[n, m] = 1j
-            out.append(e)
-    return out
+    s = 2 * basis.dim * float(np.max(np.abs(h_from_g(r, basis)), initial=0.0))
+    return s <= tol * max(1.0, float(np.max(np.abs(r), initial=0.0)))
 
 
 def image_dimensions(basis: NiceBasis) -> tuple[int, int, int]:
@@ -253,38 +223,20 @@ def image_dimensions(basis: NiceBasis) -> tuple[int, int, int]:
     Returns (dimension of the image of a -> R, dimension of its intersection
     with the antisymmetric matrices, kernel dimension of a -> (R, c)).
     """
-    from .forward import c_from_a, r_from_a
-
     j = basis.J
     if j == 0:
         return 0, 0, 0
-    cols_r, cols_rc = [], []
-    for e in _hermitian_basis(j):
-        r = r_from_a(e, basis)
-        c = c_from_a(e, basis)
-        cols_r.append(r.ravel())
-        cols_rc.append(np.concatenate([r.ravel(), c]))
-    mr = np.array(cols_r).T
-    mrc = np.array(cols_rc).T
+    # a = (Y + Y^T)/2 + i(Y - Y^T)/2 over the real unit matrices Y spans the Hermitian matrices
+    rc = [_dissipator_rc((y + y.T) / 2 + 0.5j * (y - y.T), basis) for y in np.eye(j * j).reshape(-1, j, j)]
+    rs = np.array([r for r, _ in rc])
+    rows_r = rs.reshape(j * j, -1)
 
     def _rank(m):
-        if m.size == 0:
-            return 0
         sv = np.linalg.svd(m, compute_uv=False)
         return int(np.sum(sv > 1e-8 * sv[0]))
 
-    dim_image = _rank(mr)
-    # intersection with antisymmetric matrices: dim(U) + dim(W) - dim(U + W)
-    anti = []
-    for m in range(j):
-        for n in range(m + 1, j):
-            e = np.zeros((j, j))
-            e[m, n] = 1.0
-            e[n, m] = -1.0
-            anti.append(e.ravel())
-    w = np.array(anti).T if anti else np.zeros((j * j, 0))
-    dim_w = _rank(w)
-    dim_union = _rank(np.hstack([mr, w]))
-    dim_intersection = dim_image + dim_w - dim_union
-    kernel_dim = mrc.shape[1] - _rank(mrc)
+    dim_image = _rank(rows_r)
+    # the image meets the antisymmetric matrices in the kernel of R -> R + R^T on it
+    dim_intersection = dim_image - _rank((rs + rs.transpose(0, 2, 1)).reshape(j * j, -1))
+    kernel_dim = j * j - _rank(np.hstack([rows_r, [c for _, c in rc]]))
     return dim_image, dim_intersection, kernel_dim

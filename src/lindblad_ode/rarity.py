@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .basis import NiceBasis, generate_gell_mann
 from .forward import OdePair
 
@@ -125,17 +126,25 @@ def _normals(seed: int, start: int, count: int, width: int) -> np.ndarray:
     return out
 
 
-def _ginoe_batch(
-    d: int, seed: int, start: int, count: int, w: np.ndarray, u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """G of each sample and its rate matrix a(G, c); G then c in stream order."""
+def _rates_matrix(basis: NiceBasis) -> np.ndarray:
+    """M with vec a(G, c) = [vec G, sqrt(d) c] @ M, from the core rates of each unit row.
+
+    A unit row sets one entry of Lhat[1:]: G_ij = Lhat[1+i, 1+j] or
+    sqrt(d) c_i = Lhat[1+i, 0], in the order a GinOE stream draws them.
+    """
+    j = basis.J
+    units = np.eye(j * j + j)
+    lhat = np.zeros((len(units), j + 1, j + 1))
+    lhat[:, 1:, 1:] = units[:, : j * j].reshape(-1, j, j)
+    lhat[:, 1:, 0] = units[:, j * j :]
+    return core.rates(core.from_coordinates(lhat, basis), basis).reshape(len(units), j * j)
+
+
+def _ginoe_batch(d: int, seed: int, start: int, count: int, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G of each sample and its rate matrix a(G, c); a stream holds vec G then sqrt(d) c."""
     j = d * d - 1
     rows = _normals(seed, start, count, j * j + j)
-    gs = rows[:, : j * j].reshape(count, j, j)
-    cs = rows[:, j * j :] / np.sqrt(d)
-    a = np.einsum("sij,ijmn->smn", gs, w, optimize=True)
-    a += np.einsum("si,imn->smn", cs, u, optimize=True)
-    return gs, a
+    return rows[:, : j * j].reshape(count, j, j), (rows @ m).reshape(count, j, j)
 
 
 def _gue_batch(j: int, seed: int, start: int, count: int) -> np.ndarray:
@@ -165,14 +174,6 @@ def _count_stable(gs: np.ndarray, tol: float) -> int:
     return int(np.sum(np.linalg.eigvals(gs[cand]).real.max(axis=1) <= tol))
 
 
-def _a_from_gc_tensors(basis: NiceBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Linearization of (G, c) -> a: a_mn = G_ij W[i,j,m,n] + c_i U[i,m,n]."""
-    ft = basis.traceless
-    w = np.einsum("jab,mbc,icd,nda->ijmn", ft, ft, ft, ft, optimize=True)
-    u = np.einsum("mab,ibc,nca->imn", ft, ft, ft, optimize=True)
-    return w, u
-
-
 def estimate_p_lindblad_ginoe(
     d: int, n_samples: int, seed: int, basis: NiceBasis | None = None
 ) -> RarityEstimate:
@@ -186,11 +187,11 @@ def estimate_p_lindblad_ginoe(
     if n_samples < 1:
         raise ValueError("need at least one sample")
     basis = basis or generate_gell_mann(d)
-    w, u = _a_from_gc_tensors(basis)
+    m = _rates_matrix(basis)
     n_psd = 0
     n_stable = 0
     for start in range(0, n_samples, _CHUNK):
-        gs, a = _ginoe_batch(d, seed, start, min(_CHUNK, n_samples - start), w, u)
+        gs, a = _ginoe_batch(d, seed, start, min(_CHUNK, n_samples - start), m)
         n_psd += _count_psd(a, _PSD_TOL)
         n_stable += _count_stable(gs, _PSD_TOL)
     lo, hi = wilson_interval(n_psd, n_samples)
@@ -281,16 +282,18 @@ def ginoe_induced_a_covariance(
 ) -> CovarianceReport:
     """Compare E(a_mn a_m'n') of GinOE-induced rate matrices against
     delta_mn' delta_nm' - (1/d) Tr(F_m' F_n' F_m F_n)."""
+    if d < 2:
+        raise ValueError(f"GinOE needs dimension d >= 2, got {d}")
     basis = basis or generate_gell_mann(d)
     j = basis.J
-    w, u = _a_from_gc_tensors(basis)
+    m = _rates_matrix(basis)
     ft = basis.traceless
     eye = np.eye(j)
     delta_term = np.einsum("mq,np->mnpq", eye, eye)
     trace_term = np.einsum("pab,qbc,mcd,nda->mnpq", ft, ft, ft, ft, optimize=True)
     analytic = delta_term - trace_term / d
     return _second_moment_report(
-        "GinOE", n_samples, lambda start, count: _ginoe_batch(d, seed, start, count, w, u)[1], analytic
+        "GinOE", n_samples, lambda start, count: _ginoe_batch(d, seed, start, count, m)[1], analytic
     )
 
 

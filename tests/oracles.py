@@ -1,13 +1,14 @@
 """Independent reference formulas for the conversion maps.
 
 These are the explicit trace and einsum formulas of the paper, one per map,
-written directly over the basis elements. The library derives every map from
-the vec/reshuffle core in `lindblad_ode.core`; the tests compare the two.
+written directly over the basis elements, and the structure-constant routes
+for c, H and the G = Q + R split. The library derives every map from the
+vec/reshuffle core in `lindblad_ode.core`; the tests compare the two.
 They cost about d^10 and are only meant for small d.
 """
 import numpy as np
 
-from lindblad_ode import MasterEqParams, OdePair, SuperopTensor, Tensor4
+from lindblad_ode import MasterEqParams, OdePair, SuperopTensor, Tensor4, structure_constants
 
 
 def q_from_h(h, basis):
@@ -34,6 +35,12 @@ def c_from_a(a, basis):
     return np.einsum("ij,ijk->k", a, prod - prod.transpose(1, 0, 2)) / basis.dim
 
 
+def c_from_a_structure(a, basis):
+    """c_k = (i/d) a_ij f_ijk."""
+    f = structure_constants(basis).f
+    return 1j * np.einsum("ij,ijk->k", np.asarray(a, dtype=complex), f) / basis.dim
+
+
 def g_tilde(g, c, basis):
     """Stack of operators G~_n = sum_m G_nm F_m + c_n I."""
     return np.einsum("nm,mab->nab", g, basis.traceless) + c[:, None, None] * np.eye(basis.dim)
@@ -51,6 +58,20 @@ def h_from_g(g, basis):
     prod = np.einsum("nm,mab,nbc->ac", g, ft, ft, optimize=True)
     prod_rev = np.einsum("nm,nab,mbc->ac", g, ft, ft, optimize=True)
     return (prod - prod_rev) / (2j * basis.dim)
+
+
+def h_from_g_structure(g, basis):
+    """H = sum_m h_m F_m with coordinates h_m = -(1/2d) f_jkm G_jk."""
+    f = structure_constants(basis).f
+    hm = -np.einsum("jkm,jk->m", f, np.asarray(g, dtype=float)) / (2 * basis.dim)
+    return np.einsum("m,mab->ab", hm, basis.traceless)
+
+
+def decompose_g(g, basis):
+    """Q_ij = (1/2d) sum_{nmk} G_nm f_knm f_kij and R = G - Q."""
+    f = structure_constants(basis).f
+    q = np.einsum("nm,knm,kij->ij", g, f, f, optimize=True) / (2 * basis.dim)
+    return q, g - q
 
 
 def meq_to_x(p: MasterEqParams, basis) -> Tensor4:

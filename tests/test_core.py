@@ -9,6 +9,7 @@ from lindblad_ode import (
     SuperopTensor,
     a_from_gc,
     c_from_a,
+    core,
     faf_from_tensor,
     forward_map,
     generate_gell_mann,
@@ -95,6 +96,17 @@ def test_superop_conversions_match_oracles(d):
     scale = _size(t.entries)
     assert_close(superop_matrix(t, basis).entries, oracles.superop_matrix(t, basis), scale)
     assert_close(faf_from_tensor(t, basis).c, oracles.faf_from_tensor(t, basis), scale)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_stacked_core_equals_per_matrix_calls(d):
+    rng = np.random.default_rng(900 + d)
+    basis = generate_gell_mann(d)
+    stack = rng.normal(size=(2, 3, d * d, d * d)) + 1j * rng.normal(size=(2, 3, d * d, d * d))
+    for fn in (core.reshuffle, core.unreshuffle, lambda s: core.rates(s, basis)):
+        got = fn(stack)
+        for idx in np.ndindex(stack.shape[:2]):
+            np.testing.assert_array_equal(got[idx], fn(stack[idx]))
 
 
 @pytest.mark.parametrize("d", ROUNDTRIP_DIMS)

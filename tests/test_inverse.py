@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from lindblad_ode import (
     OdePair,
     Tensor4,
@@ -11,7 +12,6 @@ from lindblad_ode import (
     forward_map,
     generate_gell_mann,
     h_from_g,
-    h_from_g_structure,
     image_dimensions,
     inverse_map,
     phi,
@@ -166,7 +166,7 @@ def test_h_formula_routes_agree(d, seed):
     rng = np.random.default_rng(seed)
     basis = generate_gell_mann(d)
     g = rng.normal(size=(basis.J, basis.J))
-    np.testing.assert_allclose(h_from_g(g, basis), h_from_g_structure(g, basis), atol=1e-10)
+    np.testing.assert_allclose(h_from_g(g, basis), oracles.h_from_g_structure(g, basis), atol=1e-10)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -203,6 +203,17 @@ def test_decompose_symmetric_g_trivial(basis3):
     np.testing.assert_allclose(r, g, atol=1e-12)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_decompose_matches_structure_constant_oracle(d):
+    rng = np.random.default_rng(17 + d)
+    basis = generate_gell_mann(d)
+    g = rng.normal(size=(basis.J, basis.J))
+    q, r = decompose_g(g, basis)
+    q_ref, r_ref = oracles.decompose_g(g, basis)
+    np.testing.assert_allclose(q, q_ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(r, r_ref, rtol=0, atol=1e-12)
+
+
 def test_r_image_check(basis3):
     rng = np.random.default_rng(16)
     sym = rng.normal(size=(8, 8))
@@ -215,7 +226,7 @@ def test_r_image_check(basis3):
 
 @pytest.mark.parametrize(
     "d,expected",
-    [(1, (0, 0, 0)), (2, (6, 0, 0)), (3, (56, 20, 0))],
+    [(1, (0, 0, 0)), (2, (6, 0, 0)), (3, (56, 20, 0)), (4, (210, 90, 0))],
 )
 def test_image_dimensions(d, expected):
     assert image_dimensions(generate_gell_mann(d)) == expected

@@ -15,7 +15,7 @@ from lindblad_ode import (
     wilson_interval,
 )
 from lindblad_ode.basis import generate_gell_mann
-from lindblad_ode.rarity import _CHUNK, _a_from_gc_tensors, _ginoe_batch, _gue_batch, _stream
+from lindblad_ode.rarity import _CHUNK, _ginoe_batch, _gue_batch, _rates_matrix, _stream
 
 # past 2^63, and the sample count crosses a chunk boundary
 _BIG_SEED = 2**63 + 12345
@@ -126,6 +126,11 @@ def test_ginoe_covariance_structure(d):
     assert report.max_deviation_in_stderr <= 5.0
 
 
+def test_ginoe_covariance_rejects_dimension_one():
+    with pytest.raises(ValueError, match="GinOE needs dimension d >= 2"):
+        ginoe_induced_a_covariance(1, n_samples=10, seed=0)
+
+
 def test_gue_covariance_structure():
     report = gue_covariance_check(3, n_samples=50_000, seed=505)
     assert report.passed
@@ -140,18 +145,18 @@ def test_probability_decreases_with_dimension():
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_ginoe_counts_equal_per_sample_oracle(d):
-    # one fresh stream per sample and every eigensolve, with no pruning
-    w, u = _a_from_gc_tensors(generate_gell_mann(d))
+    # one fresh stream and one inverse map per sample, and every eigensolve, with no pruning
+    basis = generate_gell_mann(d)
     pairs = [sample_ginoe_pair(d, _stream(_BIG_SEED, k)) for k in range(_N_ACROSS)]
     gs = np.array([p.G for p in pairs])
-    a = np.einsum("sij,ijmn->smn", gs, w) + np.einsum("si,imn->smn", np.array([p.c for p in pairs]), u)
+    a = np.array([inverse_map(p, basis).rates for p in pairs])
     eigs = np.linalg.eigvalsh(a)
     n_psd = int(np.sum(eigs[:, 0] >= -1e-9 * np.maximum(1.0, np.abs(eigs).max(axis=1))))
     n_stable = int(np.sum(np.linalg.eigvals(gs).real.max(axis=1) <= 1e-9))
     est = estimate_p_lindblad_ginoe(d, n_samples=_N_ACROSS, seed=_BIG_SEED)
     assert (est.n_positive, est.n_spectrum_stable) == (n_psd, n_stable)
     # the re-keyed sampler reproduces the per-sample streams bit for bit
-    np.testing.assert_array_equal(_ginoe_batch(d, _BIG_SEED, 0, _N_ACROSS, w, u)[0], gs)
+    np.testing.assert_array_equal(_ginoe_batch(d, _BIG_SEED, 0, _N_ACROSS, _rates_matrix(basis))[0], gs)
 
 
 @pytest.mark.parametrize("j", [1, 2, 8])
