@@ -77,7 +77,10 @@ def _parse_matrix(rows, name: str) -> np.ndarray:
 def _parse_vector(vals, name: str) -> np.ndarray:
     if not isinstance(vals, list):
         raise CliError(f"{name} must be an array")
-    return np.array([_parse_number(v).real for v in vals], dtype=float)
+    v = np.array([_parse_number(v) for v in vals], dtype=complex)
+    if np.max(np.abs(v.imag), initial=0.0) > 0:
+        raise CliError(f"{name} must be real")
+    return v.real.copy()
 
 
 def _load_input(path: str) -> dict:

@@ -209,16 +209,17 @@ def _canonical_eig_order(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.n
     """
     order = np.argsort(-w, kind="stable")
     w, v = w[order], v[:, order]
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        idx = int(np.argmax(np.abs(col)))
-        phase = col[idx] / abs(col[idx]) if abs(col[idx]) > 0 else 1.0
-        v[:, k] = col / phase
+    pivot = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    # eigenvectors have unit norm, so no pivot is zero; np.hypot rounds like
+    # the scalar abs() of the per-column reference, np.abs of a complex array
+    # can differ from it in the last bit
+    v = v / (pivot / np.hypot(pivot.real, pivot.imag))
     # stable tie-break inside degenerate clusters
+    vals = w.tolist()
     i = 0
-    while i < len(w):
+    while i < len(vals):
         jend = i + 1
-        while jend < len(w) and abs(w[jend] - w[i]) <= 1e-12 * max(1.0, abs(w[i])):
+        while jend < len(vals) and abs(vals[jend] - vals[i]) <= 1e-12 * max(1.0, abs(vals[i])):
             jend += 1
         if jend - i > 1:
             cols = sorted(
@@ -244,7 +245,7 @@ def diagonalize_dissipator(a: np.ndarray, basis: NiceBasis) -> DiagonalDissipato
     # the spectral norm of the Hermitian a is its largest |eigenvalue|
     scale = np.abs(w).max()
     w = np.where(np.abs(w) < 1e-12 * scale, 0.0, w)
-    ops = [np.einsum("j,jab->ab", v[:, k], basis.traceless) for k in range(basis.J)]
+    ops = list(np.tensordot(v.T, basis.traceless, 1))
     return DiagonalDissipator(gamma=w, lindblad_ops=ops)
 
 

@@ -2,18 +2,28 @@
 spectral form when G is diagonalizable and invertible, and a general
 propagator route via the exponential of the augmented matrix [[G, c], [0, 0]].
 Density-matrix evolution is built on top of the vector solvers.
+
+scipy is needed only by the propagator route (solve_general, propagator):
+its expm is imported on the first propagator evaluation, so importing the
+package and every path that stays on the spectral form never load scipy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .basis import NiceBasis, coherence_vector
 from .forward import MasterEqParams, OdePair, forward_map
 
 DIAG_COND_LIMIT = 1e8
+
+
+def _expm(m: np.ndarray) -> np.ndarray:
+    """scipy.linalg.expm, imported on first use: importing scipy.linalg takes about 0.3 s."""
+    from scipy.linalg import expm
+
+    return expm(m)
 
 
 class NotDiagonalizable(ValueError):
@@ -52,7 +62,7 @@ class OdeSolution:
             return modes.real + self.v_infinity
         j = self.G.shape[0]
         state = np.concatenate([self.v0, [1.0]])
-        return (expm(self._augmented * t) @ state)[:j]
+        return (_expm(self._augmented * t) @ state)[:j]
 
     def trajectory(self, times) -> np.ndarray:
         """Evaluate v(t) at every time; row k is v(times[k])."""
@@ -61,7 +71,7 @@ class OdeSolution:
             growth = self.initial_coeffs[:, None] * np.exp(np.outer(self.eigenvalues, t))
             return (self.eigenvectors @ growth).T.real + self.v_infinity
         state = np.concatenate([self.v0, [1.0]])
-        return (expm(self._augmented * t[:, None, None]) @ state)[:, : self.G.shape[0]]
+        return (_expm(self._augmented * t[:, None, None]) @ state)[:, : self.G.shape[0]]
 
 
 def propagator(g: np.ndarray, t: float) -> np.ndarray:
@@ -69,7 +79,7 @@ def propagator(g: np.ndarray, t: float) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if not (np.all(np.isfinite(g)) and np.isfinite(t)):
         raise ValueError("propagator requires finite inputs")
-    return expm(g * t)
+    return _expm(g * t)
 
 
 def _check_pair(pair: OdePair, v0: np.ndarray) -> np.ndarray:

@@ -20,9 +20,14 @@ Work is done in chunks of _CHUNK samples:
   largest |eigenvalue| is at most ||a||_F, so a PSD sample (lambda_min >=
   -tol max(1, max|lambda|)) has min_m Re a_mm >= -tol max(1, ||a||_F).
   The eigenvalues of G sum to tr G, so a stable sample (max Re lambda <=
-  tol) has tr G <= J tol. Each condition is widened by _MARGIN (1 + ||.||_F),
-  with _MARGIN = 1e-10 far above the eigensolvers' backward error (of order
-  J eps ||.||), so a sample that fails it would not have been counted.
+  tol) has tr G <= J tol. With H = G - tol I, the characteristic polynomial
+  of a real H whose eigenvalues all have Re <= 0 is a product of factors
+  s + |mu| and s^2 - 2 Re(mu) s + |mu|^2, so all its coefficients are >= 0;
+  the second (Routh-Hurwitz) one is ((tr H)^2 - tr(H^2)) / 2. Each
+  condition is widened by _MARGIN (1 + ||.||_F), the quadratic one by
+  _MARGIN (1 + ||H||_F^2), with _MARGIN = 1e-10 far above the eigensolvers'
+  backward error (of order J eps ||.||), so a sample that fails it would
+  not have been counted.
 - Moments. The covariance checks keep only two running sums over samples,
   S1 = sum x x^T and S2 = sum |x|^2 (|x|^2)^T with x = vec(a). The mean of
   a_mn a_kl is S1/n and its sample variance (S2 - n |S1/n|^2) / (n - 1), so
@@ -166,11 +171,21 @@ def _count_psd(a: np.ndarray, tol: float) -> int:
     return int(np.sum(eigs[:, 0] >= -tol * np.maximum(1.0, norm)))
 
 
-def _count_stable(gs: np.ndarray, tol: float) -> int:
-    """Samples whose G has max Re lambda <= tol; eigvals runs on candidates only."""
+def _stable_candidates(gs: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the samples that pass both necessary conditions for max Re lambda(G) <= tol."""
     j = gs.shape[-1]
     fro = np.linalg.norm(gs, axis=(1, 2))
-    cand = np.trace(gs, axis1=1, axis2=2) <= j * tol + _MARGIN * (1.0 + fro)
+    first = np.trace(gs, axis1=1, axis2=2) <= j * tol + _MARGIN * (1.0 + fro)
+    h = gs - tol * np.eye(j)
+    tr_h = np.trace(h, axis1=1, axis2=2)
+    fro_h = np.linalg.norm(h, axis=(1, 2))
+    second = tr_h * tr_h - np.einsum("sij,sji->s", h, h) >= -_MARGIN * (1.0 + fro_h * fro_h)
+    return first & second
+
+
+def _count_stable(gs: np.ndarray, tol: float) -> int:
+    """Samples whose G has max Re lambda <= tol; eigvals runs on candidates only."""
+    cand = _stable_candidates(gs, tol)
     return int(np.sum(np.linalg.eigvals(gs[cand]).real.max(axis=1) <= tol))
 
 

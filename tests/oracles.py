@@ -119,3 +119,31 @@ def faf_from_tensor(t: SuperopTensor, basis) -> np.ndarray:
     """c_ij = sum F_i[l,k] F_j[n,m] T[k,l,m,n]."""
     f = basis.elements
     return np.einsum("ilk,jnm,klmn->ij", f, f, t.entries, optimize=True)
+
+
+def diagonalize_dissipator(a, basis):
+    """gamma, the eigenvectors u and L_alpha = sum_j u*_aj F_j, one column at a time.
+
+    Each column is rotated so its largest-magnitude component is real and
+    positive; near-degenerate columns are sorted by their rounded components,
+    largest first.
+    """
+    w, v = np.linalg.eigh(np.asarray(a, dtype=complex))
+    order = np.argsort(-w, kind="stable")
+    w, v = w[order], v[:, order]
+    for k in range(v.shape[1]):
+        col = v[:, k]
+        idx = int(np.argmax(np.abs(col)))
+        phase = col[idx] / abs(col[idx]) if abs(col[idx]) > 0 else 1.0
+        v[:, k] = col / phase
+    i = 0
+    while i < len(w):
+        jend = i + 1
+        while jend < len(w) and abs(w[jend] - w[i]) <= 1e-12 * max(1.0, abs(w[i])):
+            jend += 1
+        if jend - i > 1:
+            cols = sorted(range(i, jend), key=lambda k: tuple(np.round(v[:, k], 9).view(float)), reverse=True)
+            v[:, i:jend] = v[:, cols]
+        i = jend
+    gamma = np.where(np.abs(w) < 1e-12 * np.abs(w).max(), 0.0, w)
+    return gamma, v, [np.einsum("j,jab->ab", v[:, k], basis.traceless) for k in range(basis.J)]

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,6 +235,15 @@ MALFORMED = {
     "config-dim-not-an-integer": (["--config", '{"dim": "x"}', "basis"], None, "dim"),
     "bad-dim": (["basis", "--dim", "x"], None, "invalid int value"),
     "unknown-subcommand": (["transmogrify", "--dim", "2"], None, "invalid choice"),
+    "check-cp-complex-c": (["check-cp", "--dim", "2"], '{"G": %s, "c": [[0.0, 3.0], 0, 1]}' % _G3, "c must be real"),
+    "solve-complex-c": (["solve", "--dim", "2"], '{"G": %s, "c": [[0.0, 3.0], 0, 1]}' % _G3, "c must be real"),
+    "solve-complex-v0": (["solve", "--dim", "2"], '{"G": %s, "v0": [1, [0, -2], 0]}' % _G3, "v0 must be real"),
+    "solve-complex-time": (["solve", "--dim", "2"], '{"G": %s, "times": [[1.0, 7.0]]}' % _G3, "times must be real"),
+    "evolve-complex-time": (
+        ["evolve", "--dim", "2"],
+        '{%s, "rho0": [[1, 0], [0, 0]], "times": [[2, 1e-300]]}' % _ZERO_MEQ,
+        "times must be real",
+    ),
     "config-unknown-ensemble": (
         ["--config", '{"ensemble": "goe"}', "rarity", "--dim", "2", "--samples", "10"], None, "ensemble"
     ),
@@ -271,3 +285,56 @@ def test_config_ensemble_is_applied(tmp_path):
     out = tmp_path / "r.json"
     assert main(["--config", cfg, "rarity", "--out", str(out)]) == 0
     assert json.loads(out.read_bytes())["ensemble"] == "GUE"
+
+
+def test_real_fields_accept_pairs_with_zero_imaginary_part(tmp_path):
+    plain = {"G": json.loads(_G3), "c": [0, 0, 1], "v0": [0.5, 0, 0], "times": [0, 1]}
+    pairs = {"G": json.loads(_G3), "c": [[0, 0], 0, [1, -0.0]], "v0": [[0.5, 0], 0, 0], "times": [0, [1, 0]]}
+    outs = []
+    for name, payload in (("plain", plain), ("pairs", pairs)):
+        inp = _write_json(tmp_path / f"{name}.json", payload)
+        code, out = _run(["solve", "--dim", "2", "--in", inp], tmp_path / f"{name}.out")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+# runs in a fresh interpreter, so only what these calls import is loaded
+_COLD_PROCESS = textwrap.dedent(
+    """
+    import json, sys
+    import lindblad_ode
+    from lindblad_ode.cli import main
+
+    work = sys.argv[1]
+
+    def run(argv, payload):
+        with open(f"{work}/in.json", "w") as fh:
+            json.dump(payload, fh)
+        assert main(argv + ["--dim", "2", "--in", f"{work}/in.json", "--out", f"{work}/out.json"]) == 0, argv
+        with open(f"{work}/out.json") as fh:
+            return json.load(fh)
+
+    fwd = run(["forward"], {"H": [[0, 0], [0, 0]], "a": [[0, 0, 0], [0, 0, 0], [0, 0, 2]]})
+    run(["inverse"], {"G": fwd["G"], "c": fwd["c"]})
+    run(["check-cp"], {"G": fwd["G"], "c": fwd["c"]})
+    spectral = run(["solve"], {"G": [[-1, 0, 0], [0, -1, 0], [0, 0, -2]], "c": [0, 0, 1], "times": [0, 1]})
+    assert spectral["solver"] == "diagonalizable_invertible"
+    assert "scipy.linalg" not in sys.modules
+    # a Hamiltonian-only G is singular, so solve takes the propagator branch
+    general = run(["solve"], {"G": [[0, 1, 0], [-1, 0, 0], [0, 0, 0]], "v0": [1, 0, 0], "times": [0, 1]})
+    assert general["solver"] == "general"
+    assert "scipy.linalg" in sys.modules
+    print("ok")
+    """
+)
+
+
+def test_only_the_propagator_branch_loads_scipy(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_PROCESS, str(tmp_path)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"

@@ -20,6 +20,7 @@ from lindblad_ode import (
     spectrum_relation_check,
     structure_constants,
 )
+from lindblad_ode.forward import _canonical_eig_order
 
 from conftest import (
     amplitude_damping_a,
@@ -187,6 +188,31 @@ def test_diagonalize_dissipator_deterministic_and_snapped(basis3):
     # eigenvalues 2 and exact zeros (7-fold)
     assert d1.gamma[0] == pytest.approx(2.0, abs=1e-12)
     assert np.all(d1.gamma[1:] == 0.0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_diagonalize_dissipator_matches_per_column_oracle(d):
+    basis = generate_gell_mann(d)
+    j = basis.J
+    rng = np.random.default_rng(100 + d)
+    q, _ = np.linalg.qr(rng.normal(size=(j, j)) + 1j * rng.normal(size=(j, j)))
+    cases = [
+        random_meq(d, rng, psd=True).rates,
+        random_meq(d, rng).rates,
+        # degenerate clusters, so the tie-break reorders columns
+        (q * rng.choice([0.0, 1.0, 2.0], size=j)) @ q.conj().T,
+        np.diag(rng.choice([0.0, 3.0], size=j)).astype(complex),
+    ]
+    if d == 3:
+        cases.append(qutrit_ad_a())
+    for a in cases:
+        diag = diagonalize_dissipator(a, basis)
+        gamma, vectors, ops = oracles.diagonalize_dissipator(a, basis)
+        assert diag.gamma.tobytes() == gamma.tobytes()
+        assert _canonical_eig_order(*np.linalg.eigh(np.asarray(a, dtype=complex)))[1].tobytes() == vectors.tobytes()
+        assert isinstance(diag.lindblad_ops, list) and len(diag.lindblad_ops) == len(ops)
+        for op, ref in zip(diag.lindblad_ops, ops):
+            assert np.max(np.abs(op - ref)) <= 1e-15 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_hermitian_dissipator_checks(basis2):

@@ -15,7 +15,7 @@ from lindblad_ode import (
     wilson_interval,
 )
 from lindblad_ode.basis import generate_gell_mann
-from lindblad_ode.rarity import _CHUNK, _ginoe_batch, _gue_batch, _rates_matrix, _stream
+from lindblad_ode.rarity import _CHUNK, _PSD_TOL, _ginoe_batch, _gue_batch, _rates_matrix, _stable_candidates, _stream
 
 # past 2^63, and the sample count crosses a chunk boundary
 _BIG_SEED = 2**63 + 12345
@@ -157,6 +157,49 @@ def test_ginoe_counts_equal_per_sample_oracle(d):
     assert (est.n_positive, est.n_spectrum_stable) == (n_psd, n_stable)
     # the re-keyed sampler reproduces the per-sample streams bit for bit
     np.testing.assert_array_equal(_ginoe_batch(d, _BIG_SEED, 0, _N_ACROSS, _rates_matrix(basis))[0], gs)
+
+
+def _stable_spectrum_block(rng, j):
+    """Real block-diagonal matrix whose eigenvalues all have Re <= 0, often exactly 0."""
+    b = np.zeros((j, j))
+    k = 0
+    while k < j:
+        kind = rng.integers(4) if k + 1 < j else rng.integers(2)
+        if kind == 0:  # eigenvalue exactly 0
+            k += 1
+        elif kind == 1:
+            b[k, k] = -rng.exponential()
+            k += 1
+        elif kind == 2:  # eigenvalues Re(mu) +- i w, Re(mu) = 0 or < 0
+            w = rng.normal()
+            b[k : k + 2, k : k + 2] = [[0.0, w], [-w, 0.0]]
+            b[k : k + 2, k : k + 2] -= rng.choice([0.0, rng.exponential()]) * np.eye(2)
+            k += 2
+        else:  # nilpotent Jordan block: a double eigenvalue 0
+            b[k, k + 1] = rng.normal()
+            k += 2
+    return b
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_stability_prune_keeps_every_stable_matrix(d):
+    # stable samples are too rare at d >= 3 for the oracle test to catch over-pruning
+    j = d * d - 1
+    rng = np.random.default_rng(500 + d)
+    gs = []
+    for k in range(300):
+        x = rng.normal(size=(j, j))
+        if k % 2:
+            x = np.linalg.qr(x)[0]
+        scale = [1e-3, 1.0, 1e3][k % 3]
+        # max Re lambda(G) is exactly _PSD_TOL whenever the block has a Re 0 eigenvalue
+        gs.append(scale * x @ _stable_spectrum_block(rng, j) @ np.linalg.inv(x) + _PSD_TOL * np.eye(j))
+    gs.append(np.zeros((j, j)))
+    gs.append(_PSD_TOL * np.eye(j))
+    assert _stable_candidates(np.array(gs), _PSD_TOL).all()
+    # tr G < 0, yet the second coefficient is negative: an unstable G is pruned
+    unstable = np.diag(np.r_[1.0, -2.0, np.zeros(j - 2)])
+    assert not _stable_candidates(unstable[None], _PSD_TOL)[0]
 
 
 @pytest.mark.parametrize("j", [1, 2, 8])
