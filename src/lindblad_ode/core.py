@@ -11,6 +11,8 @@ columns are vec(F_k), and Ft = P[:, 1:] holds its traceless columns.
 reshuffle moves the index pairs [(p,r),(s,q)] to [(p,q),(r,s)], which turns
 sum_ij a_ij vec(F_i) vec(F_j)^T into sum_ij a_ij F_i (x) F_j^T.
 
+- Action: L(X) = S vec(X). Row-major vec is unitary, so S^dag is the matrix
+  of the adjoint map, and L is Hermitian exactly when S = S^dag.
 - Coordinates: Lhat = P^dag S P, so G = Lhat[1:, 1:] and c = Lhat[1:, 0] / sqrt(d).
 - Rates: a = Ft^dag unreshuffle(S) conj(Ft). The Hamiltonian and
   anticommutator terms unreshuffle into rank-one pieces along vec(I),
@@ -86,6 +88,15 @@ def to_tensor(s: np.ndarray) -> np.ndarray:
     """Inverse of from_tensor."""
     d = _dim(s)
     return unreshuffle(s).reshape(d, d, d, d)
+
+
+def apply(s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """L(X) = S @ vec(X) for a d x d matrix X."""
+    d = _dim(s)
+    x = np.asarray(x, dtype=complex)
+    if x.shape != (d, d):
+        raise ValueError(f"operator shape {x.shape} incompatible with dimension {d}")
+    return (s @ x.ravel()).reshape(d, d)
 
 
 def coordinates(s: np.ndarray, basis: NiceBasis) -> np.ndarray:

@@ -2,6 +2,10 @@
 recover the rate matrix a and test it for positive semidefiniteness, the
 equivalent quadratic-form test, and sampling from the extreme rays of the
 cone of completely positive dissipative generators.
+
+The rate matrix a comes from the core superoperator, and the quadratic form
+is b^dag a b of that a; one eigendecomposition of a gives both the verdict
+and the diagonal form.
 """
 from __future__ import annotations
 
@@ -10,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import NiceBasis, coordinatize
-from .forward import DiagonalDissipator, MasterEqParams, OdePair, diagonalize_dissipator, forward_map, q_from_h
+from .forward import DiagonalDissipator, MasterEqParams, OdePair, _diagonal_form, forward_map, q_from_h
 from .inverse import a_from_gc
 
 DEFAULT_CP_TOL = 1e-9
@@ -38,13 +42,14 @@ def check_lindblad(pair: OdePair, basis: NiceBasis, tol: float = DEFAULT_CP_TOL)
     if not (np.all(np.isfinite(pair.G)) and np.all(np.isfinite(pair.c))):
         raise ValueError("G and c must be finite")
     a = a_from_gc(pair.G, pair.c, basis)
-    eigs = np.linalg.eigvalsh(a)[::-1].copy()
+    w, v = np.linalg.eigh(a)
+    eigs = w[::-1].copy()
     min_eig = float(eigs[-1]) if eigs.size else 0.0
     # the spectral norm of the Hermitian a is its largest |eigenvalue|
     threshold = tol * max(1.0, float(np.abs(eigs).max())) if a.size else tol
     verdict = min_eig >= -threshold
     marginal = abs(min_eig) <= 10.0 * threshold
-    diag = diagonalize_dissipator(a, basis) if verdict else None
+    diag = _diagonal_form(w, v, basis) if verdict else None
     return CPReport(
         a=a,
         eigenvalues=eigs,
@@ -56,18 +61,13 @@ def check_lindblad(pair: OdePair, basis: NiceBasis, tol: float = DEFAULT_CP_TOL)
     )
 
 
-def _g_tilde(g: np.ndarray, c: np.ndarray, basis: NiceBasis) -> np.ndarray:
-    """Stack of operators G~_n = sum_m G_nm F_m + c_n I."""
-    eye = np.eye(basis.dim)
-    return np.einsum("nm,mab->nab", g, basis.traceless) + c[:, None, None] * eye
-
-
 def cp_quadratic_form(pair: OdePair, big_b: np.ndarray, basis: NiceBasis) -> float:
     """Evaluate sum_i Tr[(sum_j G_ij F_j + c_i I) B^dag F_i B] for traceless B.
 
-    Equals b^dag a b with b_m = Tr(F_m B); nonnegative for every traceless B
-    exactly when the pair is Lindblad. Exposed for auditing; the verdict in
-    check_lindblad always comes from the eigenvalue test.
+    Equals b^dag a b with b_m = Tr(F_m B) and a recovered from (G, c), which
+    is how it is computed; nonnegative for every traceless B exactly when the
+    pair is Lindblad. Exposed for auditing; the verdict in check_lindblad
+    always comes from the eigenvalue test.
     """
     big_b = np.asarray(big_b, dtype=complex)
     d = basis.dim
@@ -75,8 +75,8 @@ def cp_quadratic_form(pair: OdePair, big_b: np.ndarray, basis: NiceBasis) -> flo
         raise ValueError(f"B must be {d}x{d}, got {big_b.shape}")
     if abs(np.trace(big_b)) > 1e-9:
         raise ValueError("B must be traceless")
-    gt = _g_tilde(pair.G, pair.c, basis)
-    val = np.einsum("iab,bc,icd,da->", gt, big_b.conj().T, basis.traceless, big_b, optimize=True)
+    b = coordinatize(big_b, basis)[1:]
+    val = b.conj() @ a_from_gc(pair.G, pair.c, basis) @ b
     if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
         raise ValueError(f"quadratic form is not real (imag {val.imag:.3e})")
     return float(val.real)

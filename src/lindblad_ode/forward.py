@@ -115,25 +115,17 @@ class DissipatorSymmetryReport:
 
 def apply_dissipator(a: np.ndarray, x: np.ndarray, basis: NiceBasis) -> np.ndarray:
     """sum_ij a_ij (F_i X F_j - 1/2 {F_j F_i, X}); a need not be Hermitian here."""
-    a = np.asarray(a, dtype=complex)
-    x = np.asarray(x, dtype=complex)
-    ft = basis.traceless
-    if not basis.J:
-        return np.zeros_like(x)
-    out = np.einsum("ij,iab,bc,jcd->ad", a, ft, x, ft, optimize=True)
-    m = np.einsum("ij,jab,ibc->ac", a, ft, ft, optimize=True)
-    return out - 0.5 * (m @ x + x @ m)
+    return core.apply(core.dissipator_superop(np.asarray(a, dtype=complex), basis), x)
 
 
 def apply_liouvillian(params: MasterEqParams, x: np.ndarray, basis: NiceBasis) -> np.ndarray:
     """L(X) = -i[H, X] + sum_ij a_ij (F_i X F_j - 1/2 {F_j F_i, X})."""
-    x = np.asarray(x, dtype=complex)
-    d = basis.dim
-    if x.shape != (d, d):
-        raise ValueError(f"operator shape {x.shape} incompatible with dimension {d}")
-    h = params.hamiltonian
-    out = -1j * (h @ x - x @ h)
-    return out + apply_dissipator(params.rates, x, basis)
+    return core.apply(_superop(params, basis), x)
+
+
+def _superop(params: MasterEqParams, basis: NiceBasis) -> np.ndarray:
+    """The core superoperator S of (H, a)."""
+    return core.hamiltonian_superop(params.hamiltonian) + core.dissipator_superop(params.rates, basis)
 
 
 def _real(m: np.ndarray, what: str, tol: float = _REAL_TOL) -> np.ndarray:
@@ -237,10 +229,13 @@ def diagonalize_dissipator(a: np.ndarray, basis: NiceBasis) -> DiagonalDissipato
 
     Eigenvalues below 1e-12 * ||a|| in magnitude are reported as exact zeros.
     """
-    a = np.asarray(a, dtype=complex)
+    return _diagonal_form(*np.linalg.eigh(np.asarray(a, dtype=complex)), basis)
+
+
+def _diagonal_form(w: np.ndarray, v: np.ndarray, basis: NiceBasis) -> DiagonalDissipator:
+    """diagonalize_dissipator from the ascending eigh output (w, v) of a."""
     if not basis.J:
         return DiagonalDissipator(gamma=np.zeros(0), lindblad_ops=[])
-    w, v = np.linalg.eigh(a)
     w, v = _canonical_eig_order(w, v)
     # the spectral norm of the Hermitian a is its largest |eigenvalue|
     scale = np.abs(w).max()
@@ -252,16 +247,17 @@ def diagonalize_dissipator(a: np.ndarray, basis: NiceBasis) -> DiagonalDissipato
 def hermitian_dissipator_checks(
     a: np.ndarray, basis: NiceBasis, tol: float = DATA_TOL
 ) -> DissipatorSymmetryReport:
-    """Evaluate the equivalent conditions for the dissipator to be Hermitian."""
-    from .superop import adjoint_tensor, tensor_from_map
+    """Evaluate the equivalent conditions for the dissipator to be Hermitian.
 
-    a = np.asarray(a, dtype=complex)
+    Row-major vec is unitary, so the dissipator is Hermitian exactly when its
+    core superoperator S equals S^dag.
+    """
+    a = MasterEqParams(hamiltonian=np.zeros((basis.dim, basis.dim)), rates=a).rates
     scale = max(1.0, float(np.max(np.abs(a), initial=0.0)))
     sym = float(np.max(np.abs(a - a.T), initial=0.0)) <= tol * scale
     real = float(np.max(np.abs(a.imag), initial=0.0)) <= tol * scale
-    params = MasterEqParams(hamiltonian=np.zeros((basis.dim, basis.dim)), rates=a)
-    t = tensor_from_map(lambda x: apply_liouvillian(params, x, basis), basis.dim)
-    herm = float(np.max(np.abs(t.entries - adjoint_tensor(t).entries), initial=0.0)) <= tol * scale
+    s = core.dissipator_superop(a, basis)
+    herm = float(np.max(np.abs(s - s.conj().T), initial=0.0)) <= tol * scale
     r, c = _dissipator_rc(a, basis)
     r_sym_c0 = (
         float(np.max(np.abs(r - r.T), initial=0.0)) <= tol * scale

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import core
 from .basis import NiceBasis
-from .forward import MasterEqParams, OdePair, _dissipator_rc, _real, q_from_h
+from .forward import MasterEqParams, OdePair, _real, _superop, q_from_h
 from .superop import SuperopTensor
 
 _INV_TOL = 1e-10
@@ -49,32 +49,21 @@ class Tensor4:
         return self.entries.shape[0]
 
 
-def _tensor4_violation(t: Tensor4) -> float:
-    x = t.entries
+def validate_tensor4(t: Tensor4, tol: float = _INV_TOL) -> None:
+    _check_invariants(t.entries, t.flavor, tol)
+
+
+def _check_invariants(x: np.ndarray, flavor: str, tol: float = _INV_TOL) -> None:
+    """Raise unless x keeps the flavor's invariants; the superoperator tensors share the x-tilde layout."""
     v = float(np.max(np.abs(x - x.conj().transpose(3, 2, 1, 0)), initial=0.0))
-    if t.flavor == "x":
+    if flavor == "x":
         v = max(v, float(np.max(np.abs(np.einsum("ijkk->ij", x) + np.einsum("kkij->ij", x)))))
     else:
         v = max(v, float(np.max(np.abs(np.einsum("ijki->jk", x)))))
-    return v
-
-
-def validate_tensor4(t: Tensor4, tol: float = _INV_TOL) -> None:
-    scale = max(1.0, float(np.max(np.abs(t.entries), initial=0.0)))
-    v = _tensor4_violation(t)
-    if v > tol * scale:
-        raise ValueError(f"tensor violates flavor-{t.flavor} invariants by {v:.3e}")
-
-
-def _validate_superop(t: SuperopTensor, tol: float = _INV_TOL) -> None:
-    x = t.entries
-    scale = max(1.0, float(np.max(np.abs(x), initial=0.0)))
-    herm = float(np.max(np.abs(x - x.conj().transpose(3, 2, 1, 0))))
-    trace = float(np.max(np.abs(np.einsum("klmk->lm", x))))
-    if max(herm, trace) > tol * scale:
+    if v > tol * max(1.0, float(np.max(np.abs(x), initial=0.0))):
         raise ValueError(
-            "superoperator is not a Hermiticity-preserving trace-annihilating "
-            f"generator (violation {max(herm, trace):.3e})"
+            "not a Hermiticity-preserving trace-annihilating generator: "
+            f"flavor-{flavor} invariants violated by {v:.3e}"
         )
 
 
@@ -105,10 +94,6 @@ def inverse_map(pair: OdePair, basis: NiceBasis) -> MasterEqParams:
 
 
 # --- six-space maps: each space to the core superoperator S and back -------
-
-
-def _meq_to_core(p: MasterEqParams, basis: NiceBasis) -> np.ndarray:
-    return core.hamiltonian_superop(p.hamiltonian) + core.dissipator_superop(p.rates, basis)
 
 
 def _core_to_meq(s: np.ndarray, basis: NiceBasis) -> MasterEqParams:
@@ -150,7 +135,7 @@ def _core_to_gc(s: np.ndarray, basis: NiceBasis) -> OdePair:
 # The x-tilde tensor (space 3) and the superoperator tensors (spaces 4 and 5)
 # share one layout: xt_ijkl = T[i,j,k,l] = [L(|j><k|)]_il.
 _TO_CORE = {
-    1: _meq_to_core,
+    1: _superop,
     2: _x_to_core,
     3: lambda t, b: core.from_tensor(t.entries),
     4: lambda t, b: core.from_tensor(t.entries),
@@ -167,16 +152,15 @@ _FROM_CORE = {
     6: _core_to_gc,
 }
 
-_VALIDATORS = {
-    2: lambda v: validate_tensor4(v) if v.flavor == "x" else _bad_flavor(v, "x"),
-    3: lambda v: validate_tensor4(v) if v.flavor == "x_tilde" else _bad_flavor(v, "x_tilde"),
-    4: _validate_superop,
-    5: _validate_superop,
+# the type of each space's values and, for the tensors, the layout of their invariants
+_SPACES = {
+    1: (MasterEqParams, None),
+    2: (Tensor4, "x"),
+    3: (Tensor4, "x_tilde"),
+    4: (SuperopTensor, "x_tilde"),
+    5: (SuperopTensor, "x_tilde"),
+    6: (OdePair, None),
 }
-
-
-def _bad_flavor(v, want):
-    raise ValueError(f"expected flavor {want!r}, got {v.flavor!r}")
 
 
 def phi(src: int, dst: int, value, basis: NiceBasis):
@@ -186,15 +170,19 @@ def phi(src: int, dst: int, value, basis: NiceBasis):
     request goes from src to the core superoperator and from there to dst.
     """
     for s in (src, dst):
-        if s not in range(1, 7):
+        if s not in _SPACES:
             raise ValueError(f"space identifier must be 1..6, got {s}")
-    check = _VALIDATORS.get(src)
-    if check is not None:
-        check(value)
-    elif src == 1 and not isinstance(value, MasterEqParams):
-        raise ValueError("space 1 values must be MasterEqParams")
-    elif src == 6 and not isinstance(value, OdePair):
-        raise ValueError("space 6 values must be OdePair")
+    kind, layout = _SPACES[src]
+    if not isinstance(value, kind):
+        raise ValueError(f"space {src} values must be {kind.__name__}, got {type(value).__name__}")
+    if isinstance(value, Tensor4) and value.flavor != layout:
+        raise ValueError(f"space {src} expects flavor {layout!r}, got {value.flavor!r}")
+    if src == 6 and value.G.shape != (basis.J, basis.J):
+        raise ValueError(f"space 6 value has G of shape {value.G.shape}, the basis has dimension {basis.dim}")
+    if src != 6 and value.dim != basis.dim:
+        raise ValueError(f"space {src} value has dimension {value.dim}, the basis has dimension {basis.dim}")
+    if layout:
+        _check_invariants(value.entries, layout)
     return _FROM_CORE[dst](_TO_CORE[src](value, basis), basis)
 
 
@@ -224,19 +212,7 @@ def image_dimensions(basis: NiceBasis) -> tuple[int, int, int]:
     with the antisymmetric matrices, kernel dimension of a -> (R, c)).
     """
     j = basis.J
-    if j == 0:
-        return 0, 0, 0
-    # a = (Y + Y^T)/2 + i(Y - Y^T)/2 over the real unit matrices Y spans the Hermitian matrices
-    rc = [_dissipator_rc((y + y.T) / 2 + 0.5j * (y - y.T), basis) for y in np.eye(j * j).reshape(-1, j, j)]
-    rs = np.array([r for r, _ in rc])
-    rows_r = rs.reshape(j * j, -1)
-
-    def _rank(m):
-        sv = np.linalg.svd(m, compute_uv=False)
-        return int(np.sum(sv > 1e-8 * sv[0]))
-
-    dim_image = _rank(rows_r)
-    # the image meets the antisymmetric matrices in the kernel of R -> R + R^T on it
-    dim_intersection = dim_image - _rank((rs + rs.transpose(0, 2, 1)).reshape(j * j, -1))
-    kernel_dim = j * j - _rank(np.hstack([rows_r, [c for _, c in rc]]))
-    return dim_image, dim_intersection, kernel_dim
+    # a -> (G, c) is a bijection (kernel 0); the image of a -> R is the kernel of the onto map
+    # R -> H(R) of r_image_check (J fewer dimensions), which stays onto on the antisymmetric
+    # matrices because H(q_from_h(H)) = H
+    return j * j - j, j * (j - 1) // 2 - j, 0

@@ -1,6 +1,9 @@
 """Superoperator representations: rank-4 tensors over matrix units, the
 coordinate matrix over a nice operator basis, and the F-A-F coefficient
 form E(A) = sum_ij c_ij F_i A F_j.
+
+Each representation converts through the superoperator S of `core`, and
+applying one to a matrix X is S @ vec(X).
 """
 from __future__ import annotations
 
@@ -80,10 +83,7 @@ def tensor_from_map(fn: Callable[[np.ndarray], np.ndarray], d: int) -> SuperopTe
 
 
 def apply_tensor(t: SuperopTensor, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (t.dim, t.dim):
-        raise ValueError(f"operator shape {x.shape} incompatible with tensor dim {t.dim}")
-    return np.einsum("klmn,lm->kn", t.entries, x)
+    return core.apply(core.from_tensor(t.entries), x)
 
 
 def adjoint_tensor(t: SuperopTensor) -> SuperopTensor:
@@ -120,8 +120,7 @@ def tensor_from_faf(r: FAFRep, b: NiceBasis) -> SuperopTensor:
 
 
 def apply_faf(r: FAFRep, x: np.ndarray, b: NiceBasis) -> np.ndarray:
-    x = np.asarray(x, dtype=complex)
-    return np.einsum("ij,iab,bc,jcd->ad", r.c, b.elements, x, b.elements, optimize=True)
+    return apply_tensor(tensor_from_faf(r, b), x)
 
 
 def adjoint_faf(r: FAFRep) -> FAFRep:

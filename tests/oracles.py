@@ -1,14 +1,26 @@
 """Independent reference formulas for the conversion maps.
 
 These are the explicit trace and einsum formulas of the paper, one per map,
-written directly over the basis elements, and the structure-constant routes
-for c, H and the G = Q + R split. The library derives every map from the
+written directly over the basis elements, the structure-constant routes
+for c, H and the G = Q + R split, the explicit actions of the dissipator and
+of the sandwich form, the quadratic form of the CP test, and the numerical
+ranks behind the closed-form image dimensions (these run the library's
+forward map over a basis of the rate matrices). The library derives every map from the
 vec/reshuffle core in `lindblad_ode.core`; the tests compare the two.
 They cost about d^10 and are only meant for small d.
 """
 import numpy as np
 
-from lindblad_ode import MasterEqParams, OdePair, SuperopTensor, Tensor4, structure_constants
+from lindblad_ode import (
+    MasterEqParams,
+    OdePair,
+    SuperopTensor,
+    Tensor4,
+    adjoint_tensor,
+    forward_map,
+    structure_constants,
+    tensor_from_map,
+)
 
 
 def q_from_h(h, basis):
@@ -44,6 +56,13 @@ def c_from_a_structure(a, basis):
 def g_tilde(g, c, basis):
     """Stack of operators G~_n = sum_m G_nm F_m + c_n I."""
     return np.einsum("nm,mab->nab", g, basis.traceless) + c[:, None, None] * np.eye(basis.dim)
+
+
+def cp_quadratic_form(pair: OdePair, big_b, basis):
+    """sum_i Tr[G~_i B^dag F_i B]."""
+    gt = g_tilde(pair.G, pair.c, basis)
+    big_b = np.asarray(big_b, dtype=complex)
+    return np.einsum("iab,bc,icd,da->", gt, big_b.conj().T, basis.traceless, big_b, optimize=True)
 
 
 def a_from_gc(g, c, basis):
@@ -147,3 +166,55 @@ def diagonalize_dissipator(a, basis):
         i = jend
     gamma = np.where(np.abs(w) < 1e-12 * np.abs(w).max(), 0.0, w)
     return gamma, v, [np.einsum("j,jab->ab", v[:, k], basis.traceless) for k in range(basis.J)]
+
+
+def apply_dissipator(a, x, basis):
+    """sum_ij a_ij (F_i X F_j - 1/2 {F_j F_i, X}), for any complex a."""
+    ft = basis.traceless
+    out = np.einsum("ij,iab,bc,jcd->ad", a, ft, x, ft, optimize=True)
+    m = np.einsum("ij,jab,ibc->ac", a, ft, ft, optimize=True)
+    return out - 0.5 * (m @ x + x @ m)
+
+
+def apply_liouvillian(p: MasterEqParams, x, basis):
+    """-i[H, X] plus the dissipator."""
+    h = p.hamiltonian
+    return -1j * (h @ x - x @ h) + apply_dissipator(p.rates, x, basis)
+
+
+def apply_faf(c, x, basis):
+    """sum_ij c_ij F_i X F_j over the full basis."""
+    f = basis.elements
+    return np.einsum("ij,iab,bc,jcd->ad", c, f, x, f, optimize=True)
+
+
+def superop_hermitian(a, basis, tol):
+    """The dissipator tensor, built one matrix unit at a time, against the tensor of its adjoint."""
+    t = tensor_from_map(lambda x: apply_dissipator(a, x, basis), basis.dim)
+    scale = max(1.0, float(np.max(np.abs(a), initial=0.0)))
+    return float(np.max(np.abs(t.entries - adjoint_tensor(t).entries), initial=0.0)) <= tol * scale
+
+
+def image_dimensions(basis):
+    """Numerical ranks of a -> R and a -> (R, c) over a real basis of the Hermitian a."""
+    j = basis.J
+    if j == 0:
+        return 0, 0, 0
+    zero_h = np.zeros((basis.dim, basis.dim))
+    # a = (Y + Y^T)/2 + i(Y - Y^T)/2 over the real unit matrices Y spans the Hermitian matrices
+    pairs = [
+        forward_map(MasterEqParams(hamiltonian=zero_h, rates=(y + y.T) / 2 + 0.5j * (y - y.T)), basis)
+        for y in np.eye(j * j).reshape(-1, j, j)
+    ]
+    rs = np.array([p.R for p in pairs])
+    rows_r = rs.reshape(j * j, -1)
+
+    def _rank(m):
+        sv = np.linalg.svd(m, compute_uv=False)
+        return int(np.sum(sv > 1e-8 * sv[0]))
+
+    dim_image = _rank(rows_r)
+    # the image meets the antisymmetric matrices in the kernel of R -> R + R^T on it
+    dim_intersection = dim_image - _rank((rs + rs.transpose(0, 2, 1)).reshape(j * j, -1))
+    kernel_dim = j * j - _rank(np.hstack([rows_r, [p.c for p in pairs]]))
+    return dim_image, dim_intersection, kernel_dim

@@ -5,21 +5,29 @@ import pytest
 
 import oracles
 from lindblad_ode import (
+    FAFRep,
     OdePair,
     SuperopTensor,
     a_from_gc,
+    apply_dissipator,
+    apply_faf,
+    apply_liouvillian,
     c_from_a,
     core,
+    cp_quadratic_form,
     faf_from_tensor,
     forward_map,
     generate_gell_mann,
     h_from_g,
+    hermitian_dissipator_checks,
+    image_dimensions,
     inverse_map,
     phi,
     q_from_h,
     r_from_a,
     superop_matrix,
 )
+from lindblad_ode.basis import DATA_TOL
 
 from conftest import random_meq
 
@@ -34,6 +42,10 @@ def assert_close(got, want, scale):
 
 def _size(*arrays):
     return max(float(np.max(np.abs(x), initial=0.0)) for x in arrays)
+
+
+def _complex(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
 def _random_pair(d, rng):
@@ -96,6 +108,52 @@ def test_superop_conversions_match_oracles(d):
     scale = _size(t.entries)
     assert_close(superop_matrix(t, basis).entries, oracles.superop_matrix(t, basis), scale)
     assert_close(faf_from_tensor(t, basis).c, oracles.faf_from_tensor(t, basis), scale)
+
+
+@pytest.mark.parametrize("d", ORACLE_DIMS)
+def test_actions_match_oracles(d):
+    rng = np.random.default_rng(1000 + d)
+    basis = generate_gell_mann(d)
+    j = d * d - 1
+    x = _complex(rng, d, d)
+    p = random_meq(d, rng)
+    # a non-Hermitian a is a valid input to apply_dissipator
+    for a in (p.rates, _complex(rng, j, j)):
+        assert_close(apply_dissipator(a, x, basis), oracles.apply_dissipator(a, x, basis), _size(a) * _size(x))
+    scale = _size(p.hamiltonian, p.rates) * _size(x)
+    assert_close(apply_liouvillian(p, x, basis), oracles.apply_liouvillian(p, x, basis), scale)
+    c = _complex(rng, j + 1, j + 1)
+    assert_close(apply_faf(FAFRep(c), x, basis), oracles.apply_faf(c, x, basis), _size(c) * _size(x))
+
+
+@pytest.mark.parametrize("d", ORACLE_DIMS)
+def test_quadratic_form_matches_oracle(d):
+    rng = np.random.default_rng(1100 + d)
+    basis = generate_gell_mann(d)
+    pair = _random_pair(d, rng)
+    for _ in range(3):
+        big_b = _complex(rng, d, d)
+        big_b -= np.trace(big_b) / d * np.eye(d)
+        want = oracles.cp_quadratic_form(pair, big_b, basis)
+        assert_close(cp_quadratic_form(pair, big_b, basis), want.real, _size(pair.G, pair.c) * _size(big_b) ** 2)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_superop_hermitian_matches_oracle(d):
+    rng = np.random.default_rng(1200 + d)
+    basis = generate_gell_mann(d)
+    j = d * d - 1
+    y = rng.normal(size=(j, j))
+    # a real symmetric a gives a Hermitian dissipator, a complex Hermitian a does not
+    for a, hermitian in ((y + y.T, True), (random_meq(d, rng).rates, False)):
+        verdict = hermitian_dissipator_checks(a, basis).superop_hermitian
+        assert verdict == oracles.superop_hermitian(a, basis, DATA_TOL) == hermitian
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_image_dimensions_match_rank_oracle(d):
+    basis = generate_gell_mann(d)
+    assert image_dimensions(basis) == oracles.image_dimensions(basis)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 import oracles
 from lindblad_ode import (
+    MasterEqParams,
     OdePair,
+    SuperopTensor,
     Tensor4,
     a_from_gc,
     decompose_g,
@@ -121,6 +123,23 @@ def test_phi_validates_inputs(basis2):
         phi(2, 1, bad, basis2)
     with pytest.raises(ValueError):
         phi(0, 1, None, basis2)
+    # a value of the wrong type for its space
+    for src, dst, value in [
+        (4, 6, np.zeros((2, 2, 2, 2))),
+        (2, 1, np.zeros((2, 2, 2, 2))),
+        (3, 6, SuperopTensor(np.zeros((2, 2, 2, 2)))),
+    ]:
+        with pytest.raises(ValueError, match=f"space {src} values must be"):
+            phi(src, dst, value, basis2)
+    # a d=3 value with the d=2 basis
+    for src, value in [
+        (1, MasterEqParams(hamiltonian=np.zeros((3, 3)), rates=np.zeros((8, 8)))),
+        (2, Tensor4(entries=np.zeros((3, 3, 3, 3)), flavor="x")),
+        (4, SuperopTensor(np.zeros((3, 3, 3, 3)))),
+        (6, OdePair(G=np.zeros((8, 8)), c=np.zeros(8))),
+    ]:
+        with pytest.raises(ValueError, match="the basis has dimension 2"):
+            phi(src, 6 if src != 6 else 1, value, basis2)
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -126,6 +126,20 @@ def test_ginoe_covariance_structure(d):
     assert report.max_deviation_in_stderr <= 5.0
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_ginoe_covariance_identity_is_exact(d):
+    # a = z @ M with z ~ N(0, I), so E[a_mn a_pq] is (M^T M)[mn, pq] exactly
+    basis = generate_gell_mann(d)
+    j = basis.J
+    m = _rates_matrix(basis)
+    ft = basis.traceless
+    eye = np.eye(j)
+    paper = np.einsum("mq,np->mnpq", eye, eye)
+    paper = paper - np.einsum("pab,qbc,mcd,nda->mnpq", ft, ft, ft, ft, optimize=True) / d
+    err = np.max(np.abs((m.T @ m).reshape(j, j, j, j) - paper))
+    assert err <= 1e-12
+
+
 def test_ginoe_covariance_rejects_dimension_one():
     with pytest.raises(ValueError, match="GinOE needs dimension d >= 2"):
         ginoe_induced_a_covariance(1, n_samples=10, seed=0)
