@@ -3,12 +3,17 @@ spectral form when G is diagonalizable and invertible, and a general
 propagator route via the exponential of the augmented matrix [[G, c], [0, 0]].
 Density-matrix evolution is built on top of the vector solvers.
 
-scipy is needed only by the propagator route (solve_general, propagator):
-its expm is imported on the first propagator evaluation, so importing the
-package and every path that stays on the spectral form never load scipy.
+The propagator route takes its matrix exponential from _expm: scaling and
+squaring with the [13/13] Pade approximant of N. J. Higham, "The scaling and
+squaring method for the matrix exponential revisited", SIAM J. Matrix Anal.
+Appl. 26 (2005) 1179, in numpy alone. scipy.linalg.expm, the oracle of the
+tests, uses the refinement of A. H. Al-Mohy and N. J. Higham, "A new scaling
+and squaring algorithm for the matrix exponential", SIAM J. Matrix Anal. Appl.
+31 (2009) 970, which picks a lower degree or fewer squarings where it can.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,11 +24,67 @@ from .forward import MasterEqParams, OdePair, forward_map
 DIAG_COND_LIMIT = 1e8
 
 
-def _expm(m: np.ndarray) -> np.ndarray:
-    """scipy.linalg.expm, imported on first use: importing scipy.linalg takes about 0.3 s."""
-    from scipy.linalg import expm
+# b_0..b_13 of the [13/13] Pade approximant p(A)/p(-A) to e^A, divided by b_0 so
+# that p(0) = I exactly, and the largest 1-norm at which it is accurate to double
+# precision (Higham 2005, Table 2.3).
+_PADE13 = np.array([
+    64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800,
+    129060195264000, 10559470521600, 670442572800, 33522128640,
+    1323241920, 40840800, 960960, 16380, 182, 1,
+]) / 64764752532480000
+_THETA13 = 5.371920351148152
+# p(A) = V + U and p(-A) = V - U with
+#   U = A [A6 (b13 A6 + b11 A4 + b9 A2) + (b7 A6 + b5 A4 + b3 A2 + b1 I)],
+#   V =    A6 (b12 A6 + b10 A4 + b8 A2) + (b6 A6 + b4 A4 + b2 A2 + b0 I);
+# the rows are the four bracketed polynomials in (A2, A4, A6), without their I terms.
+_UV13 = _PADE13[[[9, 11, 13], [3, 5, 7], [8, 10, 12], [2, 4, 6]]]
 
-    return expm(m)
+
+def _expm(m: np.ndarray) -> np.ndarray:
+    """e^A for every matrix A of a real (..., n, n) stack.
+
+    Scaling and squaring (Higham 2005): each A is scaled by 2^-s with
+    s = max(0, ceil(log2(||A||_1 / theta_13))), its [13/13] Pade approximant
+    r = (V - U)^{-1} (V + U) is taken, and r is squared s times, so a matrix
+    of small norm in a stack with large ones is not squared needlessly. The
+    degree is always 13; Al-Mohy and Higham (2009) lower the degree and s
+    where norms of powers of A allow it.
+    The rounding errors of the squaring phase grow like 2^s u (u = 2^-53), so
+    a matrix that would need s > 52, or has a non-finite entry, gives nan:
+    its computed exponential would carry no correct digit. Overflow gives inf
+    or nan. Neither emits a warning.
+    """
+    m = np.asarray(m, dtype=float)
+    n = m.shape[-1]
+    a = m.reshape(math.prod(m.shape[:-2]), n, n)
+    norm = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
+    ok = norm <= _THETA13 * 2.0**52
+    with np.errstate(divide="ignore"):
+        s = np.ceil(np.log2(np.where(ok, norm, 0.0) / _THETA13)).clip(0).astype(int)
+    a = np.where(ok[:, None, None], a, 0.0) * np.ldexp(1.0, -s)[:, None, None]
+    # One buffer holds the powers and the polynomials: as separate temporaries of a
+    # (64, 25, 25) trajectory stack, malloc handed out fresh pages on every call,
+    # and their page faults cost as much as the Pade evaluation itself.
+    work = np.empty((7,) + a.shape)
+    a2, a4, a6, pu, qu, pv, qv = work
+    np.matmul(a, a, out=a2)
+    np.matmul(a2, a2, out=a4)
+    np.matmul(a4, a2, out=a6)
+    np.matmul(_UV13, work[:3].reshape(3, -1), out=work[3:].reshape(4, -1))
+    qu += _PADE13[1] * np.eye(n)
+    qv += _PADE13[0] * np.eye(n)
+    v = np.matmul(a6, pv, out=a2)
+    v += qv
+    u = np.matmul(a6, pu, out=a4)
+    u += qu
+    u = np.matmul(a, u, out=a6)
+    r = np.linalg.solve(np.subtract(v, u, out=pu), np.add(v, u, out=qu))
+    with np.errstate(all="ignore"):
+        for k in range(s.max(initial=0)):
+            squared = s > k
+            r[squared] = r[squared] @ r[squared]
+    r[~ok] = np.nan
+    return r.reshape(m.shape)
 
 
 class NotDiagonalizable(ValueError):
@@ -57,29 +118,46 @@ class OdeSolution:
 
     def at(self, t: float) -> np.ndarray:
         """Evaluate v(t)."""
-        if self.kind == "diagonalizable_invertible":
-            modes = self.eigenvectors @ (self.initial_coeffs * np.exp(self.eigenvalues * t))
-            return modes.real + self.v_infinity
-        j = self.G.shape[0]
-        state = np.concatenate([self.v0, [1.0]])
-        return (_expm(self._augmented * t) @ state)[:j]
+        return self.trajectory([t])[0]
 
     def trajectory(self, times) -> np.ndarray:
-        """Evaluate v(t) at every time; row k is v(times[k])."""
+        """Evaluate v(t) at every time; row k is v(times[k]).
+
+        Raises ValueError at the first time where v(t) is not finite.
+        """
         t = np.asarray(times, dtype=float).reshape(-1)
-        if self.kind == "diagonalizable_invertible":
-            growth = self.initial_coeffs[:, None] * np.exp(np.outer(self.eigenvalues, t))
-            return (self.eigenvectors @ growth).T.real + self.v_infinity
-        state = np.concatenate([self.v0, [1.0]])
-        return (_expm(self._augmented * t[:, None, None]) @ state)[:, : self.G.shape[0]]
+        with np.errstate(all="ignore"):
+            if self.kind == "diagonalizable_invertible":
+                growth = self.initial_coeffs[:, None] * np.exp(np.outer(self.eigenvalues, t))
+                v = (self.eigenvectors @ growth).T.real + self.v_infinity
+            else:
+                state = np.concatenate([self.v0, [1.0]])
+                v = (_expm(self._augmented * t[:, None, None]) @ state)[:, : self.G.shape[0]]
+        bad = ~np.isfinite(v).all(axis=1)
+        if bad.any():
+            raise ValueError(f"v(t) is not finite at t = {t[bad][0]:g}")
+        return v
 
 
 def propagator(g: np.ndarray, t: float) -> np.ndarray:
-    """e^{Gt} for real G."""
-    g = np.asarray(g, dtype=float)
-    if not (np.all(np.isfinite(g)) and np.isfinite(t)):
-        raise ValueError("propagator requires finite inputs")
-    return _expm(g * t)
+    """e^{Gt} for a real square matrix G and a real scalar t.
+
+    Raises ValueError for any other input, when G t is not finite, and when
+    e^{Gt} is not finite (see _expm).
+    """
+    g = np.asarray(g)
+    if g.ndim != 2 or g.shape[0] != g.shape[1] or np.ndim(t) != 0:
+        raise ValueError(f"propagator needs a square matrix G and a scalar t, got G of shape {g.shape}")
+    with np.errstate(all="ignore"):
+        gt = g * t
+    if not np.all(np.isfinite(gt)):
+        raise ValueError("propagator needs a finite G t")
+    if np.any(np.imag(gt) != 0):
+        raise ValueError("propagator needs a real G and t")
+    e = _expm(np.real(gt))
+    if not np.all(np.isfinite(e)):
+        raise ValueError("propagator: e^{Gt} is not finite")
+    return e
 
 
 def _check_pair(pair: OdePair, v0: np.ndarray) -> np.ndarray:

@@ -7,8 +7,12 @@ of the sandwich form, the quadratic form of the CP test, and the numerical
 ranks behind the closed-form image dimensions (these run the library's
 forward map over a basis of the rate matrices). The library derives every map from the
 vec/reshuffle core in `lindblad_ode.core`; the tests compare the two.
-They cost about d^10 and are only meant for small d.
+They cost about d^10 and are only meant for small d. expm_extended is the
+matrix exponential in numpy's extended precision, a reference for the
+solver's double-precision one.
 """
+import math
+
 import numpy as np
 
 from lindblad_ode import (
@@ -218,3 +222,22 @@ def image_dimensions(basis):
     dim_intersection = dim_image - _rank((rs + rs.transpose(0, 2, 1)).reshape(j * j, -1))
     kernel_dim = j * j - _rank(np.hstack([rows_r, [p.c for p in pairs]]))
     return dim_image, dim_intersection, kernel_dim
+
+
+def expm_extended(m):
+    """e^A by its Taylor series in numpy's long double, scaled to ||A||_1 <= 1/2 and squared back.
+
+    Where long double is the 80-bit x87 format (u = 2^-64) this is about 2000 times
+    more accurate than a double-precision exponential, up to the final rounding.
+    """
+    a = np.asarray(m, dtype=np.longdouble)
+    norm = float(np.max(np.abs(a).sum(axis=0), initial=0.0))
+    s = max(0, math.frexp(norm)[1] + 1)
+    a = np.ldexp(a, -s)
+    term = total = np.eye(a.shape[0], dtype=np.longdouble)
+    for k in range(1, 21):  # the tail is below 2^-21 / 21! < 1e-25
+        term = term @ a / k
+        total = total + term
+    for _ in range(s):
+        total = total @ total
+    return total.astype(float)

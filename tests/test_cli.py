@@ -244,6 +244,28 @@ MALFORMED = {
         '{%s, "rho0": [[1, 0], [0, 0]], "times": [[2, 1e-300]]}' % _ZERO_MEQ,
         "times must be real",
     ),
+    "solve-spectral-overflow": (
+        ["solve", "--dim", "2"], '{"G": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "times": [1e4]}', "not finite at t = 10000"
+    ),
+    "solve-propagator-overflow": (
+        ["solve", "--dim", "2"], '{"G": [[0, 0, 0], [0, 1, 0], [0, 0, 1]], "times": [1e4]}', "not finite at t = 10000"
+    ),
+    "solve-hamiltonian-only-huge-time": (
+        ["solve", "--dim", "2"],
+        '{"G": [[0, 1, 0], [-1, 0, 0], [0, 0, 0]], "v0": [1, 0, 0], "times": [1e300]}',
+        "not finite at t = 1e+300",
+    ),
+    "evolve-propagator-overflow": (
+        ["evolve", "--dim", "2"],
+        '{"H": [[0, 0], [0, 0]], "a": [[0, 0, 0], [0, 0, 0], [0, 0, -2]], "rho0": [[1, 0], [0, 0]], "times": [1e4]}',
+        "not finite at t = 10000",
+    ),
+    "evolve-hamiltonian-only-huge-time": (
+        ["evolve", "--dim", "2"],
+        '{"H": [[1, 0], [0, -1]], "a": [[0, 0, 0], [0, 0, 0], [0, 0, 0]], "rho0": [[0.5, 0.5], [0.5, 0.5]], '
+        '"times": [1e300]}',
+        "not finite at t = 1e+300",
+    ),
     "config-unknown-ensemble": (
         ["--config", '{"ensemble": "goe"}', "rarity", "--dim", "2", "--samples", "10"], None, "ensemble"
     ),
@@ -307,11 +329,13 @@ _COLD_PROCESS = textwrap.dedent(
     from lindblad_ode.cli import main
 
     work = sys.argv[1]
+    assert "scipy" not in sys.modules
 
     def run(argv, payload):
         with open(f"{work}/in.json", "w") as fh:
             json.dump(payload, fh)
         assert main(argv + ["--dim", "2", "--in", f"{work}/in.json", "--out", f"{work}/out.json"]) == 0, argv
+        assert "scipy" not in sys.modules, argv
         with open(f"{work}/out.json") as fh:
             return json.load(fh)
 
@@ -320,17 +344,16 @@ _COLD_PROCESS = textwrap.dedent(
     run(["check-cp"], {"G": fwd["G"], "c": fwd["c"]})
     spectral = run(["solve"], {"G": [[-1, 0, 0], [0, -1, 0], [0, 0, -2]], "c": [0, 0, 1], "times": [0, 1]})
     assert spectral["solver"] == "diagonalizable_invertible"
-    assert "scipy.linalg" not in sys.modules
     # a Hamiltonian-only G is singular, so solve takes the propagator branch
     general = run(["solve"], {"G": [[0, 1, 0], [-1, 0, 0], [0, 0, 0]], "v0": [1, 0, 0], "times": [0, 1]})
     assert general["solver"] == "general"
-    assert "scipy.linalg" in sys.modules
+    run(["evolve"], {"H": [[1, 0], [0, -1]], "a": [[0, 0, 0], [0, 0, 0], [0, 0, 0]], "rho0": [[1, 0], [0, 0]], "times": [0, 1]})
     print("ok")
     """
 )
 
 
-def test_only_the_propagator_branch_loads_scipy(tmp_path):
+def test_no_cli_path_loads_scipy(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm as scipy_expm
 
 from lindblad_ode import (
     MasterEqParams,
@@ -20,6 +22,7 @@ from lindblad_ode import (
     solve_diagonalizable,
     solve_general,
 )
+from lindblad_ode.odesolve import _expm
 
 from conftest import (
     amplitude_damping_a,
@@ -28,6 +31,7 @@ from conftest import (
     random_density,
     random_meq,
 )
+from oracles import expm_extended
 
 
 def _residual(sol, times, h=1e-6):
@@ -170,6 +174,124 @@ def test_propagator_properties():
     np.testing.assert_allclose(propagator(nil, 2.0), np.eye(2) + 2.0 * nil, atol=1e-14)
     with pytest.raises(ValueError):
         propagator(g * np.nan, 1.0)
+
+
+@pytest.mark.parametrize(
+    "g, t",
+    [
+        (np.eye(2) * 1j, 1.0),
+        (np.ones((2, 3)), 1),
+        (np.ones(3), 1),
+        (np.eye(2), [1.0, 2.0]),
+        (np.eye(2) * 1e200, 1e200),
+        (np.eye(2) * 1e3, 1.0),
+    ],
+    ids=["complex", "not-square", "vector", "time-array", "gt-overflows", "result-overflows"],
+)
+def test_propagator_rejects_bad_input(g, t):
+    with pytest.raises(ValueError, match="propagator"):
+        propagator(g, t)
+
+
+def test_propagator_edge_shapes():
+    assert propagator(np.zeros((0, 0)), 1.0).shape == (0, 0)
+    assert propagator([[0.5]], 2.0)[0, 0] == pytest.approx(np.e, rel=1e-15)
+    # a zero imaginary part is accepted, as in the CLI
+    np.testing.assert_allclose(propagator(np.eye(2) + 0j, 1.0), np.e * np.eye(2), rtol=1e-15)
+
+
+def _augmented(pair):
+    j = pair.G.shape[0]
+    aug = np.zeros((j + 1, j + 1))
+    aug[:j, :j] = pair.G
+    aug[:j, j] = pair.c
+    return aug
+
+
+def _augmented_generators(d):
+    """[[G, c], [0, 0]] of random CP, non-CP and Hamiltonian-only (H, a)."""
+    rng = np.random.default_rng(90 + d)
+    basis = generate_gell_mann(d)
+    out = []
+    for _ in range(2):
+        cp, non_cp = random_meq(d, rng, psd=True), random_meq(d, rng)
+        ham = MasterEqParams(hamiltonian=non_cp.hamiltonian, rates=np.zeros((basis.J, basis.J)))
+        out += [_augmented(forward_map(p, basis)) for p in (cp, non_cp, ham)]
+    return out
+
+
+def _assert_close(got, ref, rtol):
+    assert np.max(np.abs(got - ref), initial=0.0) <= rtol * max(1.0, np.max(np.abs(ref), initial=0.0))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_expm_matches_scipy(d):
+    # at t = 30 scipy's expm is itself off by up to 4e-13 on these generators (against
+    # a 50-digit value), so that time is checked against the extended-precision oracle
+    for aug in _augmented_generators(d):
+        for t in (0.01, 1.0):
+            _assert_close(_expm(aug * t), scipy_expm(aug * t), 1e-13)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="long double is not extended precision here")
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_expm_matches_extended_precision_oracle(d):
+    for aug in _augmented_generators(d):
+        for t in (0.01, 1.0, 30.0):
+            _assert_close(_expm(aug * t), expm_extended(aug * t), 1e-13)
+
+
+@pytest.mark.parametrize("size", range(1, 7))
+def test_expm_of_jordan_blocks(size):
+    nil = np.diag(np.ones(size - 1), k=1)
+    powers = [np.linalg.matrix_power(nil, k) for k in range(size)]
+    for mu in (-1.0, -0.3, 0.0, 0.5):
+        for t in (0.01, 1.0, 30.0):
+            m = (mu * np.eye(size) + nil) * t
+            exact = np.exp(mu * t) * sum(p * t**k / math.factorial(k) for k, p in enumerate(powers))
+            got = _expm(m)
+            _assert_close(got, scipy_expm(m), 1e-13)
+            _assert_close(got, exact, 1e-13)
+
+
+def test_expm_stack_squares_each_matrix_its_own_number_of_times():
+    rng = np.random.default_rng(5)
+    basis = generate_gell_mann(3)
+    aug = _augmented(forward_map(random_meq(3, rng, psd=True), basis))
+    stack = aug * np.geomspace(1e-3, 30.0, 40)[:, None, None]
+    stacked = _expm(stack)
+    for m, e in zip(stack, stacked):
+        _assert_close(e, _expm(m), 1e-14)
+    assert _expm(stack[:, :0, :0]).shape == (40, 0, 0)
+
+
+def test_expm_exact_cases():
+    aug = _augmented_generators(3)[0]
+    assert np.array_equal(_expm(aug * 0.0), np.eye(aug.shape[0]))
+    assert np.array_equal(_expm(np.zeros((5, 4, 4))), np.broadcast_to(np.eye(4), (5, 4, 4)))
+    assert _expm(np.zeros((0, 0))).shape == (0, 0)
+    assert _expm(np.array([[-0.7]]))[0, 0] == pytest.approx(np.exp(-0.7), rel=1e-15)
+    # no correct digit is left after more than 52 squarings: nan, as for a non-finite entry
+    assert np.isnan(_expm(np.array([[0.0, 1e17], [-1e17, 0.0]]))).all()
+    assert np.isnan(_expm(np.array([[np.inf]]))).all()
+
+
+@pytest.mark.parametrize(
+    "g, v0, t",
+    [
+        (np.eye(3), np.ones(3), 1e4),  # spectral form
+        (np.diag([0.0, 1.0, 1.0]), np.ones(3), 1e4),  # singular G: propagator
+        (np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), np.array([1.0, 0.0, 0.0]), 1e300),
+    ],
+    ids=["spectral-overflow", "propagator-overflow", "propagator-huge-time"],
+)
+def test_non_finite_solution_raises(g, v0, t):
+    sol = solve(OdePair(G=g, c=np.zeros(3)), v0)
+    with pytest.raises(ValueError, match=re.escape(f"not finite at t = {t:g}")):
+        sol.trajectory([0.0, t])
+    with pytest.raises(ValueError, match="not finite"):
+        sol.at(t)
+    np.testing.assert_allclose(sol.at(0.0), v0, atol=1e-15)
 
 
 def test_evolve_density_golden(basis2):
