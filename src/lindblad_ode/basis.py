@@ -12,10 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Tolerance for algebraic identities of bases we construct ourselves.
-ALGEBRAIC_TOL = 1e-12
-# Tolerance applied to user-supplied data (density matrices, rate matrices).
-DATA_TOL = 1e-9
+from . import tolerance
 
 
 @dataclass(frozen=True)
@@ -98,8 +95,8 @@ def generate_gell_mann(d: int) -> NiceBasis:
     return NiceBasis(dim=d, elements=np.array(mats))
 
 
-def verify_nice_basis(basis: NiceBasis, tol: float = ALGEBRAIC_TOL) -> ValidationReport:
-    """Report the worst violations of the nice-basis axioms."""
+def verify_nice_basis(basis: NiceBasis, tol: float = tolerance.ROUNDING) -> ValidationReport:
+    """Report the worst violations of the nice-basis axioms; passed compares them with tol."""
     f = basis.elements
     d = basis.dim
     ident = np.max(np.abs(f[0] - np.eye(d) / np.sqrt(d))) if len(f) else 0.0
@@ -120,16 +117,15 @@ def verify_nice_basis(basis: NiceBasis, tol: float = ALGEBRAIC_TOL) -> Validatio
 def structure_constants(basis: NiceBasis) -> StructureConstants:
     """Compute f_ijk = -i Tr([F_i, F_j] F_k) for the traceless elements.
 
-    Raises ValueError if the result has imaginary residue above 1e-9,
-    which signals an invalid basis.
+    Raises ValueError if the result has an imaginary residue that is not
+    negligible at the scale of the basis, which signals an invalid basis.
     """
     ft = basis.traceless
     prod = np.einsum("iab,jbc->ijac", ft, ft)
     comm = prod - prod.transpose(1, 0, 2, 3)
     f = -1j * np.einsum("ijab,kba->ijk", comm, ft)
-    residue = float(np.max(np.abs(f.imag))) if f.size else 0.0
-    if residue > 1e-9:
-        raise ValueError(f"structure constants not real (residue {residue:.3e}); basis invalid")
+    if not tolerance.negligible(f.imag, basis.elements, tolerance.DATA):
+        raise ValueError(f"structure constants not real (residue {tolerance.magnitude(f.imag):.3e}); basis invalid")
     return StructureConstants(f=f.real)
 
 
@@ -150,26 +146,27 @@ def decoordinatize(coords: np.ndarray, basis: NiceBasis) -> np.ndarray:
     return np.einsum("i,iab->ab", coords, basis.elements)
 
 
-def coherence_vector(rho: np.ndarray, basis: NiceBasis, tol: float = DATA_TOL) -> np.ndarray:
+def coherence_vector(rho: np.ndarray, basis: NiceBasis) -> np.ndarray:
     """Real coordinates (v_1..v_J) of a density matrix in the traceless part.
 
-    Requires Tr(rho) = 1 and rho Hermitian (within tol).  Warns when the
-    purity bound ||v|| <= sqrt(1 - 1/d) is violated beyond tolerance.
+    Requires Tr(rho) = 1 and rho Hermitian up to a negligible residue
+    (tolerance.DATA).  Warns when the purity bound ||v|| <= sqrt(1 - 1/d) is
+    exceeded by more than that.
     """
     rho = np.asarray(rho, dtype=complex)
     d = basis.dim
     if rho.shape != (d, d):
         raise ValueError(f"density matrix shape {rho.shape} incompatible with dimension {d}")
-    if abs(np.trace(rho) - 1) > tol:
+    if not tolerance.negligible(np.trace(rho) - 1, rho, tolerance.DATA):
         raise ValueError(f"density matrix trace {np.trace(rho):.6g} != 1")
-    if np.max(np.abs(rho - rho.conj().T)) > tol:
+    if not tolerance.negligible(rho - rho.conj().T, rho, tolerance.DATA):
         raise ValueError("density matrix is not Hermitian")
     v = np.einsum("iab,ba->i", basis.traceless, rho)
     v = v.real.copy()
-    bound = np.sqrt(1 - 1 / d) if d > 1 else 0.0
-    if np.linalg.norm(v) > bound + 1e-9:
+    purity = np.sqrt(1 - 1 / d) if d > 1 else 0.0
+    if np.linalg.norm(v) > purity + tolerance.bound(tolerance.magnitude(rho), tolerance.DATA):
         warnings.warn(
-            f"coherence vector norm {np.linalg.norm(v):.6g} exceeds purity bound {bound:.6g}",
+            f"coherence vector norm {np.linalg.norm(v):.6g} exceeds purity bound {purity:.6g}",
             stacklevel=2,
         )
     return v

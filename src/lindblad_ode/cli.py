@@ -16,8 +16,9 @@ import sys
 
 import numpy as np
 
-from .basis import DATA_TOL, NiceBasis, generate_gell_mann, structure_constants, verify_nice_basis
-from .cp import DEFAULT_CP_TOL, check_lindblad
+from . import tolerance
+from .basis import NiceBasis, generate_gell_mann, structure_constants, verify_nice_basis
+from .cp import check_lindblad
 from .forward import MasterEqParams, OdePair, forward_map
 from .inverse import decompose_g, h_from_g, inverse_map, r_image_check
 from .odesolve import evolve_density, solve, solve_general
@@ -179,7 +180,7 @@ def cmd_verify(args) -> int:
         basis = NiceBasis(dim=d, elements=np.array(elements))
     else:
         basis = generate_gell_mann(d)
-    report = verify_nice_basis(basis, tol=_tol(args, DATA_TOL))
+    report = verify_nice_basis(basis, tol=_tol(args, tolerance.DATA))
     _emit(
         {
             "dim": d,
@@ -244,7 +245,7 @@ def cmd_check_cp(args) -> int:
     d = _require_dim(args)
     basis = generate_gell_mann(d)
     pair = _pair_from_input(_load_input(args.input), basis)
-    report = check_lindblad(pair, basis, tol=_tol(args, DEFAULT_CP_TOL))
+    report = check_lindblad(pair, basis, tol=_tol(args, tolerance.DATA))
     payload = {
         "is_lindblad": bool(report.is_lindblad),
         "marginal": bool(report.marginal),

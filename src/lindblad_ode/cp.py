@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tolerance
 from .basis import NiceBasis, coordinatize
 from .forward import DiagonalDissipator, MasterEqParams, OdePair, _diagonal_form, forward_map, q_from_h
 from .inverse import a_from_gc
-
-DEFAULT_CP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -33,11 +32,12 @@ class CPReport:
     diagonal_form: DiagonalDissipator | None
 
 
-def check_lindblad(pair: OdePair, basis: NiceBasis, tol: float = DEFAULT_CP_TOL) -> CPReport:
+def check_lindblad(pair: OdePair, basis: NiceBasis, tol: float = tolerance.DATA) -> CPReport:
     """Recover a from (G, c) and decide complete positivity by its spectrum.
 
-    The pair is Lindblad iff min eig(a) >= -tol * max(1, ||a||_2); verdicts
-    with |min eig| within 10x of that threshold are flagged marginal.
+    The pair is Lindblad iff min eig(a) >= -tol * max(1, ||a||_2)
+    (tolerance.is_psd); verdicts with |min eig| within 10x of that threshold
+    are flagged marginal.
     """
     if not (np.all(np.isfinite(pair.G)) and np.all(np.isfinite(pair.c))):
         raise ValueError("G and c must be finite")
@@ -45,10 +45,9 @@ def check_lindblad(pair: OdePair, basis: NiceBasis, tol: float = DEFAULT_CP_TOL)
     w, v = np.linalg.eigh(a)
     eigs = w[::-1].copy()
     min_eig = float(eigs[-1]) if eigs.size else 0.0
+    verdict = bool(tolerance.is_psd(eigs, tol))
     # the spectral norm of the Hermitian a is its largest |eigenvalue|
-    threshold = tol * max(1.0, float(np.abs(eigs).max())) if a.size else tol
-    verdict = min_eig >= -threshold
-    marginal = abs(min_eig) <= 10.0 * threshold
+    marginal = bool(abs(min_eig) <= 10.0 * tolerance.bound(tolerance.magnitude(eigs), tol))
     diag = _diagonal_form(w, v, basis) if verdict else None
     return CPReport(
         a=a,
@@ -73,11 +72,11 @@ def cp_quadratic_form(pair: OdePair, big_b: np.ndarray, basis: NiceBasis) -> flo
     d = basis.dim
     if big_b.shape != (d, d):
         raise ValueError(f"B must be {d}x{d}, got {big_b.shape}")
-    if abs(np.trace(big_b)) > 1e-9:
+    if not tolerance.negligible(np.trace(big_b), big_b, tolerance.DATA):
         raise ValueError("B must be traceless")
     b = coordinatize(big_b, basis)[1:]
     val = b.conj() @ a_from_gc(pair.G, pair.c, basis) @ b
-    if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
+    if not tolerance.negligible(val.imag, val.real, tolerance.DATA):
         raise ValueError(f"quadratic form is not real (imag {val.imag:.3e})")
     return float(val.real)
 
@@ -92,7 +91,7 @@ def sample_extreme_ray(big_b: np.ndarray, basis: NiceBasis) -> OdePair:
     d = basis.dim
     if big_b.shape != (d, d):
         raise ValueError(f"B must be {d}x{d}, got {big_b.shape}")
-    if abs(np.trace(big_b)) > 1e-9:
+    if not tolerance.negligible(np.trace(big_b), big_b, tolerance.DATA):
         raise ValueError("B must be traceless")
     b_coords = coordinatize(big_b, basis)[1:]
     a = np.outer(b_coords, b_coords.conj())

@@ -8,10 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import core
-from .basis import DATA_TOL, NiceBasis
-
-_REAL_TOL = 1e-12
+from . import core, tolerance
+from .basis import NiceBasis
 
 
 @dataclass(frozen=True)
@@ -35,9 +33,11 @@ class MasterEqParams:
         j = d**2 - 1
         if a.shape != (j, j):
             raise ValueError(f"rate matrix must be {j}x{j} for dimension {d}, got {a.shape}")
-        if np.max(np.abs(h - h.conj().T), initial=0.0) > DATA_TOL:
+        if not (np.all(np.isfinite(h)) and np.all(np.isfinite(a))):
+            raise ValueError("H and a must be finite")
+        if not tolerance.negligible(h - h.conj().T, h, tolerance.DATA):
             raise ValueError("Hamiltonian is not Hermitian")
-        if np.max(np.abs(a - a.conj().T), initial=0.0) > DATA_TOL:
+        if not tolerance.negligible(a - a.conj().T, a, tolerance.DATA):
             raise ValueError("rate matrix is not Hermitian")
         shift = np.trace(h).real / d
         object.__setattr__(self, "hamiltonian", h - shift * np.eye(d))
@@ -128,11 +128,10 @@ def _superop(params: MasterEqParams, basis: NiceBasis) -> np.ndarray:
     return core.hamiltonian_superop(params.hamiltonian) + core.dissipator_superop(params.rates, basis)
 
 
-def _real(m: np.ndarray, what: str, tol: float = _REAL_TOL) -> np.ndarray:
-    """Re m, once its imaginary residue is at most tol * max(1, max|m|)."""
-    resid = float(np.max(np.abs(m.imag), initial=0.0))
-    if resid > tol * max(1.0, float(np.max(np.abs(m), initial=0.0))):
-        raise ValueError(f"{what} has imaginary residue {resid:.3e}")
+def _real(m: np.ndarray, what: str, rtol: float = tolerance.ROUNDING) -> np.ndarray:
+    """Re m, once its imaginary residue is negligible at the scale of m."""
+    if not tolerance.negligible(m.imag, m, rtol):
+        raise ValueError(f"{what} has imaginary residue {tolerance.magnitude(m.imag):.3e}")
     return m.real.copy()
 
 
@@ -172,12 +171,15 @@ def liouvillian_matrix(params: MasterEqParams, basis: NiceBasis) -> np.ndarray:
     return core.gc_coordinates(pair.G, pair.c, basis.dim)
 
 
-def spectrum_relation_check(params: MasterEqParams, basis: NiceBasis, tol: float = 1e-8) -> bool:
-    """Check that the eigenvalues of L are {0} together with those of G."""
+def spectrum_relation_check(params: MasterEqParams, basis: NiceBasis) -> bool:
+    """Check that the eigenvalues of L are {0} together with those of G.
+
+    Eigenvalues match when they differ by at most tolerance.SPECTRAL at the scale of G.
+    """
     pair = forward_map(params, basis)
     left = np.linalg.eigvals(core.gc_coordinates(pair.G, pair.c, basis.dim))
     right = np.concatenate([[0.0 + 0.0j], np.linalg.eigvals(pair.G)])
-    return _multisets_match(left, right, tol)
+    return _multisets_match(left, right, tolerance.bound(tolerance.magnitude(pair.G), tolerance.SPECTRAL))
 
 
 def _multisets_match(xs: np.ndarray, ys: np.ndarray, tol: float) -> bool:
@@ -196,8 +198,9 @@ def _canonical_eig_order(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.n
     """Descending eigenvalues with deterministic eigenvector phases and order.
 
     Each eigenvector is rotated so its largest-magnitude component is real
-    and positive; near-degenerate columns are then sorted lexicographically
-    by their rounded components, largest first.
+    and positive; the columns of a cluster of eigenvalues within the
+    scale-invariant cut of each other are then sorted lexicographically by
+    their rounded components, largest first.
     """
     order = np.argsort(-w, kind="stable")
     w, v = w[order], v[:, order]
@@ -208,10 +211,11 @@ def _canonical_eig_order(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.n
     v = v / (pivot / np.hypot(pivot.real, pivot.imag))
     # stable tie-break inside degenerate clusters
     vals = w.tolist()
+    gap = tolerance.cut(w, tolerance.ROUNDING)
     i = 0
     while i < len(vals):
         jend = i + 1
-        while jend < len(vals) and abs(vals[jend] - vals[i]) <= 1e-12 * max(1.0, abs(vals[i])):
+        while jend < len(vals) and abs(vals[jend] - vals[i]) <= gap:
             jend += 1
         if jend - i > 1:
             cols = sorted(
@@ -227,7 +231,8 @@ def _canonical_eig_order(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.n
 def diagonalize_dissipator(a: np.ndarray, basis: NiceBasis) -> DiagonalDissipator:
     """Diagonal form a = u^dag gamma u; L_alpha = sum_j u*_aj F_j.
 
-    Eigenvalues below 1e-12 * ||a|| in magnitude are reported as exact zeros.
+    Eigenvalues at or below the scale-invariant cut tolerance.ROUNDING * ||a||
+    in magnitude are reported as exact zeros.
     """
     return _diagonal_form(*np.linalg.eigh(np.asarray(a, dtype=complex)), basis)
 
@@ -238,31 +243,29 @@ def _diagonal_form(w: np.ndarray, v: np.ndarray, basis: NiceBasis) -> DiagonalDi
         return DiagonalDissipator(gamma=np.zeros(0), lindblad_ops=[])
     w, v = _canonical_eig_order(w, v)
     # the spectral norm of the Hermitian a is its largest |eigenvalue|
-    scale = np.abs(w).max()
-    w = np.where(np.abs(w) < 1e-12 * scale, 0.0, w)
+    w = np.where(np.abs(w) <= tolerance.cut(w, tolerance.ROUNDING), 0.0, w)
     ops = list(np.tensordot(v.T, basis.traceless, 1))
     return DiagonalDissipator(gamma=w, lindblad_ops=ops)
 
 
-def hermitian_dissipator_checks(
-    a: np.ndarray, basis: NiceBasis, tol: float = DATA_TOL
-) -> DissipatorSymmetryReport:
+def hermitian_dissipator_checks(a: np.ndarray, basis: NiceBasis) -> DissipatorSymmetryReport:
     """Evaluate the equivalent conditions for the dissipator to be Hermitian.
 
     Row-major vec is unitary, so the dissipator is Hermitian exactly when its
-    core superoperator S equals S^dag.
+    core superoperator S equals S^dag. Each condition holds when its residue
+    is negligible at the scale of a (tolerance.DATA).
     """
     a = MasterEqParams(hamiltonian=np.zeros((basis.dim, basis.dim)), rates=a).rates
-    scale = max(1.0, float(np.max(np.abs(a), initial=0.0)))
-    sym = float(np.max(np.abs(a - a.T), initial=0.0)) <= tol * scale
-    real = float(np.max(np.abs(a.imag), initial=0.0)) <= tol * scale
+
+    def zero(residue) -> bool:
+        return tolerance.negligible(residue, a, tolerance.DATA)
+
+    sym = zero(a - a.T)
+    real = zero(a.imag)
     s = core.dissipator_superop(a, basis)
-    herm = float(np.max(np.abs(s - s.conj().T), initial=0.0)) <= tol * scale
+    herm = zero(s - s.conj().T)
     r, c = _dissipator_rc(a, basis)
-    r_sym_c0 = (
-        float(np.max(np.abs(r - r.T), initial=0.0)) <= tol * scale
-        and float(np.max(np.abs(c), initial=0.0)) <= tol * scale
-    )
+    r_sym_c0 = zero(r - r.T) and zero(c)
     return DissipatorSymmetryReport(
         superop_hermitian=herm,
         hermitian_lindblad_possible=sym and real,

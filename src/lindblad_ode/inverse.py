@@ -17,12 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core
+from . import core, tolerance
 from .basis import NiceBasis
 from .forward import MasterEqParams, OdePair, _real, _superop, q_from_h
 from .superop import SuperopTensor
-
-_INV_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -49,18 +47,15 @@ class Tensor4:
         return self.entries.shape[0]
 
 
-def validate_tensor4(t: Tensor4, tol: float = _INV_TOL) -> None:
-    _check_invariants(t.entries, t.flavor, tol)
-
-
-def _check_invariants(x: np.ndarray, flavor: str, tol: float = _INV_TOL) -> None:
-    """Raise unless x keeps the flavor's invariants; the superoperator tensors share the x-tilde layout."""
+def _check_invariants(x: np.ndarray, flavor: str) -> None:
+    """Raise unless x keeps the flavor's invariants up to a negligible residue (tolerance.TENSOR);
+    the superoperator tensors share the x-tilde layout."""
     v = float(np.max(np.abs(x - x.conj().transpose(3, 2, 1, 0)), initial=0.0))
     if flavor == "x":
         v = max(v, float(np.max(np.abs(np.einsum("ijkk->ij", x) + np.einsum("kkij->ij", x)))))
     else:
         v = max(v, float(np.max(np.abs(np.einsum("ijki->jk", x)))))
-    if v > tol * max(1.0, float(np.max(np.abs(x), initial=0.0))):
+    if not tolerance.negligible(v, x, tolerance.TENSOR):
         raise ValueError(
             "not a Hermiticity-preserving trace-annihilating generator: "
             f"flavor-{flavor} invariants violated by {v:.3e}"
@@ -128,7 +123,7 @@ def _gc_to_core(g: np.ndarray, c: np.ndarray, basis: NiceBasis) -> np.ndarray:
 
 
 def _core_to_gc(s: np.ndarray, basis: NiceBasis) -> OdePair:
-    lhat = _real(core.coordinates(s, basis)[1:], "(G, c) of the superoperator", tol=1e-9)
+    lhat = _real(core.coordinates(s, basis)[1:], "(G, c) of the superoperator", tolerance.DATA)
     return OdePair(G=lhat[:, 1:], c=lhat[:, 0] / np.sqrt(basis.dim))
 
 
@@ -198,11 +193,11 @@ def decompose_g(g: np.ndarray, basis: NiceBasis) -> tuple[np.ndarray, np.ndarray
     return q, np.asarray(g, dtype=float) - q
 
 
-def r_image_check(r: np.ndarray, basis: NiceBasis, tol: float = 1e-9) -> bool:
-    """True iff sum_mn R_mn [F_n, F_m] = 2id H(R) vanishes, i.e. R lies in the image of a -> R."""
+def r_image_check(r: np.ndarray, basis: NiceBasis) -> bool:
+    """True iff sum_mn R_mn [F_n, F_m] = 2id H(R) is negligible at the scale of R (tolerance.DATA),
+    i.e. R lies in the image of a -> R."""
     r = np.asarray(r, dtype=float)
-    s = 2 * basis.dim * float(np.max(np.abs(h_from_g(r, basis)), initial=0.0))
-    return s <= tol * max(1.0, float(np.max(np.abs(r), initial=0.0)))
+    return tolerance.negligible(2 * basis.dim * tolerance.magnitude(h_from_g(r, basis)), r, tolerance.DATA)
 
 
 def image_dimensions(basis: NiceBasis) -> tuple[int, int, int]:

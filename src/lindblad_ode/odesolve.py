@@ -18,10 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tolerance
 from .basis import NiceBasis, coherence_vector
 from .forward import MasterEqParams, OdePair, forward_map
-
-DIAG_COND_LIMIT = 1e8
 
 
 # b_0..b_13 of the [13/13] Pade approximant p(A)/p(-A) to e^A, divided by b_0 so
@@ -123,12 +122,14 @@ class OdeSolution:
     def trajectory(self, times) -> np.ndarray:
         """Evaluate v(t) at every time; row k is v(times[k]).
 
-        Raises ValueError at the first time where v(t) is not finite.
+        Raises ValueError at the first time where v(t) is not finite. A mode
+        whose coefficient is exactly 0 contributes exactly 0, however fast it grows.
         """
         t = np.asarray(times, dtype=float).reshape(-1)
         with np.errstate(all="ignore"):
             if self.kind == "diagonalizable_invertible":
-                growth = self.initial_coeffs[:, None] * np.exp(np.outer(self.eigenvalues, t))
+                coeffs = self.initial_coeffs[:, None]
+                growth = np.where(coeffs == 0, 0.0, coeffs * np.exp(np.outer(self.eigenvalues, t)))
                 v = (self.eigenvectors @ growth).T.real + self.v_infinity
             else:
                 state = np.concatenate([self.v0, [1.0]])
@@ -167,20 +168,21 @@ def _check_pair(pair: OdePair, v0: np.ndarray) -> np.ndarray:
     return v0
 
 
-def solve_diagonalizable(pair: OdePair, v0, tol: float = 1.0 / DIAG_COND_LIMIT) -> OdeSolution:
+def solve_diagonalizable(pair: OdePair, v0) -> OdeSolution:
     """Spectral closed form v(t) = sum_k s_k e^{lambda_k t} x^(k) + v_inf.
 
-    Requires G diagonalizable (eigenvector condition number < 1/tol) and
-    invertible (smallest singular value > tol * ||G||); raises
-    NotDiagonalizable or Singular otherwise, in which case use solve_general.
+    Requires G diagonalizable (eigenvector condition number < 1/rtol) and
+    invertible (full rank at the cut rtol * ||G||), with rtol =
+    tolerance.SPECTRAL; raises NotDiagonalizable or Singular otherwise, in
+    which case use solve_general.
     """
     v0 = _check_pair(pair, v0)
     g = pair.G
     sv = np.linalg.svd(g, compute_uv=False)
-    if sv.size == 0 or sv[-1] <= tol * max(sv[0], 1e-300):
+    if sv.size == 0 or tolerance.rank(sv, tolerance.SPECTRAL) < sv.size:
         raise Singular("G is numerically singular")
     w, x = np.linalg.eig(g)
-    if np.linalg.cond(x) >= 1.0 / tol:
+    if np.linalg.cond(x) >= 1.0 / tolerance.SPECTRAL:
         raise NotDiagonalizable("eigenvector matrix condition number exceeds limit")
     v_inf = -np.linalg.solve(g, pair.c)
     s = np.linalg.solve(x, (v0 - v_inf).astype(complex))
@@ -199,7 +201,9 @@ def solve_diagonalizable(pair: OdePair, v0, tol: float = 1.0 / DIAG_COND_LIMIT) 
 def solve_general(pair: OdePair, v0) -> OdeSolution:
     """Propagator solution v(t) = [e^{Mt} (v0, 1)]_{1..J} with M = [[G, c], [0, 0]].
 
-    Valid for any G, including singular and non-diagonalizable cases.
+    Valid for any G, including singular and non-diagonalizable cases. The
+    ranks of G and [G c] are numerical, each at its own scale-invariant cut
+    (tolerance.ROUNDING).
     """
     v0 = _check_pair(pair, v0)
     g, c = pair.G, pair.c
@@ -207,14 +211,13 @@ def solve_general(pair: OdePair, v0) -> OdeSolution:
     aug = np.zeros((j + 1, j + 1))
     aug[:j, :j] = g
     aug[:j, j] = c
-    sv = np.linalg.svd(g, compute_uv=False) if j else np.zeros(0)
-    invertible = j > 0 and sv[-1] > 1e-12 * max(sv[0], 1e-300)
+    rank_g = tolerance.rank(np.linalg.svd(g, compute_uv=False), tolerance.ROUNDING) if j else 0
+    invertible = j > 0 and rank_g == j
     v_inf = -np.linalg.solve(g, c) if invertible else None
     frozen = None
     if not invertible and j > 0:
-        rank_g = int(np.sum(sv > 1e-12 * max(sv[0], 1e-300)))
-        rank_gc = np.linalg.matrix_rank(np.column_stack([g, c]), tol=1e-12 * max(sv[0], 1.0))
-        frozen = bool(rank_gc == rank_g)
+        sv_gc = np.linalg.svd(np.column_stack([g, c]), compute_uv=False)
+        frozen = tolerance.rank(sv_gc, tolerance.ROUNDING) == rank_g
     return OdeSolution(
         kind="general",
         G=g,
@@ -242,7 +245,7 @@ def evolve_density(
     d = basis.dim
     if rho0.shape != (d, d):
         raise ValueError(f"density matrix must be {d}x{d}, got {rho0.shape}")
-    if np.min(np.linalg.eigvalsh((rho0 + rho0.conj().T) / 2)) < -1e-9:
+    if not tolerance.is_psd(np.linalg.eigvalsh((rho0 + rho0.conj().T) / 2), tolerance.DATA):
         raise ValueError("density matrix is not positive semidefinite")
     v0 = coherence_vector(rho0, basis)
     pair = forward_map(params, basis)

@@ -24,10 +24,11 @@ Work is done in chunks of _CHUNK samples:
   of a real H whose eigenvalues all have Re <= 0 is a product of factors
   s + |mu| and s^2 - 2 Re(mu) s + |mu|^2, so all its coefficients are >= 0;
   the second (Routh-Hurwitz) one is ((tr H)^2 - tr(H^2)) / 2. Each
-  condition is widened by _MARGIN (1 + ||.||_F), the quadratic one by
-  _MARGIN (1 + ||H||_F^2), with _MARGIN = 1e-10 far above the eigensolvers'
-  backward error (of order J eps ||.||), so a sample that fails it would
-  not have been counted.
+  condition is widened by MARGIN (1 + ||.||_F), the quadratic one by
+  MARGIN (1 + ||H||_F^2), with tolerance.MARGIN = 1e-10 far above the
+  eigensolvers' backward error (of order J eps ||.||), so a sample that fails
+  it would not have been counted. The PSD verdict itself is tolerance.is_psd
+  with rtol tolerance.DATA, the one check_lindblad uses by default.
 - Moments. The covariance checks keep only two running sums over samples,
   S1 = sum x x^T and S2 = sum |x|^2 (|x|^2)^T with x = vec(a). The mean of
   a_mn a_kl is S1/n and its sample variance (S2 - n |S1/n|^2) / (n - 1), so
@@ -39,14 +40,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core
+from . import core, tolerance
 from .basis import NiceBasis, generate_gell_mann
 from .forward import OdePair
 
 _CHUNK = 4096
-_PSD_TOL = 1e-9
-# relative widening of the pruning conditions against eigensolver rounding
-_MARGIN = 1e-10
 
 
 @dataclass(frozen=True)
@@ -162,24 +160,22 @@ def _gue_batch(j: int, seed: int, start: int, count: int) -> np.ndarray:
 
 
 def _count_psd(a: np.ndarray, tol: float) -> int:
-    """Samples with lambda_min >= -tol max(1, max|lambda|); eigvalsh runs on candidates only."""
+    """Samples that tolerance.is_psd accepts at rtol tol; eigvalsh runs on candidates only."""
     fro = np.linalg.norm(a, axis=(1, 2))
     min_diag = np.diagonal(a, axis1=1, axis2=2).real.min(axis=1)
-    cand = min_diag >= -tol * np.maximum(1.0, fro) - _MARGIN * (1.0 + fro)
-    eigs = np.linalg.eigvalsh(a[cand])
-    norm = np.abs(eigs).max(axis=1)
-    return int(np.sum(eigs[:, 0] >= -tol * np.maximum(1.0, norm)))
+    cand = min_diag >= -tolerance.bound(fro, tol) - tolerance.MARGIN * (1.0 + fro)
+    return int(np.sum(tolerance.is_psd(np.linalg.eigvalsh(a[cand]), tol)))
 
 
 def _stable_candidates(gs: np.ndarray, tol: float) -> np.ndarray:
     """Mask of the samples that pass both necessary conditions for max Re lambda(G) <= tol."""
     j = gs.shape[-1]
     fro = np.linalg.norm(gs, axis=(1, 2))
-    first = np.trace(gs, axis1=1, axis2=2) <= j * tol + _MARGIN * (1.0 + fro)
+    first = np.trace(gs, axis1=1, axis2=2) <= j * tol + tolerance.MARGIN * (1.0 + fro)
     h = gs - tol * np.eye(j)
     tr_h = np.trace(h, axis1=1, axis2=2)
     fro_h = np.linalg.norm(h, axis=(1, 2))
-    second = tr_h * tr_h - np.einsum("sij,sji->s", h, h) >= -_MARGIN * (1.0 + fro_h * fro_h)
+    second = tr_h * tr_h - np.einsum("sij,sji->s", h, h) >= -tolerance.MARGIN * (1.0 + fro_h * fro_h)
     return first & second
 
 
@@ -207,8 +203,8 @@ def estimate_p_lindblad_ginoe(
     n_stable = 0
     for start in range(0, n_samples, _CHUNK):
         gs, a = _ginoe_batch(d, seed, start, min(_CHUNK, n_samples - start), m)
-        n_psd += _count_psd(a, _PSD_TOL)
-        n_stable += _count_stable(gs, _PSD_TOL)
+        n_psd += _count_psd(a, tolerance.DATA)
+        n_stable += _count_stable(gs, tolerance.DATA)
     lo, hi = wilson_interval(n_psd, n_samples)
     return RarityEstimate(
         ensemble="GinOE",

@@ -245,7 +245,9 @@ MALFORMED = {
         "times must be real",
     ),
     "solve-spectral-overflow": (
-        ["solve", "--dim", "2"], '{"G": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "times": [1e4]}', "not finite at t = 10000"
+        ["solve", "--dim", "2"],
+        '{"G": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "v0": [1, 0, 0], "times": [1e4]}',
+        "not finite at t = 10000",
     ),
     "solve-propagator-overflow": (
         ["solve", "--dim", "2"], '{"G": [[0, 0, 0], [0, 1, 0], [0, 0, 1]], "times": [1e4]}', "not finite at t = 10000"

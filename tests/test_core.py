@@ -27,7 +27,7 @@ from lindblad_ode import (
     r_from_a,
     superop_matrix,
 )
-from lindblad_ode.basis import DATA_TOL
+from lindblad_ode.tolerance import DATA as DATA_TOL
 
 from conftest import random_meq
 

@@ -51,6 +51,12 @@ def test_params_reject_non_hermitian():
         MasterEqParams(hamiltonian=np.zeros((2, 2)), rates=np.eye(3) * 1j)
 
 
+@pytest.mark.parametrize("h, a", [([[np.nan, 0], [0, 0]], np.zeros((3, 3))), (np.zeros((2, 2)), np.full((3, 3), np.inf))])
+def test_params_reject_non_finite(h, a):
+    with pytest.raises(ValueError, match="must be finite"):
+        MasterEqParams(hamiltonian=np.array(h), rates=a)
+
+
 def test_dephasing_action_on_sigma_x(basis2):
     gamma = 0.6
     p = MasterEqParams(hamiltonian=np.zeros((2, 2)), rates=dephasing_a(gamma))

@@ -294,6 +294,40 @@ def test_non_finite_solution_raises(g, v0, t):
     np.testing.assert_allclose(sol.at(0.0), v0, atol=1e-15)
 
 
+def test_zero_coefficient_modes_contribute_zero():
+    # v0 = v_inf puts no weight on the growing mode, so v(t) = 1 at every t
+    sol = solve(OdePair(G=np.eye(1), c=-np.ones(1)), np.ones(1))
+    assert sol.kind == "diagonalizable_invertible"
+    np.testing.assert_array_equal(sol.trajectory([0.0, 800.0, 1e300]), [[1.0], [1.0], [1.0]])
+    # a decaying mode next to a growing one with coefficient 0
+    sol = solve(OdePair(G=np.diag([1.0, -1.0]), c=np.array([-1.0, 0.0])), np.array([1.0, 2.0]))
+    np.testing.assert_array_equal(sol.trajectory([800.0]), [[1.0, 0.0]])
+    with pytest.raises(ValueError, match="not finite at t = 800"):
+        solve(OdePair(G=np.eye(1), c=-np.ones(1)), np.full(1, 1.5)).trajectory([800.0])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_spectral_trajectory_is_the_plain_modal_sum(d):
+    # finite trajectories are bit-identical to sum_k s_k e^{lambda_k t} x^(k) + v_inf
+    rng = np.random.default_rng(90 + d)
+    basis = generate_gell_mann(d)
+    sol = solve(forward_map(random_meq(d, rng, psd=True), basis), rng.normal(size=basis.J) * 0.1)
+    assert sol.kind == "diagonalizable_invertible"
+    times = rng.uniform(0.0, 4.0, size=16)
+    growth = sol.initial_coeffs[:, None] * np.exp(np.outer(sol.eigenvalues, times))
+    np.testing.assert_array_equal(sol.trajectory(times), (sol.eigenvectors @ growth).T.real + sol.v_infinity)
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-6, 1e-14])
+def test_frozen_consistency_does_not_depend_on_scale(s):
+    # G and [G c] have rank 2 at every scale when c lies in the range of G, rank 2 and 3 when it does not
+    g = s * np.diag([1.0, 2.0, 0.0])
+    consistent = solve_general(OdePair(G=g, c=s * np.array([1.0, 1.0, 0.0])), np.zeros(3))
+    assert consistent.frozen_consistent is True
+    inconsistent = solve_general(OdePair(G=g, c=s * np.array([1.0, 1.0, 1.0])), np.zeros(3))
+    assert inconsistent.frozen_consistent is False
+
+
 def test_evolve_density_golden(basis2):
     gamma = 0.6
     dep = MasterEqParams(hamiltonian=np.zeros((2, 2)), rates=dephasing_a(gamma))

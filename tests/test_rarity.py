@@ -15,7 +15,8 @@ from lindblad_ode import (
     wilson_interval,
 )
 from lindblad_ode.basis import generate_gell_mann
-from lindblad_ode.rarity import _CHUNK, _PSD_TOL, _ginoe_batch, _gue_batch, _rates_matrix, _stable_candidates, _stream
+from lindblad_ode.rarity import _CHUNK, _ginoe_batch, _gue_batch, _rates_matrix, _stable_candidates, _stream
+from lindblad_ode.tolerance import DATA as _PSD_TOL
 
 # past 2^63, and the sample count crosses a chunk boundary
 _BIG_SEED = 2**63 + 12345
