@@ -60,7 +60,7 @@ def main() -> None:
         except ValueError:
             row["analytic"] = None
         results["gue"].append(row)
-        extra = "" if row["analytic"] is None else f"  analytic={row['analytic']:.6f}"
+        extra = "" if row["analytic"] is None else f"  analytic={row['analytic']:.6g}"
         print(f"GUE   J={j}: p_hat={est.p_hat:.4f} [{est.ci_low:.4f}, {est.ci_high:.4f}]{extra}")
 
     out = pathlib.Path(args.out)

@@ -48,7 +48,9 @@ def check_lindblad(pair: OdePair, basis: NiceBasis, tol: float = tolerance.DATA)
     verdict = bool(tolerance.is_psd(eigs, tol))
     # the spectral norm of the Hermitian a is its largest |eigenvalue|
     marginal = bool(abs(min_eig) <= 10.0 * tolerance.bound(tolerance.magnitude(eigs), tol))
-    diag = _diagonal_form(w, v, basis) if verdict else None
+    # a is recovered from (G, c) with rounding at their scale: a rate below it is noise
+    noise = max(tolerance.cut(pair.G, tolerance.ROUNDING), tolerance.cut(pair.c, tolerance.ROUNDING))
+    diag = _diagonal_form(w, v, basis, noise) if verdict else None
     return CPReport(
         a=a,
         eigenvalues=eigs,

@@ -237,13 +237,13 @@ def diagonalize_dissipator(a: np.ndarray, basis: NiceBasis) -> DiagonalDissipato
     return _diagonal_form(*np.linalg.eigh(np.asarray(a, dtype=complex)), basis)
 
 
-def _diagonal_form(w: np.ndarray, v: np.ndarray, basis: NiceBasis) -> DiagonalDissipator:
-    """diagonalize_dissipator from the ascending eigh output (w, v) of a."""
+def _diagonal_form(w: np.ndarray, v: np.ndarray, basis: NiceBasis, floor: float = 0.0) -> DiagonalDissipator:
+    """diagonalize_dissipator from the ascending eigh output (w, v) of a; rates up to floor are zeroed too."""
     if not basis.J:
         return DiagonalDissipator(gamma=np.zeros(0), lindblad_ops=[])
     w, v = _canonical_eig_order(w, v)
     # the spectral norm of the Hermitian a is its largest |eigenvalue|
-    w = np.where(np.abs(w) <= tolerance.cut(w, tolerance.ROUNDING), 0.0, w)
+    w = np.where(np.abs(w) <= max(tolerance.cut(w, tolerance.ROUNDING), floor), 0.0, w)
     ops = list(np.tensordot(v.T, basis.traceless, 1))
     return DiagonalDissipator(gamma=w, lindblad_ops=ops)
 

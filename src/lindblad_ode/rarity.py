@@ -15,20 +15,42 @@ Work is done in chunks of _CHUNK samples:
   through its public state: key [seed, index], counter 0, empty buffer.
   The row it fills equals _stream(seed, index).standard_normal(width) bit
   for bit; _stream and the per-sample samplers stay as the reference.
-- Pruning. The eigensolvers run only on samples that can be counted. By
-  the Rayleigh bound a Hermitian a has lambda_min <= min_m Re a_mm, and its
-  largest |eigenvalue| is at most ||a||_F, so a PSD sample (lambda_min >=
-  -tol max(1, max|lambda|)) has min_m Re a_mm >= -tol max(1, ||a||_F).
-  The eigenvalues of G sum to tr G, so a stable sample (max Re lambda <=
-  tol) has tr G <= J tol. With H = G - tol I, the characteristic polynomial
-  of a real H whose eigenvalues all have Re <= 0 is a product of factors
-  s + |mu| and s^2 - 2 Re(mu) s + |mu|^2, so all its coefficients are >= 0;
-  the second (Routh-Hurwitz) one is ((tr H)^2 - tr(H^2)) / 2. Each
-  condition is widened by MARGIN (1 + ||.||_F), the quadratic one by
-  MARGIN (1 + ||H||_F^2), with tolerance.MARGIN = 1e-10 far above the
-  eigensolvers' backward error (of order J eps ||.||), so a sample that fails
-  it would not have been counted. The PSD verdict itself is tolerance.is_psd
-  with rtol tolerance.DATA, the one check_lindblad uses by default.
+- Pruning. The eigensolvers run only on samples that can be counted.
+  PSD: by the Rayleigh bound a Hermitian a has lambda_min <= min_m Re a_mm,
+  and its largest |eigenvalue| is at most ||a||_F, so a PSD sample
+  (lambda_min >= -tol max(1, max|lambda|)) has
+  min_m Re a_mm >= -tol max(1, ||a||_F). For a = z @ M with z the Philox
+  row, the diagonal is z @ M[:, ::J+1] and ||a||_F <= B = ||z|| ||M||_F, so
+  the test runs on z first with B in place of ||a||_F; a is formed only for
+  the rows that pass, and _count_psd repeats the test with ||a||_F before
+  the eigensolve.
+  Stability: with H = G - tol I, the characteristic polynomial
+  det(sI - H) = s^J + c_1 s^(J-1) + ... + c_J of a real H whose eigenvalues
+  all have Re <= 0 is a product of factors s + |mu| and
+  s^2 - 2 Re(mu) s + |mu|^2, so every c_k >= 0. The Hurwitz determinant
+  Delta_2 = c_1 c_2 - c_3 is > 0 when every Re lambda < 0, so by continuity
+  (H - eps I, eps -> 0) it is >= 0 when every Re lambda <= 0. One batched
+  H @ H gives p_k = tr H^k for k <= 4, and Newton's identities
+  k c_k = -(c_(k-1) p_1 + c_(k-2) p_2 + ... + c_0 p_k), c_0 = 1, give c_1..c_4.
+  A sample is kept when c_k >= 0 for every k <= min(J, 4) and, for J >= 3,
+  Delta_2 >= 0; at J = 3 (d = 2) that is the whole Hurwitz criterion.
+- Rounding. Let r = sqrt(J) ||H||_F. Then |p_1| <= r (Cauchy-Schwarz on the
+  diagonal) and |tr H^k| <= ||H||_F^k <= r^k (Schur:
+  sum |lambda|^2 <= ||H||_F^2), and c_k and Delta_2 are sums of at most five
+  products of p_i of total degree k (3 for Delta_2) with coefficients of
+  modulus <= 1. eigvals returns the eigenvalues of G + E with ||E|| of order
+  J eps ||G||, and each p_i is summed with an error of order i J eps r^i, so a
+  degree-k condition computed for a sample that eigvals finds stable is
+  within a few hundred J eps r^k of its exact value at G + E, which is >= 0.
+  The diagonal z @ M[:, ::J+1] is a sum of J^2 + J products, within
+  (J^2 + J) eps B of the diagonal of the a that eigvalsh sees. Each
+  condition is therefore widened by MARGIN (1 + r^k), the PSD one by
+  MARGIN (1 + B), and tolerance.MARGIN = 1e-10 exceeds those errors up to
+  J of several hundred (d of about 20 and more), far beyond the sizes at
+  which a Monte Carlo of J x J eigensolves runs; a sample that fails a
+  widened condition would not have been counted. The PSD verdict itself is
+  tolerance.is_psd with rtol tolerance.DATA, the one check_lindblad uses
+  by default.
 - Moments. The covariance checks keep only two running sums over samples,
   S1 = sum x x^T and S2 = sum |x|^2 (|x|^2)^T with x = vec(a). The mean of
   a_mn a_kl is S1/n and its sample variance (S2 - n |S1/n|^2) / (n - 1), so
@@ -36,6 +58,7 @@ Work is done in chunks of _CHUNK samples:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,11 +166,20 @@ def _rates_matrix(basis: NiceBasis) -> np.ndarray:
     return core.rates(core.from_coordinates(lhat, basis), basis).reshape(len(units), j * j)
 
 
+def _rates(rows: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """a(G, c) of each Philox row as two real products, so the rows are never cast to complex."""
+    a = np.empty((len(rows), m.shape[1]), dtype=complex)
+    a.real = rows @ m.real
+    a.imag = rows @ m.imag
+    j = math.isqrt(m.shape[1])
+    return a.reshape(len(rows), j, j)
+
+
 def _ginoe_batch(d: int, seed: int, start: int, count: int, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """G of each sample and its rate matrix a(G, c); a stream holds vec G then sqrt(d) c."""
     j = d * d - 1
     rows = _normals(seed, start, count, j * j + j)
-    return rows[:, : j * j].reshape(count, j, j), (rows @ m).reshape(count, j, j)
+    return rows[:, : j * j].reshape(count, j, j), _rates(rows, m)
 
 
 def _gue_batch(j: int, seed: int, start: int, count: int) -> np.ndarray:
@@ -167,16 +199,35 @@ def _count_psd(a: np.ndarray, tol: float) -> int:
     return int(np.sum(tolerance.is_psd(np.linalg.eigvalsh(a[cand]), tol)))
 
 
+def _psd_candidates(rows: np.ndarray, m: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the Philox rows z whose a = z @ M can pass tolerance.is_psd, from the diagonal of a alone."""
+    j = math.isqrt(m.shape[1])
+    min_diag = (rows @ m[:, :: j + 1].real).min(axis=1)
+    fro_bound = np.linalg.norm(rows, axis=1) * np.linalg.norm(m)  # >= ||a||_F
+    return min_diag >= -tolerance.bound(fro_bound, tol) - tolerance.MARGIN * (1.0 + fro_bound)
+
+
 def _stable_candidates(gs: np.ndarray, tol: float) -> np.ndarray:
-    """Mask of the samples that pass both necessary conditions for max Re lambda(G) <= tol."""
+    """Mask of the samples that pass the Routh-Hurwitz conditions of max Re lambda(G) <= tol."""
     j = gs.shape[-1]
-    fro = np.linalg.norm(gs, axis=(1, 2))
-    first = np.trace(gs, axis1=1, axis2=2) <= j * tol + tolerance.MARGIN * (1.0 + fro)
     h = gs - tol * np.eye(j)
-    tr_h = np.trace(h, axis1=1, axis2=2)
-    fro_h = np.linalg.norm(h, axis=(1, 2))
-    second = tr_h * tr_h - np.einsum("sij,sji->s", h, h) >= -tolerance.MARGIN * (1.0 + fro_h * fro_h)
-    return first & second
+    h2 = h @ h
+    p = (
+        np.trace(h, axis1=1, axis2=2),
+        np.trace(h2, axis1=1, axis2=2),
+        np.einsum("sij,sji->s", h2, h),
+        np.einsum("sij,sji->s", h2, h2),
+    )[: min(j, 4)]
+    r = np.sqrt(j) * np.linalg.norm(h, axis=(1, 2))
+    c = [1.0]  # c_k of det(sI - H), by Newton's identities
+    for k in range(1, len(p) + 1):
+        c.append(-sum(c[k - i] * p[i - 1] for i in range(1, k + 1)) / k)
+    keep = np.ones(len(gs), dtype=bool)
+    for k in range(1, len(c)):
+        keep &= c[k] >= -tolerance.MARGIN * (1.0 + r**k)
+    if j >= 3:
+        keep &= c[1] * c[2] - c[3] >= -tolerance.MARGIN * (1.0 + r**3)
+    return keep
 
 
 def _count_stable(gs: np.ndarray, tol: float) -> int:
@@ -198,13 +249,14 @@ def estimate_p_lindblad_ginoe(
     if n_samples < 1:
         raise ValueError("need at least one sample")
     basis = basis or generate_gell_mann(d)
+    j = d * d - 1
     m = _rates_matrix(basis)
     n_psd = 0
     n_stable = 0
     for start in range(0, n_samples, _CHUNK):
-        gs, a = _ginoe_batch(d, seed, start, min(_CHUNK, n_samples - start), m)
-        n_psd += _count_psd(a, tolerance.DATA)
-        n_stable += _count_stable(gs, tolerance.DATA)
+        rows = _normals(seed, start, min(_CHUNK, n_samples - start), j * j + j)
+        n_psd += _count_psd(_rates(rows[_psd_candidates(rows, m, tolerance.DATA)], m), tolerance.DATA)
+        n_stable += _count_stable(rows[:, : j * j].reshape(-1, j, j), tolerance.DATA)
     lo, hi = wilson_interval(n_psd, n_samples)
     return RarityEstimate(
         ensemble="GinOE",
@@ -240,17 +292,23 @@ def estimate_p_gue(j: int, n_samples: int, seed: int) -> RarityEstimate:
 
 
 def gue_p_analytic(j: int) -> float:
-    """Exact PSD probability for GUE sizes 1 and 2.
+    """Exact PSD probability of a GUE matrix of size j, for j = 1..8.
 
-    For j=1 the scalar is symmetric around zero; for j=2 integrating the
-    joint eigenvalue density exp(-l1^2-l2^2)(l1-l2)^2 over the positive
-    quadrant gives 1/4 - 1/(2 pi).
+    By the Andreief (Heine) identity, the probability that every eigenvalue of
+    the joint density exp(-sum l^2) prod_(i<k) (l_i - l_k)^2 is >= 0 is a ratio
+    of Hankel determinants of the moments of exp(-l^2) over the half line and
+    over the whole line:
+        p_j = det[Gamma((i+k+1)/2) / 2] / det[Gamma((i+k+1)/2) [i+k even]],  i, k < j.
+    j = 1 gives 1/2 and j = 2 gives 1/4 - 1/(2 pi). Both determinants come from
+    slogdet; above j = 8 their double-precision ratio is not validated.
     """
-    if j == 1:
-        return 0.5
-    if j == 2:
-        return 0.25 - 1.0 / (2.0 * np.pi)
-    raise ValueError("closed form implemented only for sizes 1 and 2")
+    if not 1 <= j <= 8:
+        raise ValueError(f"the analytic GUE value is implemented for sizes 1 to 8, got {j}")
+    n = np.add.outer(np.arange(j), np.arange(j))
+    moments = np.array([math.gamma((k + 1) / 2) for k in range(2 * j - 1)])[n]
+    sign_half, log_half = np.linalg.slogdet(moments / 2)
+    sign_full, log_full = np.linalg.slogdet(np.where(n % 2 == 0, moments, 0.0))
+    return float(sign_half * sign_full * np.exp(log_half - log_full))
 
 
 def _add_moments(s1: np.ndarray, s2: np.ndarray, samples: np.ndarray) -> None:

@@ -156,3 +156,22 @@ def test_verdict_invariant_under_hamiltonian_part(basis2):
     rep = check_lindblad(shifted, basis2)
     assert rep.is_lindblad
     np.testing.assert_allclose(rep.a, p.rates, atol=1e-10)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_hamiltonian_only_pair_has_zero_rates(d):
+    # the a recovered from a Hamiltonian-only pair is rounding noise at the scale of G
+    basis = generate_gell_mann(d)
+    j = d * d - 1
+    rng = np.random.default_rng(40 + d)
+    for scale in (1e-3, 1.0, 1e3):
+        h = scale * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        report = check_lindblad(forward_map(MasterEqParams(h + h.conj().T, np.zeros((j, j))), basis), basis)
+        assert report.is_lindblad
+        np.testing.assert_array_equal(report.diagonal_form.gamma, np.zeros(j))
+        # one rate of 1e-6 next to the same Hamiltonian is kept
+        a = np.zeros((j, j))
+        a[0, 0] = 1e-6
+        report = check_lindblad(forward_map(MasterEqParams(h + h.conj().T, a), basis), basis)
+        assert np.count_nonzero(report.diagonal_form.gamma) == 1
+        assert report.diagonal_form.gamma[0] == pytest.approx(1e-6, rel=1e-6)

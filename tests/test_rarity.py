@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from lindblad_ode import (
+    MasterEqParams,
     estimate_p_gue,
     estimate_p_lindblad_ginoe,
+    forward_map,
     ginoe_induced_a_covariance,
     gue_covariance_check,
     gue_p_analytic,
@@ -15,7 +17,18 @@ from lindblad_ode import (
     wilson_interval,
 )
 from lindblad_ode.basis import generate_gell_mann
-from lindblad_ode.rarity import _CHUNK, _ginoe_batch, _gue_batch, _rates_matrix, _stable_candidates, _stream
+from lindblad_ode.rarity import (
+    _CHUNK,
+    _count_psd,
+    _ginoe_batch,
+    _gue_batch,
+    _psd_candidates,
+    _rates,
+    _rates_matrix,
+    _stable_candidates,
+    _stream,
+)
+from lindblad_ode.tolerance import is_psd
 from lindblad_ode.tolerance import DATA as _PSD_TOL
 
 # past 2^63, and the sample count crosses a chunk boundary
@@ -77,13 +90,27 @@ def test_gue_sampler_moments():
 
 
 def test_gue_p_analytic_values():
-    assert gue_p_analytic(1) == pytest.approx(0.5)
-    assert gue_p_analytic(2) == pytest.approx(0.25 - 1.0 / (2 * np.pi))
-    with pytest.raises(ValueError):
-        gue_p_analytic(3)
+    assert gue_p_analytic(1) == pytest.approx(0.5, abs=1e-14)
+    assert gue_p_analytic(2) == pytest.approx(0.25 - 1.0 / (2 * np.pi), abs=1e-14)
+    assert gue_p_analytic(3) == pytest.approx(0.0056338, abs=5e-8)
+    for j in (0, 9):
+        with pytest.raises(ValueError):
+            gue_p_analytic(j)
 
 
-@pytest.mark.parametrize("J", [1, 2])
+def test_gue_p_analytic_matches_extended_precision():
+    # the same Hankel determinants in 50-digit arithmetic
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    for j in range(1, 9):
+        gam = mp.matrix([[mp.gamma(mp.mpf(i + k + 1) / 2) for k in range(j)] for i in range(j)])
+        even = mp.matrix([[1 - (i + k) % 2 for k in range(j)] for i in range(j)])
+        half = mp.det(gam / 2)
+        full = mp.det(mp.matrix([[gam[i, k] * even[i, k] for k in range(j)] for i in range(j)]))
+        assert gue_p_analytic(j) == pytest.approx(float(half / full), rel=1e-8)
+
+
+@pytest.mark.parametrize("J", [1, 2, 3])
 def test_gue_estimate_brackets_analytic(J):
     est = estimate_p_gue(J, n_samples=100_000, seed=202)
     assert est.ci_low <= gue_p_analytic(J) <= est.ci_high
@@ -215,6 +242,135 @@ def test_stability_prune_keeps_every_stable_matrix(d):
     # tr G < 0, yet the second coefficient is negative: an unstable G is pruned
     unstable = np.diag(np.r_[1.0, -2.0, np.zeros(j - 2)])
     assert not _stable_candidates(unstable[None], _PSD_TOL)[0]
+
+
+def _imaginary_axis_block(rng, j):
+    """Real block-diagonal matrix whose eigenvalues all have Re exactly 0, so c_1 = c_3 = Delta_2 = 0."""
+    b = np.zeros((j, j))
+    for k in range(0, j - 1, 2):
+        w = rng.normal()
+        b[k : k + 2, k : k + 2] = [[0.0, w], [-w, 0.0]]
+    return b
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_stability_prune_keeps_spectra_on_the_imaginary_axis(d):
+    # the odd coefficients and Delta_2 are exactly 0 here, so only the margins keep these samples
+    j = d * d - 1
+    rng = np.random.default_rng(800 + d)
+    gs = []
+    for k in range(60):
+        q = np.linalg.qr(rng.normal(size=(j, j)))[0]
+        scale = [1e-3, 1.0, 1e3][k % 3]
+        gs.append(scale * q @ _imaginary_axis_block(rng, j) @ q.T + _PSD_TOL * np.eye(j))
+    # as in the test above, max Re lambda(G) is _PSD_TOL up to the rounding of the product
+    assert _stable_candidates(np.array(gs), _PSD_TOL).all()
+
+
+def _real_matrix_with_spectrum(rng, j, spectrum):
+    """Q B Q^T, B block-diagonal: each real eigenvalue on the diagonal, each pair s +- iw as [[s, w], [-w, s]]."""
+    b = np.zeros((j, j))
+    k = 0
+    for lam in spectrum:
+        if lam.imag > 0:
+            b[k : k + 2, k : k + 2] = [[lam.real, lam.imag], [-lam.imag, lam.real]]
+            k += 2
+        elif lam.imag == 0:
+            b[k, k] = lam.real
+            k += 1
+    q = np.linalg.qr(rng.normal(size=(j, j)))[0]
+    return q @ b @ q.T
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize(
+    "spectrum, failing",
+    [((0.5, -2.0, -2.0), "c3"), ((0.5 + 2j, 0.5 - 2j, -3.0), "delta2")],
+    ids=["c3", "delta2"],
+)
+def test_stability_prune_rejects_by_each_new_condition(d, spectrum, failing):
+    # an unstable G that only one condition rejects: c_3 < 0 with c_1, c_2, c_4 >= 0 and Delta_2 >= 0,
+    # or Delta_2 = c_1 c_2 - c_3 < 0 with every c_k >= 0
+    j = d * d - 1
+    spectrum = np.array(spectrum, dtype=complex)
+    c = np.poly(np.r_[spectrum, np.zeros(j - 3)]).real
+    delta2 = c[1] * c[2] - c[3]
+    checks = {"c1": c[1], "c2": c[2], "c3": c[3], "c4": c[4] if j >= 4 else 0.0, "delta2": delta2}
+    assert checks.pop(failing) < 0
+    assert min(checks.values()) >= 0
+    g = _real_matrix_with_spectrum(np.random.default_rng(900 + d), j, spectrum) + _PSD_TOL * np.eye(j)
+    assert np.linalg.eigvals(g).real.max() > 0.4
+    assert not _stable_candidates(g[None], _PSD_TOL)[0]
+
+
+def _row_of(a, basis):
+    """The Philox row [vec G, sqrt(d) c] whose rate matrix is a (with H = 0)."""
+    pair = forward_map(MasterEqParams(np.zeros((basis.dim, basis.dim)), a), basis)
+    return np.r_[pair.G.ravel(), np.sqrt(basis.dim) * pair.c]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_psd_prefilter_keeps_every_psd_rate_matrix(d):
+    basis = generate_gell_mann(d)
+    j = basis.J
+    m = _rates_matrix(basis)
+    rng = np.random.default_rng(700 + d)
+    rows = []
+    for k in range(30):
+        scale = [1e-3, 1.0, 1e3][k % 3]
+        # rank below J: exact zero eigenvalues
+        b = rng.normal(size=(j, j - 1 - k % 2)) + 1j * rng.normal(size=(j, j - 1 - k % 2))
+        p = b @ b.conj().T
+        rows.append(_row_of(scale * p / np.linalg.norm(p, 2), basis))
+        # at the edge of tolerance.is_psd, with a unit vector as the negative eigenvector: Re a_mm = lambda_min
+        mm = k % j
+        b[mm] = 0.0
+        p = b @ b.conj().T
+        edge = scale * p / np.linalg.norm(p, 2)
+        edge[mm, mm] = -(15 / 16) * _PSD_TOL * max(1.0, scale)
+        rows.append(_row_of(edge, basis))
+    rows = np.array(rows)
+    assert _psd_candidates(rows, m, _PSD_TOL).all()
+    assert _count_psd(_rates(rows, m), _PSD_TOL) == len(rows)
+    # -a of a PSD a of rank >= 1 has a negative diagonal entry
+    assert not _psd_candidates(-rows, m, _PSD_TOL).any()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_psd_prefilter_keeps_every_row_at_rtol_one(d):
+    # is_psd at rtol 1 accepts every spectrum, so the bound on ||a||_F must cover min Re a_mm of every row;
+    # the row along a diagonal column of M, or along its vec G or sqrt(d) c part alone, makes that entry
+    # as negative as a row of its norm can
+    j = d * d - 1
+    m = _rates_matrix(generate_gell_mann(d))
+    cols = -m[:, :: j + 1].real.T
+    g_part, c_part = cols.copy(), cols.copy()
+    g_part[:, j * j :] = 0.0
+    c_part[:, : j * j] = 0.0
+    unit = np.concatenate([cols, g_part, c_part, np.random.default_rng(d).normal(size=(50, j * j + j))])
+    rows = np.concatenate([s * unit for s in (1e-3, 1.0, 1e3)])
+    assert is_psd(np.linalg.eigvalsh(_rates(rows, m)), 1.0).all()
+    assert _psd_candidates(rows, m, 1.0).all()
+
+
+# (n_positive, n_spectrum_stable) recorded before the Routh-Hurwitz and diagonal prefilters
+_PINNED_GINOE = {
+    (2, 20_000, 12): (5, 2091),
+    (2, 20_000, 404): (9, 2054),
+    (2, 20_000, 2**64 - 1): (5, 2126),
+    (3, 10_000, 12): (0, 3),
+    (3, 10_000, 20230118): (0, 4),
+    (3, 10_000, 2**64 - 1): (0, 2),
+    (4, 8192, 3): (0, 0),
+    (4, 8192, 404): (0, 0),
+    (4, 8192, 2**63 + 11): (0, 0),
+}
+
+
+@pytest.mark.parametrize("d, n, seed", list(_PINNED_GINOE))
+def test_ginoe_counts_pinned(d, n, seed):
+    est = estimate_p_lindblad_ginoe(d, n_samples=n, seed=seed)
+    assert (est.n_positive, est.n_spectrum_stable) == _PINNED_GINOE[d, n, seed]
 
 
 @pytest.mark.parametrize("j", [1, 2, 8])
