@@ -136,10 +136,12 @@ def _normals(seed: int, start: int, count: int, width: int) -> np.ndarray:
     key = np.array([seed, start], dtype=np.uint64)
     bitgen = np.random.Philox(key=key)
     rng = np.random.Generator(bitgen)
+    # the state setter reads every entry, about twice as fast from Python ints as from numpy scalars
+    key = key.tolist()
     state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
@@ -236,6 +238,17 @@ def _count_stable(gs: np.ndarray, tol: float) -> int:
     return int(np.sum(np.linalg.eigvals(gs[cand]).real.max(axis=1) <= tol))
 
 
+def _ginoe_basis(d: int, basis: NiceBasis | None) -> NiceBasis:
+    """The basis of a GinOE experiment in dimension d: the Gell-Mann one unless basis is given."""
+    if d < 2:
+        raise ValueError(f"GinOE needs dimension d >= 2, got {d}")
+    if basis is None:
+        return generate_gell_mann(d)
+    if basis.dim != d:
+        raise ValueError(f"basis has dimension {basis.dim}, but d = {d}")
+    return basis
+
+
 def estimate_p_lindblad_ginoe(
     d: int, n_samples: int, seed: int, basis: NiceBasis | None = None
 ) -> RarityEstimate:
@@ -244,11 +257,9 @@ def estimate_p_lindblad_ginoe(
     Also counts pairs whose G spectrum is stable (all real parts <= 0); the
     PSD count never exceeds the stable count.
     """
-    if d < 2:
-        raise ValueError(f"GinOE needs dimension d >= 2, got {d}")
+    basis = _ginoe_basis(d, basis)
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    basis = basis or generate_gell_mann(d)
     j = d * d - 1
     m = _rates_matrix(basis)
     n_psd = 0
@@ -351,9 +362,7 @@ def ginoe_induced_a_covariance(
 ) -> CovarianceReport:
     """Compare E(a_mn a_m'n') of GinOE-induced rate matrices against
     delta_mn' delta_nm' - (1/d) Tr(F_m' F_n' F_m F_n)."""
-    if d < 2:
-        raise ValueError(f"GinOE needs dimension d >= 2, got {d}")
-    basis = basis or generate_gell_mann(d)
+    basis = _ginoe_basis(d, basis)
     j = basis.J
     m = _rates_matrix(basis)
     ft = basis.traceless

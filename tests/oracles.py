@@ -9,7 +9,9 @@ forward map over a basis of the rate matrices). The library derives every map fr
 vec/reshuffle core in `lindblad_ode.core`; the tests compare the two.
 They cost about d^10 and are only meant for small d. expm_extended is the
 matrix exponential in numpy's extended precision, a reference for the
-solver's double-precision one.
+solver's double-precision one, and per_time_trajectory the propagator
+trajectory with one exponential per time, a reference for the library's
+stepping.
 """
 import math
 
@@ -25,6 +27,7 @@ from lindblad_ode import (
     structure_constants,
     tensor_from_map,
 )
+from lindblad_ode.odesolve import _expm
 
 
 def q_from_h(h, basis):
@@ -241,3 +244,9 @@ def expm_extended(m):
     for _ in range(s):
         total = total @ total
     return total.astype(float)
+
+
+def per_time_trajectory(m, x0, times):
+    """Row k is e^{M t_k} x0, one exponential of M t_k per time; nan where _expm refuses M t_k."""
+    t = np.asarray(times, dtype=float).reshape(-1)
+    return _expm(np.asarray(m) * t[:, None, None]) @ x0

@@ -22,6 +22,7 @@ from lindblad_ode import (
     solve_diagonalizable,
     solve_general,
 )
+from lindblad_ode import odesolve
 from lindblad_ode.odesolve import _expm
 
 from conftest import (
@@ -31,7 +32,7 @@ from conftest import (
     random_density,
     random_meq,
 )
-from oracles import expm_extended
+from oracles import expm_extended, per_time_trajectory
 
 
 def _residual(sol, times, h=1e-6):
@@ -292,6 +293,91 @@ def test_non_finite_solution_raises(g, v0, t):
     with pytest.raises(ValueError, match="not finite"):
         sol.at(t)
     np.testing.assert_allclose(sol.at(0.0), v0, atol=1e-15)
+
+
+def _propagator_solutions(d):
+    """solve_general on the CP, non-CP and Hamiltonian-only generators of _augmented_generators(d)."""
+    rng = np.random.default_rng(110 + d)
+    sols = []
+    for aug in _augmented_generators(d)[:3]:
+        j = aug.shape[0] - 1
+        sols.append(solve_general(OdePair(G=aug[:j, :j], c=aug[:j, j]), rng.normal(size=j)))
+    return sols
+
+
+def _assert_rows_close(got, ref, rtol):
+    err = np.abs(got - ref).max(axis=1)
+    assert np.all(err <= rtol * np.maximum(1.0, np.abs(ref).max(axis=1)))
+
+
+_EXTENDED = np.finfo(np.longdouble).eps <= 1e-18
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize(
+    "times, rtol",
+    [
+        # unsorted, a repeated time, 0 and -0.0, negative times next to positive ones
+        ([2.0, 0.0, 1.3, -0.0, -1.0, 1.3, 0.25, -2.0, 3.0, -0.25, 0.7, -1.0], 1e-13),
+        (np.linspace(0.0, 30.0, 64), 1e-13),
+        (np.linspace(0.0, 30.0, 1000), 1e-12),
+    ],
+    ids=["mixed", "grid64", "grid1000"],
+)
+def test_propagator_trajectory_matches_per_time_forms(d, times, rtol):
+    # the rounding of every earlier step on a side stays in a row, so a long grid gets a wider bound
+    for sol in _propagator_solutions(d):
+        x0 = np.append(sol.v0, 1.0)
+        traj = sol.trajectory(times)
+        _assert_rows_close(traj, per_time_trajectory(sol._augmented, x0, times)[:, :-1], rtol)
+        if _EXTENDED:
+            extended = np.array([expm_extended(sol._augmented * t) @ x0 for t in times])
+            _assert_rows_close(traj, extended[:, :-1], rtol)
+
+
+def test_propagator_trajectory_takes_one_exponential_per_distinct_step(monkeypatch):
+    sol = _propagator_solutions(3)[2]
+    stacks = []
+
+    def counting_expm(m):
+        stacks.append(len(m))
+        return _expm(m)
+
+    monkeypatch.setattr(odesolve, "_expm", counting_expm)
+    grid = np.linspace(0.0, 2.0, 64)
+    assert len(np.unique(np.diff(grid, prepend=0.0))) == 4
+    for times in (grid, np.random.default_rng(3).permutation(grid)):
+        stacks.clear()
+        sol.trajectory(times)
+        assert stacks == [4]
+    # one call for each side of t = 0
+    stacks.clear()
+    sol.trajectory(np.concatenate([-grid[1:], grid]))
+    assert stacks == [4, len(np.unique(np.diff(-grid[1:], prepend=0.0)))]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_propagator_at_is_one_exponential_applied_to_the_initial_state(d):
+    for sol in _propagator_solutions(d):
+        x0 = np.append(sol.v0, 1.0)
+        for t in (0.0, -0.0, 0.3, 2.0, 30.0, -0.7):
+            np.testing.assert_array_equal(sol.at(t), (propagator(sol._augmented, t) @ x0)[:-1])
+
+
+def test_propagator_trajectory_refuses_the_times_the_direct_form_refuses():
+    # a rotation, ||M||_1 = 1: every step below the limit is finite, but M t is refused from |t| > limit on
+    sol = solve_general(OdePair(G=np.array([[0.0, 1.0], [-1.0, 0.0]]), c=np.zeros(2)), np.array([1.0, 0.0]))
+    x0 = np.array([1.0, 0.0, 1.0])
+    limit = odesolve._MAX_NORM
+    above = np.nextafter(limit, np.inf)
+    times = np.array([limit / 2, -above, limit, above, 0.25, -limit, 2 * limit, -0.75 * limit, np.nan])
+    refused = np.isnan(per_time_trajectory(sol._augmented, x0, times)).any(axis=1)
+    np.testing.assert_array_equal(refused, [False, True, False, True, False, False, True, False, True])
+    stepped = odesolve._step_outward(sol._augmented, x0, times)
+    np.testing.assert_array_equal(np.isnan(stepped).any(axis=1), refused)
+    assert np.isfinite(sol.trajectory(times[~refused])).all()
+    with pytest.raises(ValueError, match=re.escape(f"not finite at t = {2 * limit:g}")):
+        sol.trajectory([limit / 2, limit, 2 * limit, 3 * limit])
 
 
 def test_zero_coefficient_modes_contribute_zero():
