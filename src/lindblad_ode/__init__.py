@@ -1,6 +1,6 @@
 """Bidirectional correspondence between finite-dimensional Markovian quantum
 master equations (H, a) and affine coherence-vector ODEs v' = G v + c, with a
-complete-positivity decision, ODE solvers, and random-ensemble experiments.
+complete-positivity decision, an ODE solver, and random-ensemble experiments.
 """
 from .basis import (
     NiceBasis,
@@ -45,16 +45,7 @@ from .inverse import (
     phi,
     r_image_check,
 )
-from .odesolve import (
-    NotDiagonalizable,
-    OdeSolution,
-    Singular,
-    evolve_density,
-    propagator,
-    solve,
-    solve_diagonalizable,
-    solve_general,
-)
+from .odesolve import OdeSolution, evolve_density, propagator, solve
 from .rarity import (
     CovarianceReport,
     RarityEstimate,

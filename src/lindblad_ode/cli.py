@@ -21,7 +21,7 @@ from .basis import NiceBasis, generate_gell_mann, structure_constants, verify_ni
 from .cp import check_lindblad
 from .forward import MasterEqParams, OdePair, forward_map
 from .inverse import decompose_g, h_from_g, inverse_map, r_image_check
-from .odesolve import evolve_density, solve, solve_general
+from .odesolve import evolve_density, solve
 from .rarity import estimate_p_gue, estimate_p_lindblad_ginoe
 
 

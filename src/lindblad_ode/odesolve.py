@@ -1,32 +1,37 @@
-"""Solvers for the affine coherence-vector ODE v' = G v + c: a closed
-spectral form when G is diagonalizable and invertible, and a general
-propagator route via the exponential of the augmented matrix [[G, c], [0, 0]].
-Density-matrix evolution is built on top of the vector solvers.
+"""The solver of the affine coherence-vector ODE v' = G v + c, and
+density-matrix evolution on top of it.
 
-The propagator route takes its matrix exponential from _expm: scaling and
-squaring with the [13/13] Pade approximant of N. J. Higham, "The scaling and
-squaring method for the matrix exponential revisited", SIAM J. Matrix Anal.
-Appl. 26 (2005) 1179, in numpy alone. scipy.linalg.expm, the oracle of the
-tests, uses the refinement of A. H. Al-Mohy and N. J. Higham, "A new scaling
-and squaring algorithm for the matrix exponential", SIAM J. Matrix Anal. Appl.
-31 (2009) 970, which picks a lower degree or fewer squarings where it can.
+solve propagates x' = M x from t = 0. When G has full rank at the
+tolerance.SPECTRAL cut, M = G and x = v - v_inf, the deviation from the fixed
+point v_inf = -G^{-1} c, so rounding stays relative to |v - v_inf| and not to
+||e^{Mt}||; a deviation that is exactly 0 gives exactly v_inf at every time.
+Otherwise M = [[G, c], [0, 0]] and x = (v, 1). The eigenvector form is not
+used: it loses a factor cond(X) near a defective G (C. Moler and C. Van Loan,
+SIAM Rev. 45 (2003) 3); tests/oracles.py keeps it as a reference.
 
-A propagator trajectory steps along its time grid, as A. H. Al-Mohy and N. J.
-Higham, "Computing the action of the matrix exponential", SIAM J. Sci.
-Comput. 33 (2011) 488, do for e^{tA} b: the times t >= 0 and the times t < 0
-are each ordered by |t|, and on each side x <- e^{M h} x steps outward from
-x(0) = (v0, 1) through the differences h of consecutive times. One _expm call
-takes the exponentials of a side's distinct steps, so a uniform grid of any
-length needs about four of them (the differences of a linspace round to a
-few neighbouring values), where the direct form e^{M t} (v0, 1) takes one per
-time. Error model: each e^{M h} carries a relative error of about 2^s u
-(u = 2^-53, s the squarings of M h), and the rounding of every step before a
-row on its side stays in that row, so a row after k steps carries about
-k 2^s u. Outward, |t| only grows along a chain, so no row inherits rounding
-made at a larger |t|. A chain from the most negative time forward past 0
-would: under a dissipative generator x(t_min) is large, and its rounding
-swamps the rows where x has decayed again. A single time is one step from 0,
-the direct form itself.
+e^A is _expm: scaling and squaring with the [13/13] Pade approximant of
+N. J. Higham, "The scaling and squaring method for the matrix exponential
+revisited", SIAM J. Matrix Anal. Appl. 26 (2005) 1179, in numpy alone.
+scipy.linalg.expm, the oracle of the tests, uses the refinement of
+A. H. Al-Mohy and N. J. Higham, SIAM J. Matrix Anal. Appl. 31 (2009) 970,
+which picks a lower degree or fewer squarings where it can.
+
+A trajectory steps along its time grid, as A. H. Al-Mohy and N. J. Higham,
+"Computing the action of the matrix exponential", SIAM J. Sci. Comput. 33
+(2011) 488, do for e^{tA} b: the times t >= 0 and the times t < 0 are each
+ordered by |t|, and on each side x <- e^{M h} x steps outward from x(0)
+through the differences h of consecutive times. One _expm call takes the
+exponentials of a side's distinct steps, so a uniform grid of any length
+needs about four of them (the differences of a linspace round to a few
+neighbouring values), where the direct form e^{M t} x(0) takes one per time.
+Error model: each e^{M h} carries a relative error of about 2^s u (u = 2^-53,
+s the squarings of M h), and the rounding of every step before a row on its
+side stays in that row, so a row after k steps carries about k 2^s u.
+Outward, |t| only grows along a chain, so no row inherits rounding made at a
+larger |t|. A chain from the most negative time forward past 0 would: under a
+dissipative generator x(t_min) is large, and its rounding swamps the rows
+where x has decayed again. A single time is one step from 0, the direct form
+itself.
 """
 from __future__ import annotations
 
@@ -112,22 +117,18 @@ def _expm(m: np.ndarray) -> np.ndarray:
     return r.reshape(m.shape)
 
 
-class NotDiagonalizable(ValueError):
-    """G's eigenvector matrix is too ill-conditioned for the spectral form."""
-
-
-class Singular(ValueError):
-    """G is numerically singular; no fixed point -G^{-1} c exists."""
-
-
 @dataclass(frozen=True)
 class OdeSolution:
     """Solution of v' = G v + c with initial condition v0.
 
-    kind is "diagonalizable_invertible" (spectral closed form) or "general"
-    (augmented-matrix propagator). v_infinity is the fixed point -G^{-1} c
-    when G is invertible, else None. For singular G, frozen_consistent
-    reports whether c is in the range of G (no linearly growing directions).
+    kind names the route that solve took: "diagonalizable_invertible" when G
+    has full rank at the tolerance.SPECTRAL cut (the deviation from v_infinity
+    is propagated), "general" otherwise (the augmented matrix is). The names
+    date from a spectral solver that is gone; they stay because CLI output
+    reports them. v_infinity is the fixed point -G^{-1} c when G has full rank
+    at the tolerance.ROUNDING cut, else None. For such a singular G,
+    frozen_consistent reports whether c is in the range of G (no linearly
+    growing directions).
     """
 
     kind: str
@@ -135,11 +136,12 @@ class OdeSolution:
     c: np.ndarray
     v0: np.ndarray
     v_infinity: np.ndarray | None
-    eigenvalues: np.ndarray | None = None
-    eigenvectors: np.ndarray | None = None
-    initial_coeffs: np.ndarray | None = None
     frozen_consistent: bool | None = None
-    _augmented: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # v(t) = (e^{Mt} x0)[:J] + shift, with (M, x0, shift) = (G, v0 - v_inf, v_inf) or
+    # ([[G, c], [0, 0]], (v0, 1), -0.0); adding -0.0 changes no bit, not even the sign of a zero
+    _generator: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _x0: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _shift: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def at(self, t: float) -> np.ndarray:
         """Evaluate v(t)."""
@@ -148,23 +150,22 @@ class OdeSolution:
     def trajectory(self, times) -> np.ndarray:
         """Evaluate v(t) at every time; row k is v(times[k]).
 
-        The spectral form evaluates each time on its own. The propagator form
-        steps outward from t = 0 on each side of it (see _step_outward): a row
+        Steps outward from t = 0 on each side of it (see _step_outward): a row
         carries the rounding of every step before it on its side, about
-        (steps) 2^s u in all, where the direct form e^{Mt} (v0, 1) carries 2^s u.
+        (steps) 2^s u in all, where the direct form e^{Mt} x0 carries 2^s u.
         Raises ValueError at the first time, in the order given, where v(t) is
-        not finite; the propagator form also refuses every time whose e^{Mt}
-        _expm would refuse. A mode whose coefficient is exactly 0 contributes
-        exactly 0, however fast it grows.
+        not finite, which includes every time whose e^{Mt} _expm would refuse.
+        A deviation v0 - v_infinity that is exactly 0 gives exactly v_infinity
+        at every time, however fast e^{Gt} grows.
         """
         t = np.asarray(times, dtype=float).reshape(-1)
-        with np.errstate(all="ignore"):
-            if self.kind == "diagonalizable_invertible":
-                coeffs = self.initial_coeffs[:, None]
-                growth = np.where(coeffs == 0, 0.0, coeffs * np.exp(np.outer(self.eigenvalues, t)))
-                v = (self.eigenvectors @ growth).T.real + self.v_infinity
-            else:
-                v = _step_outward(self._augmented, np.concatenate([self.v0, [1.0]]), t)[:, :-1]
+        j = len(self.v0)
+        if self._x0.any():
+            with np.errstate(all="ignore"):
+                x = _step_outward(self._generator, self._x0, t)[:, :j]
+        else:
+            x = np.zeros((len(t), j))
+        v = x + self._shift
         bad = ~np.isfinite(v).all(axis=1)
         if bad.any():
             raise ValueError(f"v(t) is not finite at t = {t[bad][0]:g}")
@@ -219,80 +220,38 @@ def propagator(g: np.ndarray, t: float) -> np.ndarray:
     return e
 
 
-def _check_pair(pair: OdePair, v0: np.ndarray) -> np.ndarray:
-    v0 = np.asarray(v0, dtype=float)
-    if v0.shape != (pair.G.shape[0],):
-        raise ValueError(f"v0 must have length {pair.G.shape[0]}, got {v0.shape}")
-    return v0
+def solve(pair: OdePair, v0) -> OdeSolution:
+    """The solution of v' = G v + c with v(0) = v0, for any real G.
 
-
-def solve_diagonalizable(pair: OdePair, v0) -> OdeSolution:
-    """Spectral closed form v(t) = sum_k s_k e^{lambda_k t} x^(k) + v_inf.
-
-    Requires G diagonalizable (eigenvector condition number < 1/rtol) and
-    invertible (full rank at the cut rtol * ||G||), with rtol =
-    tolerance.SPECTRAL; raises NotDiagonalizable or Singular otherwise, in
-    which case use solve_general.
+    When G has full rank at the tolerance.SPECTRAL cut, the solution steps the
+    deviation v - v_inf, v_inf = -G^{-1} c (kind "diagonalizable_invertible");
+    otherwise it steps (v, 1) under [[G, c], [0, 0]] (kind "general"). The
+    ranks of G and [G c] behind v_infinity and frozen_consistent are taken at
+    their own scale-invariant cut, tolerance.ROUNDING. Raises ValueError when
+    v0 has the wrong length or is not finite.
     """
-    v0 = _check_pair(pair, v0)
-    g = pair.G
-    sv = np.linalg.svd(g, compute_uv=False)
-    if sv.size == 0 or tolerance.rank(sv, tolerance.SPECTRAL) < sv.size:
-        raise Singular("G is numerically singular")
-    w, x = np.linalg.eig(g)
-    if np.linalg.cond(x) >= 1.0 / tolerance.SPECTRAL:
-        raise NotDiagonalizable("eigenvector matrix condition number exceeds limit")
-    v_inf = -np.linalg.solve(g, pair.c)
-    s = np.linalg.solve(x, (v0 - v_inf).astype(complex))
-    return OdeSolution(
-        kind="diagonalizable_invertible",
-        G=g,
-        c=pair.c,
-        v0=v0,
-        v_infinity=v_inf,
-        eigenvalues=w,
-        eigenvectors=x,
-        initial_coeffs=s,
-    )
-
-
-def solve_general(pair: OdePair, v0) -> OdeSolution:
-    """Propagator solution v(t) = [e^{Mt} (v0, 1)]_{1..J} with M = [[G, c], [0, 0]].
-
-    Valid for any G, including singular and non-diagonalizable cases. The
-    ranks of G and [G c] are numerical, each at its own scale-invariant cut
-    (tolerance.ROUNDING).
-    """
-    v0 = _check_pair(pair, v0)
     g, c = pair.G, pair.c
     j = g.shape[0]
+    v0 = np.asarray(v0, dtype=float)
+    if v0.shape != (j,):
+        raise ValueError(f"v0 must have length {j}, got {v0.shape}")
+    if not np.isfinite(v0).all():
+        raise ValueError("v0 must be finite")
+    sv = np.linalg.svd(g, compute_uv=False)
+    rank_g = tolerance.rank(sv, tolerance.ROUNDING)
+    v_inf = -np.linalg.solve(g, c) if j and rank_g == j else None
+    if j and tolerance.rank(sv, tolerance.SPECTRAL) == j:
+        return OdeSolution("diagonalizable_invertible", g, c, v0, v_inf, _generator=g, _x0=v0 - v_inf, _shift=v_inf)
+    frozen = None
+    if j and v_inf is None:
+        sv_gc = np.linalg.svd(np.column_stack([g, c]), compute_uv=False)
+        frozen = tolerance.rank(sv_gc, tolerance.ROUNDING) == rank_g
     aug = np.zeros((j + 1, j + 1))
     aug[:j, :j] = g
     aug[:j, j] = c
-    rank_g = tolerance.rank(np.linalg.svd(g, compute_uv=False), tolerance.ROUNDING) if j else 0
-    invertible = j > 0 and rank_g == j
-    v_inf = -np.linalg.solve(g, c) if invertible else None
-    frozen = None
-    if not invertible and j > 0:
-        sv_gc = np.linalg.svd(np.column_stack([g, c]), compute_uv=False)
-        frozen = tolerance.rank(sv_gc, tolerance.ROUNDING) == rank_g
     return OdeSolution(
-        kind="general",
-        G=g,
-        c=c,
-        v0=v0,
-        v_infinity=v_inf,
-        frozen_consistent=frozen,
-        _augmented=aug,
+        "general", g, c, v0, v_inf, frozen, _generator=aug, _x0=np.append(v0, 1.0), _shift=np.full(j, -0.0)
     )
-
-
-def solve(pair: OdePair, v0) -> OdeSolution:
-    """Closed spectral form when trustworthy, otherwise the propagator route."""
-    try:
-        return solve_diagonalizable(pair, v0)
-    except (NotDiagonalizable, Singular):
-        return solve_general(pair, v0)
 
 
 def evolve_density(

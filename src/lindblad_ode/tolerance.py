@@ -25,9 +25,9 @@ DATA = 1e-9
 # Invariants of a rank-4 tensor handed to phi: partial traces of entries built in
 # double precision, which miss zero by rounding alone; a decade stricter than DATA.
 TENSOR = 1e-10
-# Eigendecompositions of a non-normal G lose a factor cond(X) of accuracy, so the
-# spectral solution is trusted while cond(X) < 1 / SPECTRAL (half the digits
-# left), and eigenvalues computed two ways agree to SPECTRAL at the scale of G.
+# The ODE solver steps the deviation from the fixed point -G^{-1} c only when G
+# has full rank at this cut, so the fixed point keeps about half the digits, and
+# eigenvalues computed two ways agree to SPECTRAL at the scale of G.
 SPECTRAL = 1e-8
 # Widening of rarity's pruning conditions against eigensolver rounding; fixed
 # by the proof in the rarity module docstring, not by a choice of accuracy.

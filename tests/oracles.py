@@ -9,9 +9,9 @@ forward map over a basis of the rate matrices). The library derives every map fr
 vec/reshuffle core in `lindblad_ode.core`; the tests compare the two.
 They cost about d^10 and are only meant for small d. expm_extended is the
 matrix exponential in numpy's extended precision, a reference for the
-solver's double-precision one, and per_time_trajectory the propagator
+solver's double-precision one, per_time_trajectory the propagator
 trajectory with one exponential per time, a reference for the library's
-stepping.
+stepping, and modal_trajectory the spectral closed form of v' = G v + c.
 """
 import math
 
@@ -26,6 +26,7 @@ from lindblad_ode import (
     forward_map,
     structure_constants,
     tensor_from_map,
+    tolerance,
 )
 from lindblad_ode.odesolve import _expm
 
@@ -250,3 +251,24 @@ def per_time_trajectory(m, x0, times):
     """Row k is e^{M t_k} x0, one exponential of M t_k per time; nan where _expm refuses M t_k."""
     t = np.asarray(times, dtype=float).reshape(-1)
     return _expm(np.asarray(m) * t[:, None, None]) @ x0
+
+
+def modal_trajectory(g, c, v0, times):
+    """Row k is v(times[k]) = sum_j s_j e^{lambda_j t} x^(j) + v_inf, the spectral form of v' = G v + c.
+
+    G x^(j) = lambda_j x^(j), v_inf = -G^{-1} c and s = X^{-1} (v0 - v_inf); a mode
+    whose coefficient is exactly 0 contributes exactly 0. None where the form is not
+    trusted: G singular at the tolerance.SPECTRAL cut, or cond(X) >= 1 / SPECTRAL.
+    """
+    sv = np.linalg.svd(g, compute_uv=False)
+    if sv.size == 0 or tolerance.rank(sv, tolerance.SPECTRAL) < sv.size:
+        return None
+    w, x = np.linalg.eig(g)
+    if np.linalg.cond(x) >= 1.0 / tolerance.SPECTRAL:
+        return None
+    v_inf = -np.linalg.solve(g, c)
+    s = np.linalg.solve(x, (v0 - v_inf).astype(complex))[:, None]
+    t = np.asarray(times, dtype=float).reshape(-1)
+    with np.errstate(all="ignore"):
+        growth = np.where(s == 0, 0.0, s * np.exp(np.outer(w, t)))
+    return (x @ growth).T.real + v_inf

@@ -9,9 +9,7 @@ from scipy.linalg import expm as scipy_expm
 
 from lindblad_ode import (
     MasterEqParams,
-    NotDiagonalizable,
     OdePair,
-    Singular,
     check_lindblad,
     coherence_vector,
     evolve_density,
@@ -19,8 +17,6 @@ from lindblad_ode import (
     generate_gell_mann,
     propagator,
     solve,
-    solve_diagonalizable,
-    solve_general,
 )
 from lindblad_ode import odesolve
 from lindblad_ode.odesolve import _expm
@@ -32,7 +28,7 @@ from conftest import (
     random_density,
     random_meq,
 )
-from oracles import expm_extended, per_time_trajectory
+from oracles import expm_extended, modal_trajectory, per_time_trajectory
 
 
 def _residual(sol, times, h=1e-6):
@@ -48,7 +44,7 @@ def test_dephasing_closed_form(basis2):
     p = MasterEqParams(hamiltonian=np.zeros((2, 2)), rates=dephasing_a(gamma))
     pair = forward_map(p, basis2)
     v0 = np.array([1 / np.sqrt(2), 0.0, 0.0])
-    sol = solve(pair, v0)  # G is singular here, so the general path is used
+    sol = solve(pair, v0)  # G is singular here, so the augmented matrix is stepped
     assert sol.kind == "general"
     for t in (0.0, 0.3, 2.5):
         np.testing.assert_allclose(
@@ -59,7 +55,7 @@ def test_dephasing_closed_form(basis2):
 def test_amplitude_damping_fixed_point(basis2):
     p = MasterEqParams(hamiltonian=amplitude_damping_h(1.3), rates=amplitude_damping_a(0.9))
     pair = forward_map(p, basis2)
-    sol = solve_diagonalizable(pair, np.zeros(3))
+    sol = solve(pair, np.zeros(3))
     assert sol.kind == "diagonalizable_invertible"
     np.testing.assert_allclose(sol.v_infinity, [0.0, 0.0, 1 / np.sqrt(2)], atol=1e-12)
     np.testing.assert_allclose(pair.G @ sol.v_infinity + pair.c, 0, atol=1e-12)
@@ -74,12 +70,23 @@ def test_constant_solution():
         np.testing.assert_allclose(sol.at(t), [0.3, -0.1], atol=1e-14)
 
 
-def test_singular_and_defective_raise(basis2):
-    with pytest.raises(Singular):
-        solve_diagonalizable(OdePair(G=np.zeros((3, 3)), c=np.zeros(3)), np.zeros(3))
-    g = np.array([[-1.0, 1.0], [0.0, -1.0]])  # defective
-    with pytest.raises(NotDiagonalizable):
-        solve_diagonalizable(OdePair(G=g, c=np.zeros(2)), np.zeros(2))
+def test_kind_names_the_route():
+    # full rank at the SPECTRAL cut, defective or not, steps the deviation from v_inf
+    for g in (np.diag([-1.0, -2.0]), np.array([[-1.0, 1.0], [0.0, -1.0]]), np.diag([1.0, 1e-7])):
+        assert solve(OdePair(G=g, c=np.ones(2)), np.zeros(2)).kind == "diagonalizable_invertible"
+    # below it the augmented matrix is stepped, though v_inf exists at the ROUNDING cut
+    sol = solve(OdePair(G=np.diag([1.0, 1e-9]), c=np.ones(2)), np.zeros(2))
+    assert sol.kind == "general"
+    np.testing.assert_allclose(sol.v_infinity, [-1.0, -1e9], rtol=1e-15)
+    assert sol.frozen_consistent is None
+    assert solve(OdePair(G=np.zeros((3, 3)), c=np.zeros(3)), np.zeros(3)).kind == "general"
+
+
+@pytest.mark.parametrize("v0", [[0.0, np.nan], [np.inf, 0.0], [-np.inf, 1.0]])
+def test_solve_rejects_non_finite_v0(v0):
+    for g in (np.eye(2), np.zeros((2, 2))):
+        with pytest.raises(ValueError, match="v0 must be finite"):
+            solve(OdePair(G=g, c=np.zeros(2)), v0)
 
 
 def jordan_block_solution(mu, size, w0, t):
@@ -99,7 +106,7 @@ def test_general_solver_matches_jordan_oracle(mu, size):
     g = mu * np.eye(size) + np.diag(np.ones(size - 1), k=1)
     rng = np.random.default_rng(size)
     w0 = rng.normal(size=size)
-    sol = solve_general(OdePair(G=g, c=np.zeros(size)), w0)
+    sol = solve(OdePair(G=g, c=np.zeros(size)), w0)
     for t in np.linspace(0.0, 5.0 / abs(mu), 12):
         np.testing.assert_allclose(
             sol.at(t), jordan_block_solution(mu, size, w0, t), atol=1e-8
@@ -108,7 +115,7 @@ def test_general_solver_matches_jordan_oracle(mu, size):
 
 def test_frozen_coordinate():
     g = np.diag([-1.0, 0.0])
-    sol = solve_general(OdePair(G=g, c=np.zeros(2)), np.array([1.0, 0.4]))
+    sol = solve(OdePair(G=g, c=np.zeros(2)), np.array([1.0, 0.4]))
     assert sol.frozen_consistent
     for t in (0.5, 3.0):
         assert sol.at(t)[1] == pytest.approx(0.4, abs=1e-12)
@@ -116,26 +123,27 @@ def test_frozen_coordinate():
 
 def test_inconsistent_frozen_direction_flagged():
     g = np.diag([-1.0, 0.0])
-    sol = solve_general(OdePair(G=g, c=np.array([0.0, 1.0])), np.zeros(2))
+    sol = solve(OdePair(G=g, c=np.array([0.0, 1.0])), np.zeros(2))
     assert sol.frozen_consistent is False
     # the coordinate grows linearly
     assert sol.at(2.0)[1] == pytest.approx(2.0, abs=1e-10)
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(2, 3), st.integers(0, 2**32 - 1))
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1))
 def test_solvers_agree_on_random_systems(d, seed):
+    # solve against the modal sum, where the modal sum is trusted
     rng = np.random.default_rng(seed)
     basis = generate_gell_mann(d)
     pair = forward_map(random_meq(d, rng, psd=True), basis)
     v0 = rng.normal(size=basis.J) * 0.1
-    try:
-        sd = solve_diagonalizable(pair, v0)
-    except (Singular, NotDiagonalizable):
+    times = np.linspace(0.0, 3.0, 7)
+    modal = modal_trajectory(pair.G, pair.c, v0, times)
+    if modal is None:
         return
-    sg = solve_general(pair, v0)
-    for t in np.linspace(0.0, 3.0, 7):
-        np.testing.assert_allclose(sd.at(t), sg.at(t), atol=1e-8)
+    sol = solve(pair, v0)
+    for t, ref in zip(times, modal):
+        np.testing.assert_allclose(sol.at(t), ref, atol=1e-8)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -145,12 +153,12 @@ def test_trajectory_matches_per_time_evaluation(d):
     pair = forward_map(random_meq(d, rng, psd=True), basis)
     v0 = rng.normal(size=basis.J) * 0.1
     times = np.concatenate([[0.0], rng.uniform(0.0, 4.0, size=20), [-0.5]])
-    # the spectral form for this generic pair, and the propagator route for the same pair
-    # and for a Hamiltonian-only generator, whose G is singular
+    # the deviation route for this generic pair, and the augmented route for a
+    # Hamiltonian-only generator, whose G is singular
     h = random_meq(d, rng).hamiltonian
     hamiltonian_only = forward_map(MasterEqParams(hamiltonian=h, rates=np.zeros((basis.J, basis.J))), basis)
-    sols = [solve(pair, v0), solve_general(pair, v0), solve(hamiltonian_only, v0)]
-    assert [s.kind for s in sols] == ["diagonalizable_invertible", "general", "general"]
+    sols = [solve(pair, v0), solve(hamiltonian_only, v0)]
+    assert [s.kind for s in sols] == ["diagonalizable_invertible", "general"]
     for sol in sols:
         traj = sol.trajectory(times)
         assert traj.shape == (len(times), basis.J)
@@ -280,8 +288,8 @@ def test_expm_exact_cases():
 @pytest.mark.parametrize(
     "g, v0, t",
     [
-        (np.eye(3), np.ones(3), 1e4),  # spectral form
-        (np.diag([0.0, 1.0, 1.0]), np.ones(3), 1e4),  # singular G: propagator
+        (np.eye(3), np.ones(3), 1e4),  # invertible G: the deviation from v_inf
+        (np.diag([0.0, 1.0, 1.0]), np.ones(3), 1e4),  # singular G: the augmented matrix
         (np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), np.array([1.0, 0.0, 0.0]), 1e300),
     ],
     ids=["spectral-overflow", "propagator-overflow", "propagator-huge-time"],
@@ -296,13 +304,23 @@ def test_non_finite_solution_raises(g, v0, t):
 
 
 def _propagator_solutions(d):
-    """solve_general on the CP, non-CP and Hamiltonian-only generators of _augmented_generators(d)."""
+    """solve on the CP, non-CP and Hamiltonian-only generators of _augmented_generators(d).
+
+    The first two have an invertible G and step the deviation from v_inf, the third steps
+    the augmented matrix.
+    """
     rng = np.random.default_rng(110 + d)
     sols = []
     for aug in _augmented_generators(d)[:3]:
         j = aug.shape[0] - 1
-        sols.append(solve_general(OdePair(G=aug[:j, :j], c=aug[:j, j]), rng.normal(size=j)))
+        sols.append(solve(OdePair(G=aug[:j, :j], c=aug[:j, j]), rng.normal(size=j)))
+    assert [s.kind for s in sols] == ["diagonalizable_invertible", "diagonalizable_invertible", "general"]
     return sols
+
+
+def _per_time(sol, times):
+    """The solution with one exponential of the solver's own generator per time."""
+    return per_time_trajectory(sol._generator, sol._x0, times)[:, : len(sol.v0)] + sol._shift
 
 
 def _assert_rows_close(got, ref, rtol):
@@ -327,11 +345,11 @@ _EXTENDED = np.finfo(np.longdouble).eps <= 1e-18
 def test_propagator_trajectory_matches_per_time_forms(d, times, rtol):
     # the rounding of every earlier step on a side stays in a row, so a long grid gets a wider bound
     for sol in _propagator_solutions(d):
-        x0 = np.append(sol.v0, 1.0)
         traj = sol.trajectory(times)
-        _assert_rows_close(traj, per_time_trajectory(sol._augmented, x0, times)[:, :-1], rtol)
+        _assert_rows_close(traj, _per_time(sol, times), rtol)
         if _EXTENDED:
-            extended = np.array([expm_extended(sol._augmented * t) @ x0 for t in times])
+            x0 = np.append(sol.v0, 1.0)
+            extended = np.array([expm_extended(_augmented(sol) * t) @ x0 for t in times])
             _assert_rows_close(traj, extended[:, :-1], rtol)
 
 
@@ -359,21 +377,20 @@ def test_propagator_trajectory_takes_one_exponential_per_distinct_step(monkeypat
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_propagator_at_is_one_exponential_applied_to_the_initial_state(d):
     for sol in _propagator_solutions(d):
-        x0 = np.append(sol.v0, 1.0)
         for t in (0.0, -0.0, 0.3, 2.0, 30.0, -0.7):
-            np.testing.assert_array_equal(sol.at(t), (propagator(sol._augmented, t) @ x0)[:-1])
+            expected = (propagator(sol._generator, t) @ sol._x0)[: len(sol.v0)] + sol._shift
+            np.testing.assert_array_equal(sol.at(t), expected)
 
 
 def test_propagator_trajectory_refuses_the_times_the_direct_form_refuses():
     # a rotation, ||M||_1 = 1: every step below the limit is finite, but M t is refused from |t| > limit on
-    sol = solve_general(OdePair(G=np.array([[0.0, 1.0], [-1.0, 0.0]]), c=np.zeros(2)), np.array([1.0, 0.0]))
-    x0 = np.array([1.0, 0.0, 1.0])
+    sol = solve(OdePair(G=np.array([[0.0, 1.0], [-1.0, 0.0]]), c=np.zeros(2)), np.array([1.0, 0.0]))
     limit = odesolve._MAX_NORM
     above = np.nextafter(limit, np.inf)
     times = np.array([limit / 2, -above, limit, above, 0.25, -limit, 2 * limit, -0.75 * limit, np.nan])
-    refused = np.isnan(per_time_trajectory(sol._augmented, x0, times)).any(axis=1)
+    refused = np.isnan(_per_time(sol, times)).any(axis=1)
     np.testing.assert_array_equal(refused, [False, True, False, True, False, False, True, False, True])
-    stepped = odesolve._step_outward(sol._augmented, x0, times)
+    stepped = odesolve._step_outward(sol._generator, sol._x0, times)
     np.testing.assert_array_equal(np.isnan(stepped).any(axis=1), refused)
     assert np.isfinite(sol.trajectory(times[~refused])).all()
     with pytest.raises(ValueError, match=re.escape(f"not finite at t = {2 * limit:g}")):
@@ -385,32 +402,70 @@ def test_zero_coefficient_modes_contribute_zero():
     sol = solve(OdePair(G=np.eye(1), c=-np.ones(1)), np.ones(1))
     assert sol.kind == "diagonalizable_invertible"
     np.testing.assert_array_equal(sol.trajectory([0.0, 800.0, 1e300]), [[1.0], [1.0], [1.0]])
-    # a decaying mode next to a growing one with coefficient 0
+    # a decaying mode next to a growing one with coefficient 0: e^{800} overflows and
+    # inf * 0 = nan, which only an unstable, non-Lindblad G can produce
     sol = solve(OdePair(G=np.diag([1.0, -1.0]), c=np.array([-1.0, 0.0])), np.array([1.0, 2.0]))
-    np.testing.assert_array_equal(sol.trajectory([800.0]), [[1.0, 0.0]])
+    v = sol.at(700.0)
+    assert v[0] == 1.0
+    assert v[1] == pytest.approx(2 * np.exp(-700.0), rel=1e-12)
+    with pytest.raises(ValueError, match="not finite at t = 800"):
+        sol.trajectory([800.0])
     with pytest.raises(ValueError, match="not finite at t = 800"):
         solve(OdePair(G=np.eye(1), c=-np.ones(1)), np.full(1, 1.5)).trajectory([800.0])
 
 
+@pytest.mark.parametrize("eps", [1e-10, 1e-14, 1e-15])
+def test_near_defective_generator_matches_closed_form(eps):
+    # cond(X) is 1e5 to 3e7 here, so an eigenvector form loses up to seven digits
+    g = np.array([[-1.0, 1.0, 0.0], [eps, -1.0, 0.0], [0.0, 0.0, -2.0]])
+    v0 = np.array([1.0, 2.0, 3.0])
+    times = np.linspace(0.0, 10.0, 41)
+    r = np.sqrt(eps)
+    cosh, sinh = np.cosh(r * times), np.sinh(r * times)
+    exact = np.column_stack([
+        np.exp(-times) * (cosh * v0[0] + sinh / r * v0[1]),
+        np.exp(-times) * (r * sinh * v0[0] + cosh * v0[1]),
+        np.exp(-2 * times) * v0[2],
+    ])
+    _assert_rows_close(solve(OdePair(G=g, c=np.zeros(3)), v0).trajectory(times), exact, 1e-14)
+
+
+@pytest.mark.skipif(not _EXTENDED, reason="long double is not extended precision here")
+def test_unstable_invertible_generator():
+    # v = 1 is the fixed point of v' = v - 1: exact at every time, however fast e^t grows
+    sol = solve(OdePair(G=np.eye(1), c=-np.ones(1)), np.ones(1))
+    np.testing.assert_array_equal(sol.trajectory([0.0, 30.0, 800.0, 1e300]), np.ones((4, 1)))
+    rng = np.random.default_rng(3)
+    times = np.linspace(0.0, 10.0, 21)
+    for _ in range(3):
+        g = rng.normal(size=(5, 5))
+        g += (0.5 - np.linalg.eigvals(g).real.max()) * np.eye(5)  # max Re lambda = 0.5
+        pair = OdePair(G=g, c=rng.normal(size=5))
+        sol = solve(pair, rng.normal(size=5))
+        assert sol.kind == "diagonalizable_invertible"
+        x0 = np.append(sol.v0, 1.0)
+        extended = np.array([expm_extended(_augmented(pair) * t) @ x0 for t in times])[:, :-1]
+        _assert_rows_close(sol.trajectory(times), extended, 1e-13)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_spectral_trajectory_is_the_plain_modal_sum(d):
-    # finite trajectories are bit-identical to sum_k s_k e^{lambda_k t} x^(k) + v_inf
+    # within 1e-14 max(1, |v|) of sum_k s_k e^{lambda_k t} x^(k) + v_inf
     rng = np.random.default_rng(90 + d)
     basis = generate_gell_mann(d)
     sol = solve(forward_map(random_meq(d, rng, psd=True), basis), rng.normal(size=basis.J) * 0.1)
     assert sol.kind == "diagonalizable_invertible"
     times = rng.uniform(0.0, 4.0, size=16)
-    growth = sol.initial_coeffs[:, None] * np.exp(np.outer(sol.eigenvalues, times))
-    np.testing.assert_array_equal(sol.trajectory(times), (sol.eigenvectors @ growth).T.real + sol.v_infinity)
+    _assert_rows_close(sol.trajectory(times), modal_trajectory(sol.G, sol.c, sol.v0, times), 1e-14)
 
 
 @pytest.mark.parametrize("s", [1.0, 1e-6, 1e-14])
 def test_frozen_consistency_does_not_depend_on_scale(s):
     # G and [G c] have rank 2 at every scale when c lies in the range of G, rank 2 and 3 when it does not
     g = s * np.diag([1.0, 2.0, 0.0])
-    consistent = solve_general(OdePair(G=g, c=s * np.array([1.0, 1.0, 0.0])), np.zeros(3))
+    consistent = solve(OdePair(G=g, c=s * np.array([1.0, 1.0, 0.0])), np.zeros(3))
     assert consistent.frozen_consistent is True
-    inconsistent = solve_general(OdePair(G=g, c=s * np.array([1.0, 1.0, 1.0])), np.zeros(3))
+    inconsistent = solve(OdePair(G=g, c=s * np.array([1.0, 1.0, 1.0])), np.zeros(3))
     assert inconsistent.frozen_consistent is False
 
 
