@@ -16,7 +16,6 @@ from .basis import (
 from .cp import (
     CPReport,
     check_lindblad,
-    cone_hull_consistency,
     cp_quadratic_form,
     sample_extreme_ray,
 )
@@ -29,18 +28,15 @@ from .forward import (
     c_from_a,
     diagonalize_dissipator,
     forward_map,
-    hermitian_dissipator_checks,
     liouvillian_matrix,
     q_from_h,
     r_from_a,
-    spectrum_relation_check,
 )
 from .inverse import (
     Tensor4,
     a_from_gc,
     decompose_g,
     h_from_g,
-    image_dimensions,
     inverse_map,
     phi,
     r_image_check,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -38,16 +39,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _complex_out(m: np.ndarray):
     m = np.asarray(m, dtype=complex)
-    if m.ndim == 0:
-        return [float(m.real), float(m.imag)]
-    return [_complex_out(row) for row in m]
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def _real_out(m: np.ndarray):
-    m = np.asarray(m, dtype=float)
-    if m.ndim == 0:
-        return float(m)
-    return [_real_out(row) for row in m]
+    return np.asarray(m, dtype=float).tolist()
 
 
 def _is_int(x) -> bool:
@@ -55,7 +51,10 @@ def _is_int(x) -> bool:
 
 
 def _is_real(x) -> bool:
-    return (_is_int(x) or isinstance(x, float)) and np.isfinite(x)
+    """An int or float within the finite range of a float."""
+    if _is_int(x):
+        return abs(x) <= sys.float_info.max
+    return isinstance(x, float) and math.isfinite(x)
 
 
 def _parse_number(v) -> complex:
@@ -144,10 +143,7 @@ def _pair_from_input(data: dict, basis) -> OdePair:
 def _meq_from_input(data: dict, basis) -> MasterEqParams:
     h = _parse_matrix(_require(data, "H"), "H")
     a = _parse_matrix(_require(data, "a"), "a")
-    try:
-        return MasterEqParams(hamiltonian=h, rates=a)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return MasterEqParams(hamiltonian=h, rates=a)
 
 
 # --- subcommands -----------------------------------------------------------
@@ -287,10 +283,7 @@ def cmd_evolve(args) -> int:
     params = _meq_from_input(data, basis)
     rho0 = _parse_matrix(_require(data, "rho0"), "rho0")
     times = _parse_vector(data.get("times", [0.0]), "times")
-    try:
-        rhos = evolve_density(params, rho0, times, basis)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    rhos = evolve_density(params, rho0, times, basis)
     _emit(
         {"times": _real_out(times), "states": [_complex_out(r) for r in rhos]},
         args.out,
@@ -390,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args, argv) -> None:
+def _apply_config(args) -> None:
     if not args.config:
         return
     try:
@@ -406,27 +399,21 @@ def _apply_config(args, argv) -> None:
     for key, value in cfg.items():
         if not _CONFIG_KEYS[key](value):
             raise CliError(f"config value for {key} is invalid: {value!r}")
-    explicit = {a.split("=")[0] for a in argv if a.startswith("--")}
+    # an explicit flag has already set its attribute, so it wins over the config
     mapping = {"in": "input"}
     for key, value in cfg.items():
-        if f"--{key}" in explicit:
-            continue
         attr = mapping.get(key, key)
         if getattr(args, attr, None) is None:
             setattr(args, attr, value)
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config(args, argv)
+        _apply_config(args)
         return _COMMANDS[args.command](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tolerance
 from .basis import NiceBasis, coordinatize
-from .forward import DiagonalDissipator, MasterEqParams, OdePair, _diagonal_form, forward_map, q_from_h
+from .forward import DiagonalDissipator, MasterEqParams, OdePair, _diagonal_form, forward_map
 from .inverse import a_from_gc
 
 
@@ -70,13 +70,7 @@ def cp_quadratic_form(pair: OdePair, big_b: np.ndarray, basis: NiceBasis) -> flo
     pair is Lindblad. Exposed for auditing; the verdict in check_lindblad
     always comes from the eigenvalue test.
     """
-    big_b = np.asarray(big_b, dtype=complex)
-    d = basis.dim
-    if big_b.shape != (d, d):
-        raise ValueError(f"B must be {d}x{d}, got {big_b.shape}")
-    if not tolerance.negligible(np.trace(big_b), big_b, tolerance.DATA):
-        raise ValueError("B must be traceless")
-    b = coordinatize(big_b, basis)[1:]
+    b = _traceless_coordinates(big_b, basis)
     val = b.conj() @ a_from_gc(pair.G, pair.c, basis) @ b
     if not tolerance.negligible(val.imag, val.real, tolerance.DATA):
         raise ValueError(f"quadratic form is not real (imag {val.imag:.3e})")
@@ -89,53 +83,17 @@ def sample_extreme_ray(big_b: np.ndarray, basis: NiceBasis) -> OdePair:
     R_kl = Tr[F_k (B F_l B^dag - 1/2 {B^dag B, F_l})], c_k = (1/d) Tr([B, B^dag] F_k);
     equals the forward map of (H = 0, a = b b^dag) with b_m = Tr(F_m B).
     """
+    b = _traceless_coordinates(big_b, basis)
+    params = MasterEqParams(hamiltonian=np.zeros((basis.dim, basis.dim)), rates=np.outer(b, b.conj()))
+    return forward_map(params, basis)
+
+
+def _traceless_coordinates(big_b: np.ndarray, basis: NiceBasis) -> np.ndarray:
+    """b_m = Tr(F_m B) for m >= 1, once B is d x d and its trace is negligible (tolerance.DATA)."""
     big_b = np.asarray(big_b, dtype=complex)
     d = basis.dim
     if big_b.shape != (d, d):
         raise ValueError(f"B must be {d}x{d}, got {big_b.shape}")
     if not tolerance.negligible(np.trace(big_b), big_b, tolerance.DATA):
         raise ValueError("B must be traceless")
-    b_coords = coordinatize(big_b, basis)[1:]
-    a = np.outer(b_coords, b_coords.conj())
-    params = MasterEqParams(hamiltonian=np.zeros((d, d)), rates=a)
-    return forward_map(params, basis)
-
-
-@dataclass(frozen=True)
-class ConeHullReport:
-    """Outcome of testing random points of the Lindblad cone."""
-
-    n_rays: int
-    n_combos: int
-    n_pass: int
-
-    @property
-    def all_pass(self) -> bool:
-        return self.n_pass == self.n_combos
-
-
-def cone_hull_consistency(
-    n_rays: int, d: int, rng_seed: int, basis: NiceBasis | None = None, n_combos: int = 25
-) -> ConeHullReport:
-    """Random nonnegative combinations of extreme rays plus a Hamiltonian part
-    must always pass check_lindblad."""
-    from .basis import generate_gell_mann
-
-    basis = basis or generate_gell_mann(d)
-    rng = np.random.default_rng(rng_seed)
-    rays = []
-    for _ in range(n_rays):
-        big_b = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        big_b -= np.trace(big_b) / d * np.eye(d)
-        rays.append(sample_extreme_ray(big_b, basis))
-    n_pass = 0
-    for _ in range(n_combos):
-        weights = rng.uniform(0.0, 1.0, size=n_rays)
-        g = sum(w * ray.G for w, ray in zip(weights, rays))
-        c = sum(w * ray.c for w, ray in zip(weights, rays))
-        h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        h = (h + h.conj().T) / 2
-        g = g + q_from_h(h - np.trace(h).real / d * np.eye(d), basis)
-        if check_lindblad(OdePair(G=g, c=c), basis).is_lindblad:
-            n_pass += 1
-    return ConeHullReport(n_rays=n_rays, n_combos=n_combos, n_pass=n_pass)
+    return coordinatize(big_b, basis)[1:]

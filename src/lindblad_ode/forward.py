@@ -87,32 +87,6 @@ class DiagonalDissipator:
     lindblad_ops: list[np.ndarray]
 
 
-@dataclass(frozen=True)
-class DissipatorSymmetryReport:
-    """The equivalent symmetry conditions on a dissipator, evaluated numerically.
-
-    The first four fields are the equivalent characterizations of a Hermitian
-    dissipator; r_symmetric_and_c_zero is the ODE-side restatement.
-    """
-
-    superop_hermitian: bool
-    hermitian_lindblad_possible: bool
-    rates_symmetric: bool
-    rates_real: bool
-    r_symmetric_and_c_zero: bool
-
-    @property
-    def all_agree(self) -> bool:
-        vals = (
-            self.superop_hermitian,
-            self.hermitian_lindblad_possible,
-            self.rates_symmetric,
-            self.rates_real,
-            self.r_symmetric_and_c_zero,
-        )
-        return all(vals) or not any(vals)
-
-
 def apply_dissipator(a: np.ndarray, x: np.ndarray, basis: NiceBasis) -> np.ndarray:
     """sum_ij a_ij (F_i X F_j - 1/2 {F_j F_i, X}); a need not be Hermitian here."""
     return core.apply(core.dissipator_superop(np.asarray(a, dtype=complex), basis), x)
@@ -171,29 +145,6 @@ def liouvillian_matrix(params: MasterEqParams, basis: NiceBasis) -> np.ndarray:
     return core.gc_coordinates(pair.G, pair.c, basis.dim)
 
 
-def spectrum_relation_check(params: MasterEqParams, basis: NiceBasis) -> bool:
-    """Check that the eigenvalues of L are {0} together with those of G.
-
-    Eigenvalues match when they differ by at most tolerance.SPECTRAL at the scale of G.
-    """
-    pair = forward_map(params, basis)
-    left = np.linalg.eigvals(core.gc_coordinates(pair.G, pair.c, basis.dim))
-    right = np.concatenate([[0.0 + 0.0j], np.linalg.eigvals(pair.G)])
-    return _multisets_match(left, right, tolerance.bound(tolerance.magnitude(pair.G), tolerance.SPECTRAL))
-
-
-def _multisets_match(xs: np.ndarray, ys: np.ndarray, tol: float) -> bool:
-    """Greedy nearest-neighbor matching of two complex multisets."""
-    ys = list(ys)
-    for x in xs:
-        dists = [abs(x - y) for y in ys]
-        k = int(np.argmin(dists))
-        if dists[k] > tol:
-            return False
-        ys.pop(k)
-    return not ys
-
-
 def _canonical_eig_order(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Descending eigenvalues with deterministic eigenvector phases and order.
 
@@ -246,30 +197,3 @@ def _diagonal_form(w: np.ndarray, v: np.ndarray, basis: NiceBasis, floor: float 
     w = np.where(np.abs(w) <= max(tolerance.cut(w, tolerance.ROUNDING), floor), 0.0, w)
     ops = list(np.tensordot(v.T, basis.traceless, 1))
     return DiagonalDissipator(gamma=w, lindblad_ops=ops)
-
-
-def hermitian_dissipator_checks(a: np.ndarray, basis: NiceBasis) -> DissipatorSymmetryReport:
-    """Evaluate the equivalent conditions for the dissipator to be Hermitian.
-
-    Row-major vec is unitary, so the dissipator is Hermitian exactly when its
-    core superoperator S equals S^dag. Each condition holds when its residue
-    is negligible at the scale of a (tolerance.DATA).
-    """
-    a = MasterEqParams(hamiltonian=np.zeros((basis.dim, basis.dim)), rates=a).rates
-
-    def zero(residue) -> bool:
-        return tolerance.negligible(residue, a, tolerance.DATA)
-
-    sym = zero(a - a.T)
-    real = zero(a.imag)
-    s = core.dissipator_superop(a, basis)
-    herm = zero(s - s.conj().T)
-    r, c = _dissipator_rc(a, basis)
-    r_sym_c0 = zero(r - r.T) and zero(c)
-    return DissipatorSymmetryReport(
-        superop_hermitian=herm,
-        hermitian_lindblad_possible=sym and real,
-        rates_symmetric=sym,
-        rates_real=real,
-        r_symmetric_and_c_zero=r_sym_c0,
-    )

@@ -1,7 +1,7 @@
 """Inverse map from the coherence-vector ODE pair (G, c) back to master
 equation data (H, a), the six-space bijection between the equivalent
 representations of a trace-annihilating Hermiticity-preserving generator,
-the G = Q + R decomposition, and image/kernel diagnostics.
+the G = Q + R decomposition, and the image condition on R.
 
 Space identifiers used by `phi`:
   1: (H, a)                       MasterEqParams
@@ -181,7 +181,7 @@ def phi(src: int, dst: int, value, basis: NiceBasis):
     return _FROM_CORE[dst](_TO_CORE[src](value, basis), basis)
 
 
-# --- decomposition and image diagnostics ----------------------------------
+# --- decomposition and the image condition ---------------------------------
 
 
 def decompose_g(g: np.ndarray, basis: NiceBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -198,16 +198,3 @@ def r_image_check(r: np.ndarray, basis: NiceBasis) -> bool:
     i.e. R lies in the image of a -> R."""
     r = np.asarray(r, dtype=float)
     return tolerance.negligible(2 * basis.dim * tolerance.magnitude(h_from_g(r, basis)), r, tolerance.DATA)
-
-
-def image_dimensions(basis: NiceBasis) -> tuple[int, int, int]:
-    """Ranks of the linearized map a -> (R, c) over Hermitian a.
-
-    Returns (dimension of the image of a -> R, dimension of its intersection
-    with the antisymmetric matrices, kernel dimension of a -> (R, c)).
-    """
-    j = basis.J
-    # a -> (G, c) is a bijection (kernel 0); the image of a -> R is the kernel of the onto map
-    # R -> H(R) of r_image_check (J fewer dimensions), which stays onto on the antisymmetric
-    # matrices because H(q_from_h(H)) = H
-    return j * j - j, j * (j - 1) // 2 - j, 0

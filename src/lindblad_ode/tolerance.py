@@ -26,8 +26,7 @@ DATA = 1e-9
 # double precision, which miss zero by rounding alone; a decade stricter than DATA.
 TENSOR = 1e-10
 # The ODE solver steps the deviation from the fixed point -G^{-1} c only when G
-# has full rank at this cut, so the fixed point keeps about half the digits, and
-# eigenvalues computed two ways agree to SPECTRAL at the scale of G.
+# has full rank at this cut, so the fixed point keeps about half the digits.
 SPECTRAL = 1e-8
 # Widening of rarity's pruning conditions against eigensolver rounding; fixed
 # by the proof in the rarity module docstring, not by a choice of accuracy.

@@ -1,21 +1,26 @@
-"""Independent reference formulas for the conversion maps.
+"""Independent reference formulas for the conversion maps, and the paper's
+theorems about them as checks.
 
 These are the explicit trace and einsum formulas of the paper, one per map,
 written directly over the basis elements, the structure-constant routes
 for c, H and the G = Q + R split, the explicit actions of the dissipator and
 of the sandwich form, the quadratic form of the CP test, and the numerical
-ranks behind the closed-form image dimensions (these run the library's
-forward map over a basis of the rate matrices). The library derives every map from the
+ranks of a -> R and a -> (R, c) (these run the library's forward map over a
+basis of the rate matrices). The library derives every map from the
 vec/reshuffle core in `lindblad_ode.core`; the tests compare the two.
 They cost about d^10 and are only meant for small d. expm_extended is the
 matrix exponential in numpy's extended precision, a reference for the
 solver's double-precision one, per_time_trajectory the propagator
 trajectory with one exponential per time, a reference for the library's
 stepping, and modal_trajectory the spectral closed form of v' = G v + c.
+spectrum_relation and dissipator_symmetry evaluate two theorems of the paper
+on the library's own maps: spec(L) = {0} u spec(G), and the four equivalent
+conditions for a Hermitian dissipator.
 """
 import math
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from lindblad_ode import (
     MasterEqParams,
@@ -23,7 +28,9 @@ from lindblad_ode import (
     SuperopTensor,
     Tensor4,
     adjoint_tensor,
+    core,
     forward_map,
+    liouvillian_matrix,
     structure_constants,
     tensor_from_map,
     tolerance,
@@ -203,6 +210,46 @@ def superop_hermitian(a, basis, tol):
     return float(np.max(np.abs(t.entries - adjoint_tensor(t).entries), initial=0.0)) <= tol * scale
 
 
+def dissipator_symmetry(a, basis):
+    """The four equivalent conditions for the dissipator of a to be Hermitian, by name.
+
+    The core superoperator S is Hermitian; a is symmetric; a is real; R is
+    symmetric and c = 0. Each holds when its residue is negligible at the
+    scale of a (tolerance.DATA), so the four agree on Hermitian a.
+    """
+    params = MasterEqParams(hamiltonian=np.zeros((basis.dim, basis.dim)), rates=a)
+    a = params.rates
+    s = core.dissipator_superop(a, basis)
+    pair = forward_map(params, basis)
+
+    def zero(residue):
+        return tolerance.negligible(residue, a, tolerance.DATA)
+
+    return {
+        "superop_hermitian": zero(s - s.conj().T),
+        "rates_symmetric": zero(a - a.T),
+        "rates_real": zero(a.imag),
+        "r_symmetric_and_c_zero": zero(pair.R - pair.R.T) and zero(pair.c),
+    }
+
+
+def eigenvalues_match(xs, ys, tol):
+    """True when the multisets xs and ys pair up one to one within tol, under the pairing of least total distance."""
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    if xs.shape != ys.shape:
+        return False
+    dist = np.abs(xs[:, None] - ys[None, :])
+    return bool(np.all(dist[linear_sum_assignment(dist)] <= tol))
+
+
+def spectrum_relation(params, basis):
+    """spec(L) = {0} u spec(G), eigenvalues matched within tolerance.SPECTRAL at the scale of G."""
+    g = forward_map(params, basis).G
+    tol = tolerance.bound(tolerance.magnitude(g), tolerance.SPECTRAL)
+    big = np.linalg.eigvals(liouvillian_matrix(params, basis))
+    return eigenvalues_match(big, np.append(0.0, np.linalg.eigvals(g)), tol)
+
+
 def image_dimensions(basis):
     """Numerical ranks of a -> R and a -> (R, c) over a real basis of the Hermitian a."""
     j = basis.J
@@ -226,6 +273,16 @@ def image_dimensions(basis):
     dim_intersection = dim_image - _rank((rs + rs.transpose(0, 2, 1)).reshape(j * j, -1))
     kernel_dim = j * j - _rank(np.hstack([rows_r, [p.c for p in pairs]]))
     return dim_image, dim_intersection, kernel_dim
+
+
+def closed_form_image_dimensions(j):
+    """The closed form (J^2 - J, J(J-1)/2 - J, 0) of image_dimensions for J = d^2 - 1.
+
+    a -> (G, c) is a bijection (kernel 0); the image of a -> R is the kernel of
+    the onto map R -> H(R) of r_image_check (J fewer dimensions), which stays
+    onto on the antisymmetric matrices because H(q_from_h(H)) = H.
+    """
+    return j * j - j, j * (j - 1) // 2 - j, 0
 
 
 def expm_extended(m):

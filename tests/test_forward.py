@@ -12,12 +12,10 @@ from lindblad_ode import (
     diagonalize_dissipator,
     forward_map,
     generate_gell_mann,
-    hermitian_dissipator_checks,
     inverse_map,
     liouvillian_matrix,
     q_from_h,
     r_from_a,
-    spectrum_relation_check,
     structure_constants,
 )
 from lindblad_ode.forward import _canonical_eig_order
@@ -65,7 +63,7 @@ def test_dephasing_action_on_sigma_x(basis2):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(2, 3), st.integers(0, 2**32 - 1))
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1))
 def test_liouvillian_output_traceless_and_hermitian(d, seed):
     rng = np.random.default_rng(seed)
     basis = generate_gell_mann(d)
@@ -103,7 +101,7 @@ def test_golden_forward_maps(basis2, basis3):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(2, 3), st.integers(0, 2**32 - 1))
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1))
 def test_c_formulas_agree_and_real(d, seed):
     rng = np.random.default_rng(seed)
     basis = generate_gell_mann(d)
@@ -120,7 +118,7 @@ def test_symmetric_a_gives_zero_c(basis3):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(2, 3), st.integers(0, 2**32 - 1))
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1))
 def test_hamiltonian_coords_recovered_from_q(d, seed):
     rng = np.random.default_rng(seed)
     basis = generate_gell_mann(d)
@@ -149,7 +147,7 @@ def test_spectrum_relation_random(d):
     rng = np.random.default_rng(20 + d)
     basis = generate_gell_mann(d)
     for _ in range(25):
-        assert spectrum_relation_check(random_meq(d, rng), basis)
+        assert oracles.spectrum_relation(random_meq(d, rng), basis)
 
 
 def test_pure_hamiltonian_spectrum_imaginary(basis2):
@@ -225,14 +223,10 @@ def test_hermitian_dissipator_checks(basis2):
     rng = np.random.default_rng(4)
     sym = rng.normal(size=(3, 3))
     sym = sym + sym.T
-    rep = hermitian_dissipator_checks(sym, basis2)
-    assert rep.all_agree and rep.superop_hermitian
-    rep_ad = hermitian_dissipator_checks(amplitude_damping_a(), basis2)
-    assert rep_ad.all_agree and not rep_ad.superop_hermitian
-    # R is symmetric yet c != 0: the conjunction still fails
-    assert not rep_ad.r_symmetric_and_c_zero
-    rep0 = hermitian_dissipator_checks(np.zeros((3, 3)), basis2)
-    assert rep0.all_agree and rep0.superop_hermitian
+    assert set(oracles.dissipator_symmetry(sym, basis2).values()) == {True}
+    # for amplitude damping R is symmetric yet c != 0: the conjunction fails with the others
+    assert set(oracles.dissipator_symmetry(amplitude_damping_a(), basis2).values()) == {False}
+    assert set(oracles.dissipator_symmetry(np.zeros((3, 3)), basis2).values()) == {True}
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])

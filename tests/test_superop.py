@@ -91,7 +91,7 @@ def test_adjoint_is_involution_and_conjugate():
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(2, 3), st.integers(0, 2**32 - 1))
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1))
 def test_adjoint_inner_product_identity(d, seed):
     rng = np.random.default_rng(seed)
     basis = generate_gell_mann(d)
@@ -104,7 +104,7 @@ def test_adjoint_inner_product_identity(d, seed):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(2, 3), st.integers(0, 2**32 - 1))
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1))
 def test_hermitian_faf_is_hermiticity_preserving(d, seed):
     rng = np.random.default_rng(seed)
     basis = generate_gell_mann(d)
