@@ -1,9 +1,13 @@
 """JSON command-line front end.
 
 Subcommands: basis, verify, forward, inverse, decompose, check-cp, solve,
-evolve, rarity, roundtrip. Machine-readable JSON goes to --out (or stdout);
-human diagnostics go to stderr. Exit codes: 0 success, 3 Markovian-but-not-CP
-(check-cp only), 1 any error.
+evolve, rarity, roundtrip. Each option is declared once, in _OPTIONS, and
+_COMMANDS names the options each subcommand reads; any other flag is a usage
+error. A JSON config file (--config) may set any option: a key that the
+subcommand does not read is ignored, and explicit flags win.
+Machine-readable JSON goes to --out (or stdout); human diagnostics go to
+stderr. Exit codes: 0 success, 3 Markovian-but-not-CP (check-cp only), 1 any
+error, usage errors included.
 
 Complex-typed fields (H, a, rho, basis elements) are encoded entrywise as
 [re, im]; real fields (G, c, Q, R, v) as plain numbers.
@@ -77,10 +81,13 @@ def _parse_matrix(rows, name: str) -> np.ndarray:
 def _parse_vector(vals, name: str) -> np.ndarray:
     if not isinstance(vals, list):
         raise CliError(f"{name} must be an array")
-    v = np.array([_parse_number(v) for v in vals], dtype=complex)
-    if np.max(np.abs(v.imag), initial=0.0) > 0:
+    return _real(np.array([_parse_number(v) for v in vals], dtype=complex), name)
+
+
+def _real(m: np.ndarray, name: str) -> np.ndarray:
+    if np.max(np.abs(m.imag), initial=0.0) > 0:
         raise CliError(f"{name} must be real")
-    return v.real.copy()
+    return m.real.copy()
 
 
 def _load_input(path: str) -> dict:
@@ -113,6 +120,10 @@ def _require_dim(args) -> int:
     return args.dim
 
 
+def _basis(args) -> NiceBasis:
+    return generate_gell_mann(_require_dim(args))
+
+
 def _require(data: dict, key: str):
     if key not in data:
         raise CliError(f"input must contain {key}")
@@ -127,14 +138,8 @@ def _tol(args, default: float) -> float:
 
 
 def _pair_from_input(data: dict, basis) -> OdePair:
-    g = _parse_matrix(_require(data, "G"), "G")
-    if np.max(np.abs(g.imag), initial=0.0) > 0:
-        raise CliError("G must be real")
-    g = g.real
-    if "c" in data and data["c"] is not None:
-        c = _parse_vector(data["c"], "c")
-    else:
-        c = np.zeros(g.shape[0])
+    g = _real(_parse_matrix(_require(data, "G"), "G"), "G")
+    c = np.zeros(len(g)) if data.get("c") is None else _parse_vector(data["c"], "c")
     if g.shape[0] != basis.J:
         raise CliError(f"G size {g.shape[0]} does not match --dim {basis.dim} (expected {basis.J})")
     return OdePair(G=g, c=c)
@@ -143,28 +148,25 @@ def _pair_from_input(data: dict, basis) -> OdePair:
 def _meq_from_input(data: dict, basis) -> MasterEqParams:
     h = _parse_matrix(_require(data, "H"), "H")
     a = _parse_matrix(_require(data, "a"), "a")
-    return MasterEqParams(hamiltonian=h, rates=a)
+    params = MasterEqParams(hamiltonian=h, rates=a)
+    if params.dim != basis.dim:
+        raise CliError(f"H size {params.dim} does not match --dim {basis.dim}")
+    return params
 
 
-# --- subcommands -----------------------------------------------------------
+# --- subcommands: each returns its JSON payload and its exit code ---------
 
 
-def cmd_basis(args) -> int:
-    d = _require_dim(args)
-    basis = generate_gell_mann(d)
-    f = structure_constants(basis).f
-    _emit(
-        {
-            "dim": d,
-            "elements": _complex_out(basis.elements),
-            "structure_constants": _real_out(f),
-        },
-        args.out,
-    )
-    return 0
+def cmd_basis(args) -> tuple[dict, int]:
+    basis = _basis(args)
+    return {
+        "dim": basis.dim,
+        "elements": _complex_out(basis.elements),
+        "structure_constants": _real_out(structure_constants(basis).f),
+    }, 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[dict, int]:
     d = _require_dim(args)
     if args.input:
         elements = _require(_load_input(args.input), "elements")
@@ -177,69 +179,48 @@ def cmd_verify(args) -> int:
     else:
         basis = generate_gell_mann(d)
     report = verify_nice_basis(basis, tol=_tol(args, tolerance.DATA))
-    _emit(
-        {
-            "dim": d,
-            "passed": bool(report.passed),
-            "identity_violation": report.identity_violation,
-            "hermiticity_violation": report.hermiticity_violation,
-            "trace_violation": report.trace_violation,
-            "orthonormality_violation": report.orthonormality_violation,
-            "tolerance": report.tolerance,
-        },
-        args.out,
-    )
-    return 0 if report.passed else 1
+    return {
+        "dim": d,
+        "passed": bool(report.passed),
+        "identity_violation": report.identity_violation,
+        "hermiticity_violation": report.hermiticity_violation,
+        "trace_violation": report.trace_violation,
+        "orthonormality_violation": report.orthonormality_violation,
+        "tolerance": report.tolerance,
+    }, 0 if report.passed else 1
 
 
-def cmd_forward(args) -> int:
-    d = _require_dim(args)
-    basis = generate_gell_mann(d)
-    params = _meq_from_input(_load_input(args.input), basis)
-    if params.dim != d:
-        raise CliError(f"H size {params.dim} does not match --dim {d}")
-    pair = forward_map(params, basis)
-    _emit(
-        {
-            "G": _real_out(pair.G),
-            "c": _real_out(pair.c),
-            "Q": _real_out(pair.Q),
-            "R": _real_out(pair.R),
-        },
-        args.out,
-    )
-    return 0
+def cmd_forward(args) -> tuple[dict, int]:
+    basis = _basis(args)
+    pair = forward_map(_meq_from_input(_load_input(args.input), basis), basis)
+    return {
+        "G": _real_out(pair.G),
+        "c": _real_out(pair.c),
+        "Q": _real_out(pair.Q),
+        "R": _real_out(pair.R),
+    }, 0
 
 
-def cmd_inverse(args) -> int:
-    d = _require_dim(args)
-    basis = generate_gell_mann(d)
-    pair = _pair_from_input(_load_input(args.input), basis)
-    params = inverse_map(pair, basis)
-    _emit({"H": _complex_out(params.hamiltonian), "a": _complex_out(params.rates)}, args.out)
-    return 0
+def cmd_inverse(args) -> tuple[dict, int]:
+    basis = _basis(args)
+    params = inverse_map(_pair_from_input(_load_input(args.input), basis), basis)
+    return {"H": _complex_out(params.hamiltonian), "a": _complex_out(params.rates)}, 0
 
 
-def cmd_decompose(args) -> int:
-    d = _require_dim(args)
-    basis = generate_gell_mann(d)
+def cmd_decompose(args) -> tuple[dict, int]:
+    basis = _basis(args)
     g = _pair_from_input(_load_input(args.input), basis).G
     q, r = decompose_g(g, basis)
-    _emit(
-        {
-            "Q": _real_out(q),
-            "R": _real_out(r),
-            "H": _complex_out(h_from_g(g, basis)),
-            "r_image_condition": bool(r_image_check(r, basis)),
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "Q": _real_out(q),
+        "R": _real_out(r),
+        "H": _complex_out(h_from_g(g, basis)),
+        "r_image_condition": bool(r_image_check(r, basis)),
+    }, 0
 
 
-def cmd_check_cp(args) -> int:
-    d = _require_dim(args)
-    basis = generate_gell_mann(d)
+def cmd_check_cp(args) -> tuple[dict, int]:
+    basis = _basis(args)
     pair = _pair_from_input(_load_input(args.input), basis)
     report = check_lindblad(pair, basis, tol=_tol(args, tolerance.DATA))
     payload = {
@@ -252,13 +233,11 @@ def cmd_check_cp(args) -> int:
     }
     if report.diagonal_form is not None:
         payload["gamma"] = _real_out(report.diagonal_form.gamma)
-    _emit(payload, args.out)
-    return 0 if report.is_lindblad else 3
+    return payload, 0 if report.is_lindblad else 3
 
 
-def cmd_solve(args) -> int:
-    d = _require_dim(args)
-    basis = generate_gell_mann(d)
+def cmd_solve(args) -> tuple[dict, int]:
+    basis = _basis(args)
     data = _load_input(args.input)
     pair = _pair_from_input(data, basis)
     v0 = _parse_vector(data.get("v0", [0.0] * basis.J), "v0")
@@ -272,35 +251,27 @@ def cmd_solve(args) -> int:
     }
     if sol.kind == "general":
         payload["frozen_consistent"] = sol.frozen_consistent
-    _emit(payload, args.out)
-    return 0
+    return payload, 0
 
 
-def cmd_evolve(args) -> int:
-    d = _require_dim(args)
-    basis = generate_gell_mann(d)
+def cmd_evolve(args) -> tuple[dict, int]:
+    basis = _basis(args)
     data = _load_input(args.input)
     params = _meq_from_input(data, basis)
     rho0 = _parse_matrix(_require(data, "rho0"), "rho0")
     times = _parse_vector(data.get("times", [0.0]), "times")
     rhos = evolve_density(params, rho0, times, basis)
-    _emit(
-        {"times": _real_out(times), "states": [_complex_out(r) for r in rhos]},
-        args.out,
-    )
-    return 0
+    return {"times": _real_out(times), "states": [_complex_out(r) for r in rhos]}, 0
 
 
-def cmd_rarity(args) -> int:
+def cmd_rarity(args) -> tuple[dict, int]:
     if args.samples is None or args.samples < 1:
         raise CliError("--samples must be a positive integer")
     seed = args.seed if args.seed is not None else 0
     if not 0 <= seed < 2**64:
         raise CliError(f"--seed must be an integer in [0, 2^64), got {seed}")
-    if args.ensemble == "gue":
-        est = estimate_p_gue(_require_dim(args), args.samples, seed)
-    else:
-        est = estimate_p_lindblad_ginoe(_require_dim(args), args.samples, seed)
+    estimate = estimate_p_gue if args.ensemble == "gue" else estimate_p_lindblad_ginoe
+    est = estimate(_require_dim(args), args.samples, seed)
     payload = {
         "ensemble": est.ensemble,
         "dim": est.dim_d,
@@ -313,53 +284,47 @@ def cmd_rarity(args) -> int:
     }
     if est.n_spectrum_stable is not None:
         payload["n_spectrum_stable"] = est.n_spectrum_stable
-    _emit(payload, args.out)
-    return 0
+    return payload, 0
 
 
-def cmd_roundtrip(args) -> int:
-    d = _require_dim(args)
-    basis = generate_gell_mann(d)
+def cmd_roundtrip(args) -> tuple[dict, int]:
+    basis = _basis(args)
     params = _meq_from_input(_load_input(args.input), basis)
     pair = forward_map(params, basis)
     back = inverse_map(pair, basis)
-    _emit(
-        {
-            "G": _real_out(pair.G),
-            "c": _real_out(pair.c),
-            "H_recovered": _complex_out(back.hamiltonian),
-            "a_recovered": _complex_out(back.rates),
-            "max_error_H": float(np.max(np.abs(back.hamiltonian - params.hamiltonian), initial=0.0)),
-            "max_error_a": float(np.max(np.abs(back.rates - params.rates), initial=0.0)),
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "G": _real_out(pair.G),
+        "c": _real_out(pair.c),
+        "H_recovered": _complex_out(back.hamiltonian),
+        "a_recovered": _complex_out(back.rates),
+        "max_error_H": float(np.max(np.abs(back.hamiltonian - params.hamiltonian), initial=0.0)),
+        "max_error_a": float(np.max(np.abs(back.rates - params.rates), initial=0.0)),
+    }, 0
 
-
-_COMMANDS = {
-    "basis": cmd_basis,
-    "verify": cmd_verify,
-    "forward": cmd_forward,
-    "inverse": cmd_inverse,
-    "decompose": cmd_decompose,
-    "check-cp": cmd_check_cp,
-    "solve": cmd_solve,
-    "evolve": cmd_evolve,
-    "rarity": cmd_rarity,
-    "roundtrip": cmd_roundtrip,
-}
 
 _ENSEMBLES = ("ginoe", "gue")
-# config key -> check of its value
-_CONFIG_KEYS = {
-    "dim": _is_int,
-    "tol": _is_real,
-    "seed": _is_int,
-    "samples": _is_int,
-    "ensemble": lambda v: v in _ENSEMBLES,
-    "in": lambda v: isinstance(v, str),
-    "out": lambda v: isinstance(v, str),
+# option -> (its add_argument keywords, the check of its value in a config file)
+_OPTIONS = {
+    "dim": ({"type": int, "help": "Hilbert space dimension (matrix size for gue)"}, _is_int),
+    "tol": ({"type": float, "help": "tolerance (default 1e-9)"}, _is_real),
+    "seed": ({"type": int}, _is_int),
+    "samples": ({"type": int}, _is_int),
+    "ensemble": ({"choices": _ENSEMBLES, "help": "default: ginoe"}, lambda v: v in _ENSEMBLES),
+    "in": ({"dest": "input", "help": "input JSON file"}, lambda v: isinstance(v, str)),
+    "out": ({"help": "output JSON file (default: stdout)"}, lambda v: isinstance(v, str)),
+}
+# subcommand -> (handler, the options it reads)
+_COMMANDS = {
+    "basis": (cmd_basis, ("dim", "out")),
+    "verify": (cmd_verify, ("dim", "tol", "in", "out")),
+    "forward": (cmd_forward, ("dim", "in", "out")),
+    "inverse": (cmd_inverse, ("dim", "in", "out")),
+    "decompose": (cmd_decompose, ("dim", "in", "out")),
+    "check-cp": (cmd_check_cp, ("dim", "tol", "in", "out")),
+    "solve": (cmd_solve, ("dim", "in", "out")),
+    "evolve": (cmd_evolve, ("dim", "in", "out")),
+    "rarity": (cmd_rarity, ("dim", "seed", "samples", "ensemble", "out")),
+    "roundtrip": (cmd_roundtrip, ("dim", "in", "out")),
 }
 
 
@@ -370,16 +335,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="optional JSON config file; explicit flags win")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, options) in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--dim", type=int, default=None, help="Hilbert space dimension (matrix size for gue)")
-        p.add_argument("--tol", type=float, default=None, help="tolerance (verify, check-cp)")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--in", dest="input", default=None, help="input JSON file")
-        p.add_argument("--out", default=None, help="output JSON file (default: stdout)")
-        if name == "rarity":
-            p.add_argument("--ensemble", choices=_ENSEMBLES, default=None, help="default: ginoe")
+        for option in options:
+            p.add_argument(f"--{option}", **_OPTIONS[option][0])
     return parser
 
 
@@ -393,18 +352,18 @@ def _apply_config(args) -> None:
         raise CliError(f"cannot read config: {exc}") from exc
     if not isinstance(cfg, dict):
         raise CliError("config must be a JSON object")
-    unknown = set(cfg) - set(_CONFIG_KEYS)
+    unknown = set(cfg) - set(_OPTIONS)
     if unknown:
         raise CliError(f"unknown config keys: {sorted(unknown)}")
     for key, value in cfg.items():
-        if not _CONFIG_KEYS[key](value):
+        if not _OPTIONS[key][1](value):
             raise CliError(f"config value for {key} is invalid: {value!r}")
-    # an explicit flag has already set its attribute, so it wins over the config
-    mapping = {"in": "input"}
-    for key, value in cfg.items():
-        attr = mapping.get(key, key)
-        if getattr(args, attr, None) is None:
-            setattr(args, attr, value)
+    # keys the subcommand does not read are ignored; an explicit flag has
+    # already set its attribute, so it wins over the config
+    for key in _COMMANDS[args.command][1]:
+        dest = _OPTIONS[key][0].get("dest", key)
+        if key in cfg and getattr(args, dest) is None:
+            setattr(args, dest, cfg[key])
 
 
 def main(argv=None) -> int:
@@ -412,7 +371,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _apply_config(args)
-        return _COMMANDS[args.command](args)
+        payload, code = _COMMANDS[args.command][0](args)
+        _emit(payload, args.out)
+        return code
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

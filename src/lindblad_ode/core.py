@@ -27,6 +27,8 @@ Havel, J. Math. Phys. 44, 534 (2003), arXiv:quant-ph/0201127.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .basis import NiceBasis
@@ -35,6 +37,20 @@ from .basis import NiceBasis
 def basis_matrix(basis: NiceBasis) -> np.ndarray:
     """P, shape (d^2, J+1): column k is the row-major vec(F_k)."""
     return basis.elements.reshape(len(basis.elements), -1).T
+
+
+def basis_columns(m: np.ndarray, basis: NiceBasis, first: int = 0) -> np.ndarray:
+    """P[:, first:], once the last two axes of m are n x n with n its number of columns.
+
+    The ValueError otherwise names the dimension of m and that of the basis.
+    """
+    p = basis_matrix(basis)[:, first:]
+    n = p.shape[1]
+    if m.shape[-2:] != (n, n):
+        d = math.isqrt(m.shape[-1] + first)
+        size = f"dimension {d}" if m.shape[-2:] == (d * d - first,) * 2 else f"shape {m.shape[-2:]}"
+        raise ValueError(f"operand of {size} does not match the basis of dimension {basis.dim}")
+    return p
 
 
 def reshuffle(m: np.ndarray) -> np.ndarray:
@@ -68,7 +84,7 @@ def hamiltonian_superop(h: np.ndarray) -> np.ndarray:
 def dissipator_superop(a: np.ndarray, basis: NiceBasis) -> np.ndarray:
     """S of X -> sum_ij a_ij (F_i X F_j - 1/2 {F_j F_i, X})."""
     d = basis.dim
-    ft = basis_matrix(basis)[:, 1:]
+    ft = basis_columns(a, basis, 1)
     # column j of ft @ a is vec(sum_i a_ij F_i), so K = sum_j F_j (sum_i a_ij F_i)
     k = np.einsum("jab,jbc->ac", basis.traceless, (ft @ a).T.reshape(-1, d, d))
     eye = np.eye(d)
@@ -101,13 +117,13 @@ def apply(s: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def coordinates(s: np.ndarray, basis: NiceBasis) -> np.ndarray:
     """Lhat = P^dag S P, with entries Tr[F_i L(F_j)]."""
-    p = basis_matrix(basis)
+    p = basis_columns(s, basis)
     return p.conj().T @ s @ p
 
 
 def from_coordinates(lhat: np.ndarray, basis: NiceBasis) -> np.ndarray:
     """S = P Lhat P^dag."""
-    p = basis_matrix(basis)
+    p = basis_columns(lhat, basis)
     return p @ lhat @ p.conj().T
 
 
@@ -121,7 +137,7 @@ def gc_coordinates(g: np.ndarray, c: np.ndarray, d: int) -> np.ndarray:
 
 def sandwich_coefficients(s: np.ndarray, basis: NiceBasis) -> np.ndarray:
     """c with L(X) = sum_ij c_ij F_i X F_j over the full basis: P^dag unreshuffle(S) conj(P)."""
-    p = basis_matrix(basis)
+    p = basis_columns(s, basis)
     return p.conj().T @ unreshuffle(s) @ p.conj()
 
 

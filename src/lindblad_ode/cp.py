@@ -39,8 +39,6 @@ def check_lindblad(pair: OdePair, basis: NiceBasis, tol: float = tolerance.DATA)
     (tolerance.is_psd); verdicts with |min eig| within 10x of that threshold
     are flagged marginal.
     """
-    if not (np.all(np.isfinite(pair.G)) and np.all(np.isfinite(pair.c))):
-        raise ValueError("G and c must be finite")
     a = a_from_gc(pair.G, pair.c, basis)
     w, v = np.linalg.eigh(a)
     eigs = w[::-1].copy()

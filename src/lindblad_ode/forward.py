@@ -185,7 +185,9 @@ def diagonalize_dissipator(a: np.ndarray, basis: NiceBasis) -> DiagonalDissipato
     Eigenvalues at or below the scale-invariant cut tolerance.ROUNDING * ||a||
     in magnitude are reported as exact zeros.
     """
-    return _diagonal_form(*np.linalg.eigh(np.asarray(a, dtype=complex)), basis)
+    a = np.asarray(a, dtype=complex)
+    core.basis_columns(a, basis, 1)
+    return _diagonal_form(*np.linalg.eigh(a), basis)
 
 
 def _diagonal_form(w: np.ndarray, v: np.ndarray, basis: NiceBasis, floor: float = 0.0) -> DiagonalDissipator:

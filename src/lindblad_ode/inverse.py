@@ -64,28 +64,17 @@ def _check_invariants(x: np.ndarray, flavor: str) -> None:
 
 def h_from_g(g: np.ndarray, basis: NiceBasis) -> np.ndarray:
     """Traceless Hermitian H = (1/2id) sum_nm G_nm [F_m, F_n]."""
-    g = np.asarray(g, dtype=float)
-    j = basis.J
-    if g.shape != (j, j):
-        raise ValueError(f"G must be {j}x{j}, got {g.shape}")
-    return core.hamiltonian(_gc_to_core(g, np.zeros(j), basis))
+    return core.hamiltonian(_gc_to_core(OdePair(G=g, c=np.zeros(len(g))), basis))
 
 
 def a_from_gc(g: np.ndarray, c: np.ndarray, basis: NiceBasis) -> np.ndarray:
     """Hermitian a with a_mn = sum_i Tr[G~_i F_m F_i F_n], G~_i = sum_j G_ij F_j + c_i I."""
-    g = np.asarray(g, dtype=float)
-    c = np.asarray(c, dtype=float)
-    j = basis.J
-    if g.shape != (j, j) or c.shape != (j,):
-        raise ValueError("G/c shapes inconsistent with basis")
-    return core.rates(_gc_to_core(g, c, basis), basis)
+    return core.rates(_gc_to_core(OdePair(G=g, c=c), basis), basis)
 
 
 def inverse_map(pair: OdePair, basis: NiceBasis) -> MasterEqParams:
     """Unique (traceless H, a) whose coherence-vector ODE is v' = Gv + c."""
-    if pair.G.shape != (basis.J, basis.J):
-        raise ValueError(f"G must be {basis.J}x{basis.J}, got {pair.G.shape}")
-    return _core_to_meq(_gc_to_core(pair.G, pair.c, basis), basis)
+    return _core_to_meq(_gc_to_core(pair, basis), basis)
 
 
 # --- six-space maps: each space to the core superoperator S and back -------
@@ -118,8 +107,8 @@ def _core_to_x(s: np.ndarray, basis: NiceBasis) -> Tensor4:
     return Tensor4(entries=xt - _identity_legs(_b_from_xt(xt, basis.dim)), flavor="x")
 
 
-def _gc_to_core(g: np.ndarray, c: np.ndarray, basis: NiceBasis) -> np.ndarray:
-    return core.from_coordinates(core.gc_coordinates(g, c, basis.dim), basis)
+def _gc_to_core(pair: OdePair, basis: NiceBasis) -> np.ndarray:
+    return core.from_coordinates(core.gc_coordinates(pair.G, pair.c, basis.dim), basis)
 
 
 def _core_to_gc(s: np.ndarray, basis: NiceBasis) -> OdePair:
@@ -135,7 +124,7 @@ _TO_CORE = {
     3: lambda t, b: core.from_tensor(t.entries),
     4: lambda t, b: core.from_tensor(t.entries),
     5: lambda t, b: core.from_tensor(t.entries),
-    6: lambda p, b: _gc_to_core(p.G, p.c, b),
+    6: _gc_to_core,
 }
 
 _FROM_CORE = {

@@ -133,6 +133,8 @@ def sample_gue(j: int, rng: np.random.Generator) -> np.ndarray:
 
 def _normals(seed: int, start: int, count: int, width: int) -> np.ndarray:
     """Row k holds the first width normals of the stream (seed, start + k)."""
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     key = np.array([seed, start], dtype=np.uint64)
     bitgen = np.random.Philox(key=key)
     rng = np.random.Generator(bitgen)

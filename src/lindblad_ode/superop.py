@@ -93,8 +93,6 @@ def adjoint_tensor(t: SuperopTensor) -> SuperopTensor:
 
 def superop_matrix(t: SuperopTensor, b: NiceBasis) -> SuperopMatrix:
     """E_ij = Tr[F_i E(F_j)]."""
-    if t.dim != b.dim:
-        raise ValueError(f"tensor dim {t.dim} does not match basis dim {b.dim}")
     return SuperopMatrix(entries=core.coordinates(core.from_tensor(t.entries), b), basis=b)
 
 
@@ -105,16 +103,12 @@ def tensor_from_matrix(m: SuperopMatrix) -> SuperopTensor:
 
 def faf_from_tensor(t: SuperopTensor, b: NiceBasis) -> FAFRep:
     """Closed-form coefficients c_ij = sum F_i[l,k] F_j[n,m] T[k,l,m,n]."""
-    if t.dim != b.dim:
-        raise ValueError(f"tensor dim {t.dim} does not match basis dim {b.dim}")
     return FAFRep(c=core.sandwich_coefficients(core.from_tensor(t.entries), b))
 
 
 def tensor_from_faf(r: FAFRep, b: NiceBasis) -> SuperopTensor:
     """T[k,l,m,n] = sum_ij c_ij (F_i)_kl (F_j)_mn."""
-    p = core.basis_matrix(b)
-    if r.c.shape[0] != p.shape[1]:
-        raise ValueError("coefficient matrix size does not match basis")
+    p = core.basis_columns(r.c, b)
     d = b.dim
     return SuperopTensor(entries=(p @ r.c @ p.T).reshape(d, d, d, d))
 

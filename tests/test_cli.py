@@ -207,6 +207,8 @@ def test_check_cp_tolerance_resolution(tmp_path):
 
 _G3 = "[[-1, 0, 0], [0, -1, 0], [0, 0, -2]]"
 _ZERO_MEQ = '"H": [[0, 0], [0, 0]], "a": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]'
+# a valid d=3 master equation, given with --dim 2
+_ZERO_MEQ_D3 = '"H": %s, "a": %s' % ([[0] * 3] * 3, [[0] * 8] * 8)
 # a JSON integer beyond the range of a float
 _HUGE_INT = "1" + "0" * 400
 
@@ -278,6 +280,13 @@ MALFORMED = {
     "config-tol-huge-int": (
         ["--config", '{"tol": %s}' % _HUGE_INT, "check-cp", "--dim", "2"], '{"G": %s}' % _G3, "tol"
     ),
+    "evolve-H-larger-than-dim": (
+        ["evolve", "--dim", "2"], '{%s, "rho0": [[1, 0], [0, 0]], "times": [0, 1]}' % _ZERO_MEQ_D3, "does not match --dim"
+    ),
+    "roundtrip-H-larger-than-dim": (["roundtrip", "--dim", "2"], "{%s}" % _ZERO_MEQ_D3, "does not match --dim"),
+    # a flag the subcommand does not read is a usage error, not silently ignored
+    "solve-tol-not-read": (["solve", "--dim", "2", "--tol", "1e-6"], '{"G": %s}' % _G3, "unrecognized arguments"),
+    "forward-seed-not-read": (["forward", "--dim", "2", "--seed", "3"], "{%s}" % _ZERO_MEQ, "unrecognized arguments"),
     "config-unknown-ensemble": (
         ["--config", '{"ensemble": "goe"}', "rarity", "--dim", "2", "--samples", "10"], None, "ensemble"
     ),
@@ -301,6 +310,15 @@ def test_malformed_input_exits_1_without_traceback(name, tmp_path, capsys):
     assert code == 1
     assert err.startswith("error: ") and needle in err
     assert "Traceback" not in err and err.count("\n") == 1
+
+
+def test_config_keys_are_shared_and_ignored_where_unread(tmp_path, capsys):
+    inp = _write_json(tmp_path / "meq.json", DEPHASING_MEQ)
+    cfg = _write_json(tmp_path / "cfg.json", {"seed": 5, "tol": 0.25})
+    assert main(["forward", "--dim", "2", "--in", inp]) == 0
+    plain = capsys.readouterr().out
+    assert main(["--config", cfg, "forward", "--dim", "2", "--in", inp]) == 0
+    assert capsys.readouterr().out == plain
 
 
 def test_usage_errors_exit_1_and_help_exits_0(capsys):

@@ -6,6 +6,7 @@ import pytest
 import oracles
 from lindblad_ode import (
     FAFRep,
+    MasterEqParams,
     OdePair,
     SuperopTensor,
     a_from_gc,
@@ -15,11 +16,14 @@ from lindblad_ode import (
     c_from_a,
     core,
     cp_quadratic_form,
+    diagonalize_dissipator,
+    evolve_density,
     faf_from_tensor,
     forward_map,
     generate_gell_mann,
     h_from_g,
     inverse_map,
+    liouvillian_matrix,
     phi,
     q_from_h,
     r_from_a,
@@ -188,3 +192,28 @@ def test_roundtrip_from_ode_pair(d):
         scale = _size(pair.G, pair.c)
         assert_close(again.G, pair.G, scale)
         assert_close(again.c, pair.c, scale)
+
+
+_H3 = np.diag([1.0, 0.0, -1.0])
+_P3 = MasterEqParams(hamiltonian=_H3, rates=np.eye(8))
+
+
+@pytest.mark.parametrize(
+    "fn, operands",
+    [
+        (forward_map, (_P3,)),
+        (liouvillian_matrix, (_P3,)),
+        (apply_liouvillian, (_P3, np.eye(3))),
+        (apply_dissipator, (np.eye(8), np.eye(3))),
+        (q_from_h, (_H3,)),
+        (r_from_a, (np.eye(8),)),
+        (c_from_a, (np.eye(8),)),
+        (evolve_density, (_P3, np.eye(2) / 2, [0.0, 1.0])),
+        (diagonalize_dissipator, (np.eye(8),)),
+    ],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_maps_name_both_dimensions_given_a_basis_of_another_dimension(fn, operands):
+    # d=3 operands with the d=2 basis; the core checks them where it first uses the basis
+    with pytest.raises(ValueError, match="operand of dimension 3 does not match the basis of dimension 2"):
+        fn(*operands, generate_gell_mann(2))

@@ -180,6 +180,14 @@ def test_ginoe_rejects_a_basis_of_another_dimension(experiment):
     assert experiment(2, 10, 0, basis=generate_gell_mann(2)) == experiment(2, 10, 0)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+@pytest.mark.parametrize("experiment", [estimate_p_lindblad_ginoe, estimate_p_gue, ginoe_induced_a_covariance])
+def test_experiments_reject_a_seed_that_is_not_a_philox_key(experiment, seed):
+    # a float seed used to be truncated, and -1 or 2**64 raised OverflowError
+    with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\^64\), got "):
+        experiment(3, 10, seed)
+
+
 def test_gue_covariance_structure():
     report = gue_covariance_check(3, n_samples=50_000, seed=505)
     assert report.passed
