@@ -388,6 +388,25 @@ def test_ginoe_counts_pinned(d, n, seed):
     assert (est.n_positive, est.n_spectrum_stable) == _PINNED_GINOE[d, n, seed]
 
 
+# n_positive of estimate_p_gue(j, n, seed)
+_PINNED_GUE = {
+    (2, 20_000, 0): 1788,
+    (2, 20_000, 202): 1794,
+    (2, 20_000, 2**64 - 1): 1827,
+    (3, 20_000, 0): 131,
+    (3, 20_000, 202): 119,
+    (3, 20_000, 2**64 - 1): 93,
+    (4, 20_000, 0): 2,
+    (4, 20_000, 202): 1,
+    (4, 20_000, 2**64 - 1): 0,
+}
+
+
+@pytest.mark.parametrize("j, n, seed", list(_PINNED_GUE))
+def test_gue_counts_pinned(j, n, seed):
+    assert estimate_p_gue(j, n_samples=n, seed=seed).n_positive == _PINNED_GUE[j, n, seed]
+
+
 @pytest.mark.parametrize("j", [1, 2, 8])
 def test_gue_batch_equals_per_sample_streams(j):
     start = _CHUNK - 5
