@@ -50,8 +50,6 @@ from .rarity import (
     ginoe_induced_a_covariance,
     gue_covariance_check,
     gue_p_analytic,
-    sample_ginoe_pair,
-    sample_gue,
     wilson_interval,
 )
 from .superop import (

@@ -27,9 +27,9 @@ class MasterEqParams:
     def __post_init__(self):
         h = np.asarray(self.hamiltonian, dtype=complex)
         a = np.asarray(self.rates, dtype=complex)
-        d = h.shape[0]
-        if h.shape != (d, d):
+        if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValueError(f"Hamiltonian must be square, got {h.shape}")
+        d = h.shape[0]
         j = d**2 - 1
         if a.shape != (j, j):
             raise ValueError(f"rate matrix must be {j}x{j} for dimension {d}, got {a.shape}")

@@ -144,7 +144,9 @@ class OdeSolution:
     _shift: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def at(self, t: float) -> np.ndarray:
-        """Evaluate v(t)."""
+        """Evaluate v(t) at a scalar t; raises ValueError for any other t."""
+        if np.ndim(t) != 0:
+            raise ValueError(f"at needs a scalar t, got an array of shape {np.shape(t)}")
         return self.trajectory([t])[0]
 
     def trajectory(self, times) -> np.ndarray:

@@ -8,23 +8,32 @@ keyed by (seed, sample_index), so counts are identical regardless of chunking
 or parallelism. Gaussian variates come from numpy's standard_normal (ziggurat);
 bit-equality is promised per build, seed-determinism always.
 
+Both ensembles are a centred Gaussian image of the Philox row z of a sample:
+vec a = z @ M, with the complex M of shape (width, J^2).
+- GinOE: z = [vec G, sqrt(d) c] and M = _rates_matrix(basis), so a = a(G, c).
+- GUE: z = [vec X, vec Y] and M = _gue_matrix(J), so a = (A + A^dag)/2 with
+  A = sqrt(1/2) (X + iY).
+One loop (_estimate) counts the PSD samples of either ensemble, and the
+stable G of GinOE; one loop (_second_moment_report) accumulates moments.
+
 Work is done in chunks of _CHUNK samples:
 
 - Sampling. A Philox stream is defined by its key alone (Salmon et al.,
   SC'11), so a chunk builds one Philox and re-keys it for each sample
   through its public state: key [seed, index], counter 0, empty buffer.
-  The row it fills equals _stream(seed, index).standard_normal(width) bit
-  for bit; _stream and the per-sample samplers stay as the reference.
+  The row it fills equals
+  Generator(Philox(key=[seed, index])).standard_normal(width) bit for bit.
+  That per-sample stream, and the per-sample samplers of both ensembles,
+  are kept in tests/oracles.py as the reference.
 - Pruning. The eigensolvers run only on samples that can be counted.
   PSD: by the Rayleigh bound a Hermitian a has lambda_min <= min_m Re a_mm,
   and its largest |eigenvalue| is at most ||a||_F, so a PSD sample
   (lambda_min >= -tol max(1, max|lambda|)) has
-  min_m Re a_mm >= -tol max(1, ||a||_F). For a = z @ M with z the Philox
-  row, the diagonal is z @ M[:, ::J+1] and ||a||_F <= B = ||z|| ||M||_F, so
-  the test runs on z first with B in place of ||a||_F; a is formed only for
-  the rows that pass, and _count_psd repeats the test with ||a||_F before
-  the eigensolve.
-  Stability: with H = G - tol I, the characteristic polynomial
+  min_m Re a_mm >= -tol max(1, ||a||_F). For a = z @ M the diagonal is
+  z @ M[:, ::J+1] and ||a||_F <= B = ||z|| ||M||_F, so the test runs on z
+  with B in place of ||a||_F; a is formed, and eigvalsh run, only for the
+  rows that pass.
+  Stability (GinOE): with H = G - tol I, the characteristic polynomial
   det(sI - H) = s^J + c_1 s^(J-1) + ... + c_J of a real H whose eigenvalues
   all have Re <= 0 is a product of factors s + |mu| and
   s^2 - 2 Re(mu) s + |mu|^2, so every c_k >= 0. The Hurwitz determinant
@@ -42,15 +51,18 @@ Work is done in chunks of _CHUNK samples:
   J eps ||G||, and each p_i is summed with an error of order i J eps r^i, so a
   degree-k condition computed for a sample that eigvals finds stable is
   within a few hundred J eps r^k of its exact value at G + E, which is >= 0.
-  The diagonal z @ M[:, ::J+1] is a sum of J^2 + J products, within
-  (J^2 + J) eps B of the diagonal of the a that eigvalsh sees. Each
+  For GinOE the diagonal z @ M[:, ::J+1] is a sum of J^2 + J products,
+  within (J^2 + J) eps B of the diagonal of the a that eigvalsh sees; for
+  GUE each diagonal column of M holds the one nonzero entry sqrt(1/2), so
+  the diagonal is a single exact product, the same one the a holds. Each
   condition is therefore widened by MARGIN (1 + r^k), the PSD one by
   MARGIN (1 + B), and tolerance.MARGIN = 1e-10 exceeds those errors up to
   J of several hundred (d of about 20 and more), far beyond the sizes at
   which a Monte Carlo of J x J eigensolves runs; a sample that fails a
   widened condition would not have been counted. The PSD verdict itself is
-  tolerance.is_psd with rtol tolerance.DATA, the one check_lindblad uses
-  by default.
+  tolerance.is_psd on the eigenvalues, with rtol tolerance.DATA for GinOE,
+  the one check_lindblad uses by default, and rtol 0 for GUE, whose exact
+  probability (gue_p_analytic) counts lambda_min >= 0.
 - Moments. The covariance checks keep only two running sums over samples,
   S1 = sum x x^T and S2 = sum |x|^2 (|x|^2)^T with x = vec(a). The mean of
   a_mn a_kl is S1/n and its sample variance (S2 - n |S1/n|^2) / (n - 1), so
@@ -65,7 +77,6 @@ import numpy as np
 
 from . import core, tolerance
 from .basis import NiceBasis, generate_gell_mann
-from .forward import OdePair
 
 _CHUNK = 4096
 
@@ -100,35 +111,14 @@ def wilson_interval(k: int, n: int, z: float = 1.959963984540054) -> tuple[float
     """95% Wilson score interval for a binomial proportion."""
     if n < 1:
         raise ValueError("need at least one sample")
+    if not 0 <= k <= n:
+        raise ValueError(f"a count of {k} is not in [0, n] for n = {n}")
     p = k / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
     half = z * np.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denom
     # clamp so the interval always contains the point estimate despite rounding
     return min(max(0.0, center - half), p), max(min(1.0, center + half), p)
-
-
-def _stream(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
-
-
-def sample_ginoe_pair(d: int, rng: np.random.Generator) -> OdePair:
-    """G entries i.i.d. N(0,1); sqrt(d)*c entries i.i.d. N(0,1)."""
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    j = d * d - 1
-    g = rng.standard_normal((j, j))
-    c = rng.standard_normal(j) / np.sqrt(d)
-    return OdePair(G=g, c=c)
-
-
-def sample_gue(j: int, rng: np.random.Generator) -> np.ndarray:
-    """Hermitian a = (A + A^dag)/2 with A entries' re/im parts ~ N(0, 1/2)."""
-    if j < 1:
-        raise ValueError("matrix size must be at least 1")
-    scale = np.sqrt(0.5)
-    a = scale * (rng.standard_normal((j, j)) + 1j * rng.standard_normal((j, j)))
-    return (a + a.conj().T) / 2
 
 
 def _normals(seed: int, start: int, count: int, width: int) -> np.ndarray:
@@ -170,37 +160,30 @@ def _rates_matrix(basis: NiceBasis) -> np.ndarray:
     return core.rates(core.from_coordinates(lhat, basis), basis).reshape(len(units), j * j)
 
 
+def _gue_matrix(j: int) -> np.ndarray:
+    """M with vec a = [vec X, vec Y] @ M for a = (A + A^dag)/2, A = sqrt(1/2) (X + iY).
+
+    a_mn = h (X_mn + X_nm) + i h (Y_mn - Y_nm) with h = sqrt(1/2)/2, so the
+    column of a_mm holds one nonzero entry, 2h = sqrt(1/2).
+    """
+    if j < 1:
+        raise ValueError("matrix size must be at least 1")
+    h = np.sqrt(0.5) / 2
+    eye = np.eye(j * j)
+    swap = eye.reshape(j, j, -1).transpose(1, 0, 2).reshape(j * j, j * j)  # row mn is e_nm
+    m = np.zeros((2 * j * j, j * j), dtype=complex)
+    m.real[: j * j] = h * (eye + swap)
+    m.imag[j * j :] = h * (eye - swap)
+    return m
+
+
 def _rates(rows: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """a(G, c) of each Philox row as two real products, so the rows are never cast to complex."""
+    """a = z @ M of each Philox row z as two real products, so the rows are never cast to complex."""
     a = np.empty((len(rows), m.shape[1]), dtype=complex)
     a.real = rows @ m.real
     a.imag = rows @ m.imag
     j = math.isqrt(m.shape[1])
     return a.reshape(len(rows), j, j)
-
-
-def _ginoe_batch(d: int, seed: int, start: int, count: int, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """G of each sample and its rate matrix a(G, c); a stream holds vec G then sqrt(d) c."""
-    j = d * d - 1
-    rows = _normals(seed, start, count, j * j + j)
-    return rows[:, : j * j].reshape(count, j, j), _rates(rows, m)
-
-
-def _gue_batch(j: int, seed: int, start: int, count: int) -> np.ndarray:
-    """Stacked sample_gue(j, _stream(seed, start + k)): real parts then imaginary parts."""
-    if j < 1:
-        raise ValueError("matrix size must be at least 1")
-    rows = _normals(seed, start, count, 2 * j * j).reshape(count, 2, j, j)
-    a = np.sqrt(0.5) * (rows[:, 0] + 1j * rows[:, 1])
-    return (a + a.conj().transpose(0, 2, 1)) / 2
-
-
-def _count_psd(a: np.ndarray, tol: float) -> int:
-    """Samples that tolerance.is_psd accepts at rtol tol; eigvalsh runs on candidates only."""
-    fro = np.linalg.norm(a, axis=(1, 2))
-    min_diag = np.diagonal(a, axis1=1, axis2=2).real.min(axis=1)
-    cand = min_diag >= -tolerance.bound(fro, tol) - tolerance.MARGIN * (1.0 + fro)
-    return int(np.sum(tolerance.is_psd(np.linalg.eigvalsh(a[cand]), tol)))
 
 
 def _psd_candidates(rows: np.ndarray, m: np.ndarray, tol: float) -> np.ndarray:
@@ -209,6 +192,12 @@ def _psd_candidates(rows: np.ndarray, m: np.ndarray, tol: float) -> np.ndarray:
     min_diag = (rows @ m[:, :: j + 1].real).min(axis=1)
     fro_bound = np.linalg.norm(rows, axis=1) * np.linalg.norm(m)  # >= ||a||_F
     return min_diag >= -tolerance.bound(fro_bound, tol) - tolerance.MARGIN * (1.0 + fro_bound)
+
+
+def _count_psd(rows: np.ndarray, m: np.ndarray, tol: float) -> int:
+    """Rows z whose a = z @ M tolerance.is_psd accepts at rtol tol; a and eigvalsh are for candidates only."""
+    a = _rates(rows[_psd_candidates(rows, m, tol)], m)
+    return int(np.sum(tolerance.is_psd(np.linalg.eigvalsh(a), tol)))
 
 
 def _stable_candidates(gs: np.ndarray, tol: float) -> np.ndarray:
@@ -251,29 +240,22 @@ def _ginoe_basis(d: int, basis: NiceBasis | None) -> NiceBasis:
     return basis
 
 
-def estimate_p_lindblad_ginoe(
-    d: int, n_samples: int, seed: int, basis: NiceBasis | None = None
-) -> RarityEstimate:
-    """Fraction of GinOE pairs (G, c) whose recovered rate matrix is PSD.
-
-    Also counts pairs whose G spectrum is stable (all real parts <= 0); the
-    PSD count never exceeds the stable count.
-    """
-    basis = _ginoe_basis(d, basis)
+def _estimate(ensemble: str, size: int, n_samples: int, seed: int, m: np.ndarray, tol: float) -> RarityEstimate:
+    """Count the samples whose a = z @ M is PSD at rtol tol and, for GinOE, whose G = z[:J^2] is stable."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    j = d * d - 1
-    m = _rates_matrix(basis)
+    j = math.isqrt(m.shape[1])
     n_psd = 0
-    n_stable = 0
+    n_stable = 0 if ensemble == "GinOE" else None
     for start in range(0, n_samples, _CHUNK):
-        rows = _normals(seed, start, min(_CHUNK, n_samples - start), j * j + j)
-        n_psd += _count_psd(_rates(rows[_psd_candidates(rows, m, tolerance.DATA)], m), tolerance.DATA)
-        n_stable += _count_stable(rows[:, : j * j].reshape(-1, j, j), tolerance.DATA)
+        rows = _normals(seed, start, min(_CHUNK, n_samples - start), len(m))
+        n_psd += _count_psd(rows, m, tol)
+        if n_stable is not None:
+            n_stable += _count_stable(rows[:, : j * j].reshape(-1, j, j), tol)
     lo, hi = wilson_interval(n_psd, n_samples)
     return RarityEstimate(
-        ensemble="GinOE",
-        dim_d=d,
+        ensemble=ensemble,
+        dim_d=size,
         n_samples=n_samples,
         n_positive=n_psd,
         p_hat=n_psd / n_samples,
@@ -284,24 +266,29 @@ def estimate_p_lindblad_ginoe(
     )
 
 
+def estimate_p_lindblad_ginoe(
+    d: int, n_samples: int, seed: int, basis: NiceBasis | None = None
+) -> RarityEstimate:
+    """Fraction of GinOE pairs (G, c) whose recovered rate matrix is PSD.
+
+    G has i.i.d. N(0, 1) entries and sqrt(d) c i.i.d. N(0, 1) entries, drawn
+    in that order from the Philox stream (seed, k) of sample k; a is a(G, c)
+    in basis, the Gell-Mann one by default. Also counts pairs whose G
+    spectrum is stable (all real parts <= 0); the PSD count never exceeds
+    the stable count.
+    """
+    basis = _ginoe_basis(d, basis)
+    return _estimate("GinOE", d, n_samples, seed, _rates_matrix(basis), tolerance.DATA)
+
+
 def estimate_p_gue(j: int, n_samples: int, seed: int) -> RarityEstimate:
-    """Fraction of GUE matrices of size j that are positive semidefinite."""
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    n_psd = 0
-    for start in range(0, n_samples, _CHUNK):
-        n_psd += _count_psd(_gue_batch(j, seed, start, min(_CHUNK, n_samples - start)), 0.0)
-    lo, hi = wilson_interval(n_psd, n_samples)
-    return RarityEstimate(
-        ensemble="GUE",
-        dim_d=j,
-        n_samples=n_samples,
-        n_positive=n_psd,
-        p_hat=n_psd / n_samples,
-        ci_low=lo,
-        ci_high=hi,
-        seed=seed,
-    )
+    """Fraction of GUE matrices of size j that are positive semidefinite.
+
+    a = (A + A^dag)/2, where the real and the imaginary parts of the entries
+    of A are i.i.d. N(0, 1/2): A = sqrt(1/2) (X + iY), with vec X and then
+    vec Y drawn from the Philox stream (seed, k) of sample k.
+    """
+    return _estimate("GUE", j, n_samples, seed, _gue_matrix(j), 0.0)
 
 
 def gue_p_analytic(j: int) -> float:
@@ -332,18 +319,16 @@ def _add_moments(s1: np.ndarray, s2: np.ndarray, samples: np.ndarray) -> None:
     s2 += sq.T @ sq
 
 
-def _second_moment_report(ensemble: str, n: int, batch, analytic: np.ndarray) -> CovarianceReport:
-    """Compare the mean of a_mn a_kl with analytic[m, n, k, l], in units of its standard error.
-
-    batch(start, count) returns the rate matrices of samples start..start+count-1.
-    """
+def _second_moment_report(ensemble: str, n: int, seed: int, m: np.ndarray, analytic: np.ndarray) -> CovarianceReport:
+    """Compare the mean of a_mn a_kl, over a = z @ M of samples 0..n-1, with analytic[m, n, k, l],
+    in units of its standard error."""
     if n < 2:
         raise ValueError("need at least two samples")
-    size = analytic.shape[0] * analytic.shape[1]
+    size = m.shape[1]
     s1 = np.zeros((size, size), dtype=complex)
     s2 = np.zeros((size, size))
     for start in range(0, n, _CHUNK):
-        _add_moments(s1, s2, batch(start, min(_CHUNK, n - start)))
+        _add_moments(s1, s2, _rates(_normals(seed, start, min(_CHUNK, n - start), len(m)), m))
     emp = (s1 / n).reshape(analytic.shape)
     var = (s2 - n * np.abs(s1 / n) ** 2) / (n - 1)
     stderr = np.sqrt(np.maximum(var, 0.0) / n).reshape(analytic.shape)
@@ -366,21 +351,16 @@ def ginoe_induced_a_covariance(
     delta_mn' delta_nm' - (1/d) Tr(F_m' F_n' F_m F_n)."""
     basis = _ginoe_basis(d, basis)
     j = basis.J
-    m = _rates_matrix(basis)
     ft = basis.traceless
     eye = np.eye(j)
     delta_term = np.einsum("mq,np->mnpq", eye, eye)
     trace_term = np.einsum("pab,qbc,mcd,nda->mnpq", ft, ft, ft, ft, optimize=True)
     analytic = delta_term - trace_term / d
-    return _second_moment_report(
-        "GinOE", n_samples, lambda start, count: _ginoe_batch(d, seed, start, count, m)[1], analytic
-    )
+    return _second_moment_report("GinOE", n_samples, seed, _rates_matrix(basis), analytic)
 
 
 def gue_covariance_check(j: int, n_samples: int, seed: int) -> CovarianceReport:
     """Compare E(a_mn a_m'n') of GUE samples against (1/2) delta_mn' delta_nm'."""
+    m = _gue_matrix(j)
     eye = np.eye(j)
-    analytic = 0.5 * np.einsum("mq,np->mnpq", eye, eye)
-    return _second_moment_report(
-        "GUE", n_samples, lambda start, count: _gue_batch(j, seed, start, count), analytic
-    )
+    return _second_moment_report("GUE", n_samples, seed, m, 0.5 * np.einsum("mq,np->mnpq", eye, eye))

@@ -13,6 +13,8 @@ matrix exponential in numpy's extended precision, a reference for the
 solver's double-precision one, per_time_trajectory the propagator
 trajectory with one exponential per time, a reference for the library's
 stepping, and modal_trajectory the spectral closed form of v' = G v + c.
+stream, sample_ginoe_pair and sample_gue draw one rarity sample at a time
+from its own Philox stream, the reference for rarity's re-keyed batches.
 spectrum_relation and dissipator_symmetry evaluate two theorems of the paper
 on the library's own maps: spec(L) = {0} u spec(G), and the four equivalent
 conditions for a Hermitian dissipator.
@@ -329,3 +331,23 @@ def modal_trajectory(g, c, v0, times):
     with np.errstate(all="ignore"):
         growth = np.where(s == 0, 0.0, s * np.exp(np.outer(w, t)))
     return (x @ growth).T.real + v_inf
+
+
+def stream(seed, index):
+    """The Philox stream of sample index: one Generator keyed by [seed, index]."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+
+
+def sample_ginoe_pair(d, rng):
+    """G entries i.i.d. N(0,1); sqrt(d)*c entries i.i.d. N(0,1)."""
+    j = d * d - 1
+    g = rng.standard_normal((j, j))
+    c = rng.standard_normal(j) / np.sqrt(d)
+    return OdePair(G=g, c=c)
+
+
+def sample_gue(j, rng):
+    """Hermitian a = (A + A^dag)/2 with A entries' re/im parts ~ N(0, 1/2)."""
+    scale = np.sqrt(0.5)
+    a = scale * (rng.standard_normal((j, j)) + 1j * rng.standard_normal((j, j)))
+    return (a + a.conj().T) / 2

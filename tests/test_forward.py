@@ -49,6 +49,12 @@ def test_params_reject_non_hermitian():
         MasterEqParams(hamiltonian=np.zeros((2, 2)), rates=np.eye(3) * 1j)
 
 
+@pytest.mark.parametrize("h", [5.0, np.zeros(2), np.zeros((2, 3))], ids=["0-d", "1-d", "not-square"])
+def test_params_reject_a_hamiltonian_that_is_not_square(h):
+    with pytest.raises(ValueError, match=r"^Hamiltonian must be square, got \("):
+        MasterEqParams(hamiltonian=h, rates=np.zeros((3, 3)))
+
+
 @pytest.mark.parametrize("h, a", [([[np.nan, 0], [0, 0]], np.zeros((3, 3))), (np.zeros((2, 2)), np.full((3, 3), np.inf))])
 def test_params_reject_non_finite(h, a):
     with pytest.raises(ValueError, match="must be finite"):

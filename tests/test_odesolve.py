@@ -202,6 +202,14 @@ def test_propagator_rejects_bad_input(g, t):
         propagator(g, t)
 
 
+@pytest.mark.parametrize("t", [[1.0, 2.0], np.array([1.0, 2.0]), [1.0]])
+def test_at_rejects_a_time_that_is_not_a_scalar(t):
+    sol = solve(OdePair(G=np.zeros((2, 2)), c=np.zeros(2)), np.array([0.3, -0.1]))
+    with pytest.raises(ValueError, match=r"^at needs a scalar t, got an array of shape \("):
+        sol.at(t)
+    np.testing.assert_array_equal(sol.at(np.float64(1.0)), sol.at(np.array(1.0)))
+
+
 def test_propagator_edge_shapes():
     assert propagator(np.zeros((0, 0)), 1.0).shape == (0, 0)
     assert propagator([[0.5]], 2.0)[0, 0] == pytest.approx(np.e, rel=1e-15)

@@ -12,24 +12,23 @@ from lindblad_ode import (
     gue_covariance_check,
     gue_p_analytic,
     inverse_map,
-    sample_ginoe_pair,
-    sample_gue,
     wilson_interval,
 )
 from lindblad_ode.basis import generate_gell_mann
 from lindblad_ode.rarity import (
     _CHUNK,
     _count_psd,
-    _ginoe_batch,
-    _gue_batch,
+    _gue_matrix,
+    _normals,
     _psd_candidates,
     _rates,
     _rates_matrix,
     _stable_candidates,
-    _stream,
 )
 from lindblad_ode.tolerance import is_psd
 from lindblad_ode.tolerance import DATA as _PSD_TOL
+from oracles import sample_ginoe_pair, sample_gue
+from oracles import stream as _stream
 
 # past 2^63, and the sample count crosses a chunk boundary
 _BIG_SEED = 2**63 + 12345
@@ -46,6 +45,12 @@ def test_wilson_interval_basics():
     # interval shrinks with sample size
     lo2, hi2 = wilson_interval(5000, 10000)
     assert hi2 - lo2 < hi - lo
+
+
+@pytest.mark.parametrize("k", [5, -1])
+def test_wilson_interval_rejects_a_count_outside_zero_to_n(k):
+    with pytest.raises(ValueError, match=rf"^a count of {k} is not in \[0, n\] for n = 3$"):
+        wilson_interval(k, 3)
 
 
 def test_samplers_are_deterministic_per_index():
@@ -168,6 +173,14 @@ def test_ginoe_covariance_identity_is_exact(d):
     assert err <= 1e-12
 
 
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_gue_covariance_identity_is_exact(j):
+    # a = z @ M with z ~ N(0, I), so E[a_mn a_pq] = (M^T M)[mn, pq] is (1/2) delta_mq delta_np
+    m = _gue_matrix(j)
+    eye = np.eye(j)
+    assert np.max(np.abs((m.T @ m).reshape(j, j, j, j) - 0.5 * np.einsum("mq,np->mnpq", eye, eye))) <= 1e-15
+
+
 def test_ginoe_covariance_rejects_dimension_one():
     with pytest.raises(ValueError, match="GinOE needs dimension d >= 2"):
         ginoe_induced_a_covariance(1, n_samples=10, seed=0)
@@ -213,7 +226,8 @@ def test_ginoe_counts_equal_per_sample_oracle(d):
     est = estimate_p_lindblad_ginoe(d, n_samples=_N_ACROSS, seed=_BIG_SEED)
     assert (est.n_positive, est.n_spectrum_stable) == (n_psd, n_stable)
     # the re-keyed sampler reproduces the per-sample streams bit for bit
-    np.testing.assert_array_equal(_ginoe_batch(d, _BIG_SEED, 0, _N_ACROSS, _rates_matrix(basis))[0], gs)
+    j = basis.J
+    np.testing.assert_array_equal(_normals(_BIG_SEED, 0, _N_ACROSS, j * j + j)[:, : j * j].reshape(-1, j, j), gs)
 
 
 def _stable_spectrum_block(rng, j):
@@ -346,7 +360,7 @@ def test_psd_prefilter_keeps_every_psd_rate_matrix(d):
         rows.append(_row_of(edge, basis))
     rows = np.array(rows)
     assert _psd_candidates(rows, m, _PSD_TOL).all()
-    assert _count_psd(_rates(rows, m), _PSD_TOL) == len(rows)
+    assert _count_psd(rows, m, _PSD_TOL) == len(rows)
     # -a of a PSD a of rank >= 1 has a negative diagonal entry
     assert not _psd_candidates(-rows, m, _PSD_TOL).any()
 
@@ -388,7 +402,7 @@ def test_ginoe_counts_pinned(d, n, seed):
     assert (est.n_positive, est.n_spectrum_stable) == _PINNED_GINOE[d, n, seed]
 
 
-# n_positive of estimate_p_gue(j, n, seed)
+# n_positive of estimate_p_gue(j, n, seed), recorded with the per-matrix sampler (A + A^dag)/2
 _PINNED_GUE = {
     (2, 20_000, 0): 1788,
     (2, 20_000, 202): 1794,
@@ -410,8 +424,15 @@ def test_gue_counts_pinned(j, n, seed):
 @pytest.mark.parametrize("j", [1, 2, 8])
 def test_gue_batch_equals_per_sample_streams(j):
     start = _CHUNK - 5
-    batch = _gue_batch(j, _BIG_SEED, start, 40)
-    np.testing.assert_array_equal(batch, [sample_gue(j, _stream(_BIG_SEED, start + k)) for k in range(40)])
+    rows = _normals(_BIG_SEED, start, 40, 2 * j * j)
+    streams = [_stream(_BIG_SEED, start + k) for k in range(40)]
+    np.testing.assert_array_equal(rows, [s.standard_normal(2 * j * j) for s in streams])
+    # a = z @ M rounds each off-diagonal entry as one BLAS product, sample_gue as (A + A^dag)/2;
+    # the diagonal is the one exact product sqrt(1/2) X_mm in both
+    a = _rates(rows, _gue_matrix(j))
+    ref = np.array([sample_gue(j, _stream(_BIG_SEED, start + k)) for k in range(40)])
+    assert np.max(np.abs(a - ref)) <= 2 * np.finfo(float).eps * np.max(np.abs(ref))
+    np.testing.assert_array_equal(np.diagonal(a, axis1=1, axis2=2), np.diagonal(ref, axis1=1, axis2=2))
     oracle = np.stack([sample_gue(j, _stream(_BIG_SEED, k)) for k in range(_N_ACROSS)])
     n_psd = int(np.sum(np.linalg.eigvalsh(oracle)[:, 0] >= 0.0))
     assert estimate_p_gue(j, n_samples=_N_ACROSS, seed=_BIG_SEED).n_positive == n_psd
