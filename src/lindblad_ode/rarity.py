@@ -54,7 +54,7 @@ Work is done in chunks of _CHUNK samples:
   For GinOE the diagonal z @ M[:, ::J+1] is a sum of J^2 + J products,
   within (J^2 + J) eps B of the diagonal of the a that eigvalsh sees; for
   GUE each diagonal column of M holds the one nonzero entry sqrt(1/2), so
-  the diagonal is a single exact product, the same one the a holds. Each
+  the diagonal is a single exact product, the same one that a holds. Each
   condition is therefore widened by MARGIN (1 + r^k), the PSD one by
   MARGIN (1 + B), and tolerance.MARGIN = 1e-10 exceeds those errors up to
   J of several hundred (d of about 20 and more), far beyond the sizes at
