@@ -56,29 +56,33 @@ def basis_columns(m: np.ndarray, basis: NiceBasis, first: int = 0) -> np.ndarray
 def reshuffle(m: np.ndarray) -> np.ndarray:
     """Move a d^2 x d^2 matrix from index order [(p,r),(s,q)] to [(p,q),(r,s)]."""
     d = _dim(m)
-    t = np.moveaxis(m.reshape(*m.shape[:-2], d, d, d, d), -1, -3)
-    return t.reshape(m.shape)
+    return m.reshape(m.shape[:-2] + (d,) * 4).transpose(*range(m.ndim - 2), -4, -1, -3, -2).reshape(m.shape)
 
 
 def unreshuffle(s: np.ndarray) -> np.ndarray:
     """Inverse of reshuffle: [(p,q),(r,s)] back to [(p,r),(s,q)]."""
     d = _dim(s)
-    t = np.moveaxis(s.reshape(*s.shape[:-2], d, d, d, d), -3, -1)
-    return t.reshape(s.shape)
+    return s.reshape(s.shape[:-2] + (d,) * 4).transpose(*range(s.ndim - 2), -4, -2, -1, -3).reshape(s.shape)
 
 
 def _dim(m: np.ndarray) -> int:
     """d of a d^2 x d^2 matrix, or of a stack of them over the last two axes."""
-    d = int(round(np.sqrt(m.shape[-1])))
+    d = math.isqrt(m.shape[-1])
     if m.shape[-2:] != (d * d, d * d):
         raise ValueError(f"superoperator matrix must be d^2 x d^2, got {m.shape}")
     return d
 
 
+def _kron_pair(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X (x) I and I (x) X^T as (d, d, d, d) arrays over [(p,r),(s,q)], each one broadcast product."""
+    eye = np.eye(len(x))
+    return x[:, None, :, None] * eye[:, None, :], eye[:, None, :, None] * x.T[:, None, :]
+
+
 def hamiltonian_superop(h: np.ndarray) -> np.ndarray:
     """S of X -> -i[H, X]."""
-    eye = np.eye(h.shape[0])
-    return -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    left, right = _kron_pair(h)
+    return -1j * (left - right).reshape(h.size, h.size)
 
 
 def dissipator_superop(a: np.ndarray, basis: NiceBasis) -> np.ndarray:
@@ -87,8 +91,8 @@ def dissipator_superop(a: np.ndarray, basis: NiceBasis) -> np.ndarray:
     ft = basis_columns(a, basis, 1)
     # column j of ft @ a is vec(sum_i a_ij F_i), so K = sum_j F_j (sum_i a_ij F_i)
     k = np.einsum("jab,jbc->ac", basis.traceless, (ft @ a).T.reshape(-1, d, d))
-    eye = np.eye(d)
-    return reshuffle(ft @ a @ ft.T) - 0.5 * (np.kron(k, eye) + np.kron(eye, k.T))
+    left, right = _kron_pair(k)
+    return reshuffle(ft @ a @ ft.T) - 0.5 * (left + right).reshape(d * d, d * d)
 
 
 def from_tensor(t: np.ndarray) -> np.ndarray:

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tolerance
+from . import core, tolerance
 from .basis import NiceBasis, coordinatize
 from .forward import DiagonalDissipator, MasterEqParams, OdePair, _diagonal_form, forward_map
-from .inverse import a_from_gc
+from .inverse import _gc_to_core
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ def check_lindblad(pair: OdePair, basis: NiceBasis, tol: float = tolerance.DATA)
     (tolerance.is_psd); verdicts with |min eig| within 10x of that threshold
     are flagged marginal.
     """
-    a = a_from_gc(pair.G, pair.c, basis)
+    a = core.rates(_gc_to_core(pair, basis), basis)
     w, v = np.linalg.eigh(a)
     eigs = w[::-1].copy()
     min_eig = float(eigs[-1]) if eigs.size else 0.0
@@ -69,7 +69,7 @@ def cp_quadratic_form(pair: OdePair, big_b: np.ndarray, basis: NiceBasis) -> flo
     always comes from the eigenvalue test.
     """
     b = _traceless_coordinates(big_b, basis)
-    val = b.conj() @ a_from_gc(pair.G, pair.c, basis) @ b
+    val = b.conj() @ core.rates(_gc_to_core(pair, basis), basis) @ b
     if not tolerance.negligible(val.imag, val.real, tolerance.DATA):
         raise ValueError(f"quadratic form is not real (imag {val.imag:.3e})")
     return float(val.real)

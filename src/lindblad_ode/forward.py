@@ -33,7 +33,7 @@ class MasterEqParams:
         j = d**2 - 1
         if a.shape != (j, j):
             raise ValueError(f"rate matrix must be {j}x{j} for dimension {d}, got {a.shape}")
-        if not (np.all(np.isfinite(h)) and np.all(np.isfinite(a))):
+        if not (np.isfinite(h).all() and np.isfinite(a).all()):
             raise ValueError("H and a must be finite")
         if not tolerance.negligible(h - h.conj().T, h, tolerance.DATA):
             raise ValueError("Hamiltonian is not Hermitian")
@@ -69,7 +69,7 @@ class OdePair:
             raise ValueError(f"G must be square, got {g.shape}")
         if c.shape != (g.shape[0],):
             raise ValueError(f"c must have length {g.shape[0]}, got {c.shape}")
-        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(c))):
+        if not (np.isfinite(g).all() and np.isfinite(c).all()):
             raise ValueError("G and c must be finite")
         object.__setattr__(self, "G", g)
         object.__setattr__(self, "c", c)
@@ -197,5 +197,5 @@ def _diagonal_form(w: np.ndarray, v: np.ndarray, basis: NiceBasis, floor: float 
     w, v = _canonical_eig_order(w, v)
     # the spectral norm of the Hermitian a is its largest |eigenvalue|
     w = np.where(np.abs(w) <= max(tolerance.cut(w, tolerance.ROUNDING), floor), 0.0, w)
-    ops = list(np.tensordot(v.T, basis.traceless, 1))
+    ops = list(v.T.dot(basis.traceless.reshape(basis.J, -1)).reshape(-1, basis.dim, basis.dim))
     return DiagonalDissipator(gamma=w, lindblad_ops=ops)

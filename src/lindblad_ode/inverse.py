@@ -50,11 +50,11 @@ class Tensor4:
 def _check_invariants(x: np.ndarray, flavor: str) -> None:
     """Raise unless x keeps the flavor's invariants up to a negligible residue (tolerance.TENSOR);
     the superoperator tensors share the x-tilde layout."""
-    v = float(np.max(np.abs(x - x.conj().transpose(3, 2, 1, 0)), initial=0.0))
+    v = tolerance.magnitude(x - x.conj().transpose(3, 2, 1, 0))
     if flavor == "x":
-        v = max(v, float(np.max(np.abs(np.einsum("ijkk->ij", x) + np.einsum("kkij->ij", x)))))
+        v = max(v, tolerance.magnitude(np.einsum("ijkk->ij", x) + np.einsum("kkij->ij", x)))
     else:
-        v = max(v, float(np.max(np.abs(np.einsum("ijki->jk", x)))))
+        v = max(v, tolerance.magnitude(np.einsum("ijki->jk", x)))
     if not tolerance.negligible(v, x, tolerance.TENSOR):
         raise ValueError(
             "not a Hermiticity-preserving trace-annihilating generator: "

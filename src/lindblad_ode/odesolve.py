@@ -88,10 +88,13 @@ def _expm(m: np.ndarray) -> np.ndarray:
     n = m.shape[-1]
     a = m.reshape(math.prod(m.shape[:-2]), n, n)
     norm = _norm1(a)
-    ok = norm <= _MAX_NORM
-    with np.errstate(divide="ignore"):
-        s = np.ceil(np.log2(np.where(ok, norm, 0.0) / _THETA13)).clip(0).astype(int)
-    a = np.where(ok[:, None, None], a, 0.0) * np.ldexp(1.0, -s)[:, None, None]
+    # every A finite, within _MAX_NORM and with s = 0 (nan fails the test): nothing to clip, scale or refuse
+    scaled = not norm.max(initial=0.0) <= _THETA13
+    if scaled:
+        ok = norm <= _MAX_NORM
+        with np.errstate(divide="ignore"):
+            s = np.ceil(np.log2(np.where(ok, norm, 0.0) / _THETA13)).clip(0).astype(int)
+        a = np.where(ok[:, None, None], a, 0.0) * np.ldexp(1.0, -s)[:, None, None]
     # One buffer holds the powers and the polynomials: as separate temporaries of a
     # (64, 25, 25) trajectory stack, malloc handed out fresh pages on every call,
     # and their page faults cost as much as the Pade evaluation itself.
@@ -109,11 +112,12 @@ def _expm(m: np.ndarray) -> np.ndarray:
     u += qu
     u = np.matmul(a, u, out=a6)
     r = np.linalg.solve(np.subtract(v, u, out=pu), np.add(v, u, out=qu))
-    with np.errstate(all="ignore"):
-        for k in range(s.max(initial=0)):
-            squared = s > k
-            r[squared] = r[squared] @ r[squared]
-    r[~ok] = np.nan
+    if scaled:
+        with np.errstate(all="ignore"):
+            for k in range(s.max(initial=0)):
+                squared = s > k
+                r[squared] = r[squared] @ r[squared]
+        r[~ok] = np.nan
     return r.reshape(m.shape)
 
 
@@ -155,12 +159,16 @@ class OdeSolution:
         Steps outward from t = 0 on each side of it (see _step_outward): a row
         carries the rounding of every step before it on its side, about
         (steps) 2^s u in all, where the direct form e^{Mt} x0 carries 2^s u.
-        Raises ValueError at the first time, in the order given, where v(t) is
-        not finite, which includes every time whose e^{Mt} _expm would refuse.
+        Raises ValueError for times of two or more dimensions, and at the first
+        time, in the order given, where v(t) is not finite, which includes
+        every time whose e^{Mt} _expm would refuse.
         A deviation v0 - v_infinity that is exactly 0 gives exactly v_infinity
         at every time, however fast e^{Gt} grows.
         """
-        t = np.asarray(times, dtype=float).reshape(-1)
+        t = np.asarray(times, dtype=float)
+        if t.ndim > 1:
+            raise ValueError(f"trajectory needs a scalar or a 1-d array of times, got an array of shape {t.shape}")
+        t = t.reshape(-1)
         j = len(self.v0)
         if self._x0.any():
             with np.errstate(all="ignore"):
@@ -190,12 +198,15 @@ def _step_outward(m: np.ndarray, x0: np.ndarray, t: np.ndarray) -> np.ndarray:
             continue
         order = order[np.argsort(np.abs(t[order]), kind="stable")]
         ts = t[order]
-        steps, which = np.unique(np.diff(ts, prepend=0.0), return_inverse=True)
-        exps = _expm(m * steps[:, None, None])
+        # each step (a time minus the one before) -> its place in the _expm stack; 0.0 and -0.0 are one key
+        index, tl = {}, ts.tolist()
+        which = [index.setdefault(b - a, len(index)) for a, b in zip([0.0] + tl, tl)]
+        exps = list(_expm(m * np.array(list(index))[:, None, None]))
+        rows = np.empty((len(ts), len(x0)))
         x = x0
-        for row, k in zip(order.tolist(), which.tolist()):
-            x = exps[k] @ x
-            out[row] = x
+        for k, row in zip(which, rows):
+            x = exps[k].dot(x, out=row)
+        out[order] = rows
         if not _norm1(m * ts[-1:, None, None])[0] <= _MAX_NORM:
             out[order[~(_norm1(m * ts[:, None, None]) <= _MAX_NORM)]] = np.nan
     return out

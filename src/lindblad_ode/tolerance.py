@@ -35,7 +35,7 @@ MARGIN = 1e-10
 
 def magnitude(x) -> float:
     """max|x| over every entry; 0 for an empty array."""
-    return float(np.max(np.abs(x), initial=0.0))
+    return float(np.abs(x).max(initial=0.0))
 
 
 def bound(scale, rtol: float):

@@ -13,6 +13,10 @@ matrix exponential in numpy's extended precision, a reference for the
 solver's double-precision one, per_time_trajectory the propagator
 trajectory with one exponential per time, a reference for the library's
 stepping, and modal_trajectory the spectral closed form of v' = G v + c.
+kron_hamiltonian_superop, kron_dissipator_superop, moveaxis_reshuffle,
+moveaxis_unreshuffle and unique_step_outward are the np.kron, np.moveaxis
+and np.unique forms of the core and of the stepping, which the library's
+broadcast, transpose and dict forms must equal bit for bit.
 stream, sample_ginoe_pair and sample_gue draw one rarity sample at a time
 from its own Philox stream, the reference for rarity's re-keyed batches.
 spectrum_relation and dissipator_symmetry evaluate two theorems of the paper
@@ -37,7 +41,7 @@ from lindblad_ode import (
     tensor_from_map,
     tolerance,
 )
-from lindblad_ode.odesolve import _expm
+from lindblad_ode.odesolve import _MAX_NORM, _expm, _norm1
 
 
 def q_from_h(h, basis):
@@ -310,6 +314,53 @@ def per_time_trajectory(m, x0, times):
     """Row k is e^{M t_k} x0, one exponential of M t_k per time; nan where _expm refuses M t_k."""
     t = np.asarray(times, dtype=float).reshape(-1)
     return _expm(np.asarray(m) * t[:, None, None]) @ x0
+
+
+def unique_step_outward(m, x0, t):
+    """odesolve._step_outward with np.unique for the distinct steps and one row assignment per time."""
+    out = np.empty((len(t), len(x0)))
+    for side in (~(t < 0), t < 0):
+        order = np.flatnonzero(side)
+        if not len(order):
+            continue
+        order = order[np.argsort(np.abs(t[order]), kind="stable")]
+        ts = t[order]
+        steps, which = np.unique(np.diff(ts, prepend=0.0), return_inverse=True)
+        exps = _expm(m * steps[:, None, None])
+        x = x0
+        for row, k in zip(order.tolist(), which.tolist()):
+            x = exps[k] @ x
+            out[row] = x
+        if not _norm1(m * ts[-1:, None, None])[0] <= _MAX_NORM:
+            out[order[~(_norm1(m * ts[:, None, None]) <= _MAX_NORM)]] = np.nan
+    return out
+
+
+def kron_hamiltonian_superop(h):
+    """-i (H (x) I - I (x) H^T) by np.kron."""
+    eye = np.eye(h.shape[0])
+    return -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+
+
+def kron_dissipator_superop(a, basis):
+    """core.dissipator_superop with np.kron for K (x) I + I (x) K^T and moveaxis_reshuffle."""
+    d = basis.dim
+    ft = core.basis_columns(a, basis, 1)
+    k = np.einsum("jab,jbc->ac", basis.traceless, (ft @ a).T.reshape(-1, d, d))
+    eye = np.eye(d)
+    return moveaxis_reshuffle(ft @ a @ ft.T) - 0.5 * (np.kron(k, eye) + np.kron(eye, k.T))
+
+
+def moveaxis_reshuffle(m):
+    """[(p,r),(s,q)] -> [(p,q),(r,s)] over the last two axes by np.moveaxis."""
+    d = math.isqrt(m.shape[-1])
+    return np.moveaxis(m.reshape(*m.shape[:-2], d, d, d, d), -1, -3).reshape(m.shape)
+
+
+def moveaxis_unreshuffle(s):
+    """[(p,q),(r,s)] -> [(p,r),(s,q)] over the last two axes by np.moveaxis."""
+    d = math.isqrt(s.shape[-1])
+    return np.moveaxis(s.reshape(*s.shape[:-2], d, d, d, d), -3, -1).reshape(s.shape)
 
 
 def modal_trajectory(g, c, v0, times):

@@ -169,6 +169,34 @@ def test_stacked_core_equals_per_matrix_calls(d):
             np.testing.assert_array_equal(got[idx], fn(stack[idx]))
 
 
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_broadcast_superops_equal_the_kron_forms_bit_for_bit(d):
+    rng = np.random.default_rng(950 + d)
+    basis = generate_gell_mann(d)
+    p = random_meq(d, rng)
+    # signed zeros too: a product with 0 or 1 keeps or flips the sign of a zero
+    for h in (p.hamiltonian, -0.0 * p.hamiltonian, np.eye(d)):
+        assert_same_bits(core.hamiltonian_superop(h), oracles.kron_hamiltonian_superop(h))
+    # a non-Hermitian a as well, as apply_dissipator takes one
+    for a in (p.rates, _complex(rng, basis.J, basis.J), -0.0 * p.rates):
+        assert_same_bits(core.dissipator_superop(a, basis), oracles.kron_dissipator_superop(a, basis))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+def test_transpose_reshuffle_equals_the_moveaxis_form_bit_for_bit(d, lead):
+    rng = np.random.default_rng(970 + d)
+    m = _complex(rng, *lead, d * d, d * d)
+    assert_same_bits(core.reshuffle(m), oracles.moveaxis_reshuffle(m))
+    assert_same_bits(core.unreshuffle(m), oracles.moveaxis_unreshuffle(m))
+    assert_same_bits(core.unreshuffle(core.reshuffle(m)), m)
+
+
 @pytest.mark.parametrize("d", ROUNDTRIP_DIMS)
 @pytest.mark.parametrize("psd", [False, True])
 def test_roundtrip_from_master_equation(d, psd):

@@ -28,7 +28,7 @@ from conftest import (
     random_density,
     random_meq,
 )
-from oracles import expm_extended, modal_trajectory, per_time_trajectory
+from oracles import expm_extended, modal_trajectory, per_time_trajectory, unique_step_outward
 
 
 def _residual(sol, times, h=1e-6):
@@ -280,6 +280,10 @@ def test_expm_stack_squares_each_matrix_its_own_number_of_times():
     for m, e in zip(stack, stacked):
         _assert_close(e, _expm(m), 1e-14)
     assert _expm(stack[:, :0, :0]).shape == (40, 0, 0)
+    # a stack that needs no squaring skips the clip, scaling and refusal passes, with the same bits
+    unsquared = odesolve._norm1(stack) <= odesolve._THETA13
+    assert 0 < unsquared.sum() < len(stack)
+    assert _expm(stack[unsquared]).tobytes() == stacked[unsquared].tobytes()
 
 
 def test_expm_exact_cases():
@@ -380,6 +384,41 @@ def test_propagator_trajectory_takes_one_exponential_per_distinct_step(monkeypat
     stacks.clear()
     sol.trajectory(np.concatenate([-grid[1:], grid]))
     assert stacks == [4, len(np.unique(np.diff(-grid[1:], prepend=0.0)))]
+
+
+_GRID = np.linspace(0.0, 2.0, 64)
+_ODD_GRIDS = {
+    "unsorted": [2.0, 0.5, 1.5, 0.25, 1.0, 0.75],
+    "repeated": [0.5, 0.5, 1.0, 0.5, 1.0, 1.0, 0.0, 0.0],
+    "negative": [-1.0, 0.5, -0.25, -2.0, 1.0, -0.25, -1.0],
+    "signed zeros": [0.0, -0.0, 0.5, -0.0, -0.5, 0.0, -0.0],
+    "nan": [0.5, np.nan, -0.5, 1.0, np.nan, 0.0, -np.nan],
+    "both sides, shuffled": np.random.default_rng(5).permutation(np.concatenate([-_GRID, _GRID])),
+}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("grid", list(_ODD_GRIDS))
+def test_stepping_equals_the_unique_form_bit_for_bit(d, grid):
+    times = np.array(_ODD_GRIDS[grid], dtype=float)
+    for sol in _propagator_solutions(d):
+        want = unique_step_outward(sol._generator, sol._x0, times)
+        assert odesolve._step_outward(sol._generator, sol._x0, times).tobytes() == want.tobytes()
+        if grid == "nan":
+            with pytest.raises(ValueError, match="not finite at t = nan"):
+                sol.trajectory(times)
+        else:
+            assert sol.trajectory(times).tobytes() == (want[:, : len(sol.v0)] + sol._shift).tobytes()
+
+
+def test_trajectory_refuses_times_of_two_or_more_dimensions():
+    for sol in _propagator_solutions(2)[1:]:
+        for times in ([[0.0, 1.0], [2.0, 3.0]], np.zeros((1, 1, 1))):
+            with pytest.raises(ValueError, match=re.escape(f"got an array of shape {np.shape(times)}")):
+                sol.trajectory(times)
+        # a scalar is one row, a 1-d array one row per time
+        np.testing.assert_array_equal(sol.trajectory(0.5), [sol.at(0.5)])
+        assert sol.trajectory(np.array([0.0, 1.0, 2.0, 3.0])).shape == (4, len(sol.v0))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

@@ -57,6 +57,26 @@ def test_negligible_is_absolute_up_to_scale_one_and_relative_above():
     assert not tolerance.negligible(np.nan, 1.0, r)
 
 
+def test_magnitude_is_the_largest_absolute_entry_as_a_float():
+    cases = [
+        (3, 3.0),
+        (-2.5, 2.5),
+        ([1, -5, 2], 5.0),
+        ([[1.0, -2.0], [0.5, 1.5]], 2.0),
+        ([], 0.0),
+        (np.zeros((0, 3)), 0.0),
+        (3 + 4j, 5.0),
+        ([1j, -2 + 0j], 2.0),
+        (-0.0, 0.0),
+    ]
+    for x, want in cases:
+        got = tolerance.magnitude(x)
+        assert type(got) is float and got == want, (x, got)
+    assert np.isnan(tolerance.magnitude(np.nan))
+    assert np.isnan(tolerance.magnitude([1.0, np.nan, 2.0]))
+    assert np.isnan(tolerance.magnitude(complex(np.nan, 0.0)))
+
+
 @pytest.mark.parametrize("s", [1e-14, 1e-6, 1.0, 1e6, 1e14])
 def test_rank_is_scale_invariant(s):
     sv = s * np.array([2.0, 1.0, 1e-13, 0.0])
