@@ -161,20 +161,21 @@ def _canonical_eig_order(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.n
     # can differ from it in the last bit
     v = v / (pivot / np.hypot(pivot.real, pivot.imag))
     # stable tie-break inside degenerate clusters
-    vals = w.tolist()
     gap = tolerance.cut(w, tolerance.ROUNDING)
+    if not np.any(w[:-1] - w[1:] <= gap):
+        return w, v
+    vals = w.tolist()
     i = 0
     while i < len(vals):
         jend = i + 1
         while jend < len(vals) and abs(vals[jend] - vals[i]) <= gap:
             jend += 1
         if jend - i > 1:
-            cols = sorted(
-                range(i, jend),
-                key=lambda k: tuple(np.round(v[:, k], 9).view(float)),
-                reverse=True,
-            )
-            v[:, i:jend] = v[:, cols]
+            # keys: Re and Im of row 0, then of row 1, ...; lexsort's primary key is its last row, and
+            # negated keys sort in descending order with ties kept in place
+            block = np.round(v[:, i:jend], 9)
+            keys = np.stack([block.real, block.imag], axis=1).reshape(-1, jend - i)
+            v[:, i:jend] = v[:, i + np.lexsort(-keys[::-1])]
         i = jend
     return w, v
 

@@ -32,34 +32,49 @@ Work is done in chunks of _CHUNK samples:
   min_m Re a_mm >= -tol max(1, ||a||_F). For a = z @ M the diagonal is
   z @ M[:, ::J+1] and ||a||_F <= B = ||z|| ||M||_F, so the test runs on z
   with B in place of ||a||_F; a is formed, and eigvalsh run, only for the
-  rows that pass.
+  rows that pass. The diagonal columns of M and ||M||_F are taken once per
+  estimate.
   Stability (GinOE): with H = G - tol I, the characteristic polynomial
   det(sI - H) = s^J + c_1 s^(J-1) + ... + c_J of a real H whose eigenvalues
   all have Re <= 0 is a product of factors s + |mu| and
-  s^2 - 2 Re(mu) s + |mu|^2, so every c_k >= 0. The Hurwitz determinant
-  Delta_2 = c_1 c_2 - c_3 is > 0 when every Re lambda < 0, so by continuity
-  (H - eps I, eps -> 0) it is >= 0 when every Re lambda <= 0. One batched
-  H @ H gives p_k = tr H^k for k <= 4, and Newton's identities
-  k c_k = -(c_(k-1) p_1 + c_(k-2) p_2 + ... + c_0 p_k), c_0 = 1, give c_1..c_4.
-  A sample is kept when c_k >= 0 for every k <= min(J, 4) and, for J >= 3,
-  Delta_2 >= 0; at J = 3 (d = 2) that is the whole Hurwitz criterion.
-- Rounding. Let r = sqrt(J) ||H||_F. Then |p_1| <= r (Cauchy-Schwarz on the
-  diagonal) and |tr H^k| <= ||H||_F^k <= r^k (Schur:
-  sum |lambda|^2 <= ||H||_F^2), and c_k and Delta_2 are sums of at most five
-  products of p_i of total degree k (3 for Delta_2) with coefficients of
-  modulus <= 1. eigvals returns the eigenvalues of G + E with ||E|| of order
-  J eps ||G||, and each p_i is summed with an error of order i J eps r^i, so a
-  degree-k condition computed for a sample that eigvals finds stable is
-  within a few hundred J eps r^k of its exact value at G + E, which is >= 0.
+  s^2 - 2 Re(mu) s + |mu|^2, so every c_k >= 0. The Hurwitz determinants
+  Delta_2 = c_1 c_2 - c_3 and Delta_3 = c_1 c_2 c_3 - c_1^2 c_4 - c_3^2 + c_1 c_5
+  are > 0 when every Re lambda < 0, so by continuity (H - eps I, eps -> 0)
+  they are >= 0 when every Re lambda <= 0. Newton's identities
+  k c_k = -(c_(k-1) p_1 + c_(k-2) p_2 + ... + c_0 p_k), c_0 = 1, give c_k from
+  p_k = tr H^k, and c_k = 0 for k > J. The conditions run as a cascade, and
+  each stage sees only the samples that every earlier stage kept:
+    1. c_1 = J tol - tr G, on every sample;
+    2. c_2 from p_2 = sum_mn h_mn h_nm, with no matrix product;
+    3. H^2 = H @ H, then p_3 = tr H^2 H and p_4 = tr H^2 H^2 give c_3, c_4
+       and Delta_2;
+    4. for J >= 4, H^4 = H^2 @ H^2, then p_5 = tr H^4 H and p_6 = tr H^4 H^2
+       give c_5, c_6 and Delta_3.
+  At J = 3 (d = 2) stages 1 to 3 are the whole Hurwitz criterion, and there
+  Delta_3 = c_3 Delta_2 would add nothing. On GinOE chunks at d = 3 and 4
+  about 50%, 23% and 5% of the samples reach stages 2, 3 and 4, and about
+  1.5% reach eigvals, which alone decides the count.
+- Rounding. Let r = sqrt(J) ||G||_F + J tol >= sqrt(J) ||H||_F. Then
+  |p_1| <= r (Cauchy-Schwarz on the diagonal) and |p_k| <= ||H||_F^k <= r^k
+  (Schur: sum |lambda|^2 <= ||H||_F^2). Each c_k is a signed sum, over the
+  partitions of k, of products of p_i of total degree k with coefficients
+  1/z that sum to 1 (the cycle-type probabilities), so |c_k| <= r^k;
+  Delta_2 is two products of degree 3, and Delta_3 four of degree 6.
+  eigvals returns the eigenvalues of G + E with ||E|| of order J eps ||G||,
+  and each p_i is summed with an error of order i J eps r^i, so a degree-k
+  condition computed for a sample that eigvals finds stable is within a few
+  hundred J eps r^k (a few thousand for Delta_3) of its exact value at
+  G + E, which is >= 0.
   For GinOE the diagonal z @ M[:, ::J+1] is a sum of J^2 + J products,
   within (J^2 + J) eps B of the diagonal of the a that eigvalsh sees; for
   GUE each diagonal column of M holds the one nonzero entry sqrt(1/2), so
   the diagonal is a single exact product, the same one that a holds. Each
-  condition is therefore widened by MARGIN (1 + r^k), the PSD one by
-  MARGIN (1 + B), and tolerance.MARGIN = 1e-10 exceeds those errors up to
-  J of several hundred (d of about 20 and more), far beyond the sizes at
-  which a Monte Carlo of J x J eigensolves runs; a sample that fails a
-  widened condition would not have been counted. The PSD verdict itself is
+  condition is therefore widened by MARGIN (1 + r^k), with k = 3 for
+  Delta_2 and k = 6 for Delta_3, the PSD one by MARGIN (1 + B), and
+  tolerance.MARGIN = 1e-10 exceeds those errors up to J of about a hundred
+  (d of about 10), beyond the sizes at which a Monte Carlo of J x J
+  eigensolves runs; a sample that fails a widened condition would not have
+  been counted. The PSD verdict itself is
   tolerance.is_psd on the eigenvalues, with rtol tolerance.DATA for GinOE,
   the one check_lindblad uses by default, and rtol 0 for GUE, whose exact
   probability (gue_p_analytic) counts lambda_min >= 0.
@@ -107,10 +122,18 @@ class CovarianceReport:
     passed: bool
 
 
+def _integer(value, low: int, high: float, requirement: str) -> int:
+    """value as an int when it is an integer (a bool is not) in [low, high]; otherwise
+    ValueError(f"{requirement}, got {value!r}")."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or not low <= value <= high:
+        raise ValueError(f"{requirement}, got {value!r}")
+    return int(value)
+
+
 def wilson_interval(k: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
-    if n < 1:
-        raise ValueError("need at least one sample")
+    n = _integer(n, 1, math.inf, "the sample count must be an integer >= 1")
+    k = _integer(k, -math.inf, math.inf, "a count must be an integer")
     if not 0 <= k <= n:
         raise ValueError(f"a count of {k} is not in [0, n] for n = {n}")
     p = k / n
@@ -123,8 +146,7 @@ def wilson_interval(k: int, n: int, z: float = 1.959963984540054) -> tuple[float
 
 def _normals(seed: int, start: int, count: int, width: int) -> np.ndarray:
     """Row k holds the first width normals of the stream (seed, start + k)."""
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    seed = _integer(seed, 0, 2**64 - 1, "seed must be an integer in [0, 2^64)")
     key = np.array([seed, start], dtype=np.uint64)
     bitgen = np.random.Philox(key=key)
     rng = np.random.Generator(bitgen)
@@ -166,8 +188,7 @@ def _gue_matrix(j: int) -> np.ndarray:
     a_mn = h (X_mn + X_nm) + i h (Y_mn - Y_nm) with h = sqrt(1/2)/2, so the
     column of a_mm holds one nonzero entry, 2h = sqrt(1/2).
     """
-    if j < 1:
-        raise ValueError("matrix size must be at least 1")
+    j = _integer(j, 1, math.inf, "GUE needs size j >= 1 (an integer)")
     h = np.sqrt(0.5) / 2
     eye = np.eye(j * j)
     swap = eye.reshape(j, j, -1).transpose(1, 0, 2).reshape(j * j, j * j)  # row mn is e_nm
@@ -186,41 +207,73 @@ def _rates(rows: np.ndarray, m: np.ndarray) -> np.ndarray:
     return a.reshape(len(rows), j, j)
 
 
-def _psd_candidates(rows: np.ndarray, m: np.ndarray, tol: float) -> np.ndarray:
-    """Mask of the Philox rows z whose a = z @ M can pass tolerance.is_psd, from the diagonal of a alone."""
+def _diagonal_bound(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """What _psd_candidates reads of M: its real diagonal columns M[:, ::J+1], contiguous, and ||M||_F."""
     j = math.isqrt(m.shape[1])
-    min_diag = (rows @ m[:, :: j + 1].real).min(axis=1)
-    fro_bound = np.linalg.norm(rows, axis=1) * np.linalg.norm(m)  # >= ||a||_F
+    return np.ascontiguousarray(m[:, :: j + 1].real), float(np.linalg.norm(m))
+
+
+def _psd_candidates(rows: np.ndarray, diagonal: np.ndarray, m_norm: float, tol: float) -> np.ndarray:
+    """Mask of the Philox rows z whose a = z @ M can pass tolerance.is_psd, from the diagonal of a alone;
+    diagonal and m_norm come from _diagonal_bound(M)."""
+    min_diag = (rows @ diagonal).min(axis=1)
+    fro_bound = np.sqrt(np.einsum("ij,ij->i", rows, rows)) * m_norm  # >= ||a||_F
     return min_diag >= -tolerance.bound(fro_bound, tol) - tolerance.MARGIN * (1.0 + fro_bound)
 
 
-def _count_psd(rows: np.ndarray, m: np.ndarray, tol: float) -> int:
+def _count_psd(rows: np.ndarray, m: np.ndarray, diagonal: np.ndarray, m_norm: float, tol: float) -> int:
     """Rows z whose a = z @ M tolerance.is_psd accepts at rtol tol; a and eigvalsh are for candidates only."""
-    a = _rates(rows[_psd_candidates(rows, m, tol)], m)
+    a = _rates(rows[_psd_candidates(rows, diagonal, m_norm, tol)], m)
     return int(np.sum(tolerance.is_psd(np.linalg.eigvalsh(a), tol)))
 
 
-def _stable_candidates(gs: np.ndarray, tol: float) -> np.ndarray:
-    """Mask of the samples that pass the Routh-Hurwitz conditions of max Re lambda(G) <= tol."""
-    j = gs.shape[-1]
-    h = gs - tol * np.eye(j)
-    h2 = h @ h
-    p = (
-        np.trace(h, axis1=1, axis2=2),
-        np.trace(h2, axis1=1, axis2=2),
-        np.einsum("sij,sji->s", h2, h),
-        np.einsum("sij,sji->s", h2, h2),
-    )[: min(j, 4)]
-    r = np.sqrt(j) * np.linalg.norm(h, axis=(1, 2))
-    c = [1.0]  # c_k of det(sI - H), by Newton's identities
+def _char_coefficients(p: list) -> list:
+    """c_0, ..., c_n of det(sI - H) from p_k = tr H^k, k = 1..n, by Newton's identities."""
+    c = [1.0]
     for k in range(1, len(p) + 1):
         c.append(-sum(c[k - i] * p[i - 1] for i in range(1, k + 1)) / k)
-    keep = np.ones(len(gs), dtype=bool)
-    for k in range(1, len(c)):
-        keep &= c[k] >= -tolerance.MARGIN * (1.0 + r**k)
-    if j >= 3:
-        keep &= c[1] * c[2] - c[3] >= -tolerance.MARGIN * (1.0 + r**3)
-    return keep
+    return c
+
+
+def _hurwitz_conditions(c: list, stage: int) -> list:
+    """The (value, degree) pairs that stage 0..3 of _stable_candidates adds; each value is >= 0 for a stable H."""
+    if stage < 2:
+        return [(c[stage + 1], stage + 1)]
+    if stage == 2:
+        return [(c[3], 3), (c[4], 4), (c[1] * c[2] - c[3], 3)]
+    return [(c[5], 5), (c[6], 6), (c[1] * c[2] * c[3] - c[1] ** 2 * c[4] - c[3] ** 2 + c[1] * c[5], 6)]
+
+
+def _stable_candidates(gs: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the samples that pass the Routh-Hurwitz conditions of max Re lambda(G) <= tol.
+
+    The conditions run in stages, cheapest first, and each stage sees only
+    the samples that every earlier stage kept.
+    """
+    j = gs.shape[-1]
+    kept = np.arange(len(gs))
+    r = np.sqrt(j * np.einsum("sij,sij->s", gs, gs)) + j * tol  # >= sqrt(J) ||H||_F
+    p = [np.einsum("sii->s", gs) - j * tol]  # p_k = tr H^k of the kept samples
+    powers = []  # H, H^2, H^4 of the kept samples
+    for stage in range(min(j, 4)):
+        if stage == 1:
+            powers.append(gs[kept])
+            powers[0] -= tol * np.eye(j)  # in place: a second array of this size costs more than the subtraction
+        elif stage > 1:
+            powers.append(powers[-1] @ powers[-1])
+        # p_(a+b) = tr H^a H^b, without forming the product: p_2 from (H, H), p_3 and p_4 from H^2 with H
+        # and H^2, p_5 and p_6 likewise from H^4
+        p += [np.einsum("sij,sji->s", powers[-1], x) for x in powers[: min(stage, 2)]]
+        c = _char_coefficients(p[:j]) + [0.0] * 6  # c_k = 0 for k > J
+        ok = np.logical_and.reduce(
+            [value >= -tolerance.MARGIN * (1.0 + r**k) for value, k in _hurwitz_conditions(c, stage)]
+        )
+        kept, r = kept[ok], r[ok]
+        p = [x[ok] for x in p]
+        powers = [x[ok] for x in powers]
+    mask = np.zeros(len(gs), dtype=bool)
+    mask[kept] = True
+    return mask
 
 
 def _count_stable(gs: np.ndarray, tol: float) -> int:
@@ -231,8 +284,7 @@ def _count_stable(gs: np.ndarray, tol: float) -> int:
 
 def _ginoe_basis(d: int, basis: NiceBasis | None) -> NiceBasis:
     """The basis of a GinOE experiment in dimension d: the Gell-Mann one unless basis is given."""
-    if d < 2:
-        raise ValueError(f"GinOE needs dimension d >= 2, got {d}")
+    d = _integer(d, 2, math.inf, "GinOE needs dimension d >= 2 (an integer)")
     if basis is None:
         return generate_gell_mann(d)
     if basis.dim != d:
@@ -242,14 +294,14 @@ def _ginoe_basis(d: int, basis: NiceBasis | None) -> NiceBasis:
 
 def _estimate(ensemble: str, size: int, n_samples: int, seed: int, m: np.ndarray, tol: float) -> RarityEstimate:
     """Count the samples whose a = z @ M is PSD at rtol tol and, for GinOE, whose G = z[:J^2] is stable."""
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
+    n_samples = _integer(n_samples, 1, math.inf, "the sample count must be an integer >= 1")
     j = math.isqrt(m.shape[1])
+    diagonal, m_norm = _diagonal_bound(m)
     n_psd = 0
     n_stable = 0 if ensemble == "GinOE" else None
     for start in range(0, n_samples, _CHUNK):
         rows = _normals(seed, start, min(_CHUNK, n_samples - start), len(m))
-        n_psd += _count_psd(rows, m, tol)
+        n_psd += _count_psd(rows, m, diagonal, m_norm, tol)
         if n_stable is not None:
             n_stable += _count_stable(rows[:, : j * j].reshape(-1, j, j), tol)
     lo, hi = wilson_interval(n_psd, n_samples)
@@ -302,8 +354,7 @@ def gue_p_analytic(j: int) -> float:
     j = 1 gives 1/2 and j = 2 gives 1/4 - 1/(2 pi). Both determinants come from
     slogdet; above j = 8 their double-precision ratio is not validated.
     """
-    if not 1 <= j <= 8:
-        raise ValueError(f"the analytic GUE value is implemented for sizes 1 to 8, got {j}")
+    j = _integer(j, 1, 8, "the analytic GUE value is implemented for integer sizes 1 to 8")
     n = np.add.outer(np.arange(j), np.arange(j))
     moments = np.array([math.gamma((k + 1) / 2) for k in range(2 * j - 1)])[n]
     sign_half, log_half = np.linalg.slogdet(moments / 2)
@@ -322,8 +373,7 @@ def _add_moments(s1: np.ndarray, s2: np.ndarray, samples: np.ndarray) -> None:
 def _second_moment_report(ensemble: str, n: int, seed: int, m: np.ndarray, analytic: np.ndarray) -> CovarianceReport:
     """Compare the mean of a_mn a_kl, over a = z @ M of samples 0..n-1, with analytic[m, n, k, l],
     in units of its standard error."""
-    if n < 2:
-        raise ValueError("need at least two samples")
+    n = _integer(n, 2, math.inf, "the sample count must be an integer >= 2")
     size = m.shape[1]
     s1 = np.zeros((size, size), dtype=complex)
     s2 = np.zeros((size, size))

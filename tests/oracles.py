@@ -18,7 +18,10 @@ moveaxis_unreshuffle and unique_step_outward are the np.kron, np.moveaxis
 and np.unique forms of the core and of the stepping, which the library's
 broadcast, transpose and dict forms must equal bit for bit.
 stream, sample_ginoe_pair and sample_gue draw one rarity sample at a time
-from its own Philox stream, the reference for rarity's re-keyed batches.
+from its own Philox stream, the reference for rarity's re-keyed batches;
+stable_candidates_degree4 is the all-at-once Routh-Hurwitz prefilter that
+rarity's staged one must refine. canonical_eig_order is the loop form of
+the eigenvector tie-break, which forward's must equal bit for bit.
 spectrum_relation and dissipator_symmetry evaluate two theorems of the paper
 on the library's own maps: spec(L) = {0} u spec(G), and the four equivalent
 conditions for a Hermitian dissipator.
@@ -402,3 +405,52 @@ def sample_gue(j, rng):
     scale = np.sqrt(0.5)
     a = scale * (rng.standard_normal((j, j)) + 1j * rng.standard_normal((j, j)))
     return (a + a.conj().T) / 2
+
+
+def stable_candidates_degree4(gs, tol):
+    """All-at-once Routh-Hurwitz mask of max Re lambda(G) <= tol: c_1..c_4 and Delta_2 = c_1 c_2 - c_3
+    on every sample, from one batched H @ H and r = sqrt(J) ||H||_F."""
+    j = gs.shape[-1]
+    h = gs - tol * np.eye(j)
+    h2 = h @ h
+    p = (
+        np.trace(h, axis1=1, axis2=2),
+        np.trace(h2, axis1=1, axis2=2),
+        np.einsum("sij,sji->s", h2, h),
+        np.einsum("sij,sji->s", h2, h2),
+    )[: min(j, 4)]
+    r = np.sqrt(j) * np.linalg.norm(h, axis=(1, 2))
+    c = [1.0]  # c_k of det(sI - H), by Newton's identities
+    for k in range(1, len(p) + 1):
+        c.append(-sum(c[k - i] * p[i - 1] for i in range(1, k + 1)) / k)
+    keep = np.ones(len(gs), dtype=bool)
+    for k in range(1, len(c)):
+        keep &= c[k] >= -tolerance.MARGIN * (1.0 + r**k)
+    if j >= 3:
+        keep &= c[1] * c[2] - c[3] >= -tolerance.MARGIN * (1.0 + r**3)
+    return keep
+
+
+def canonical_eig_order(w, v):
+    """forward._canonical_eig_order with its cluster tie-break as a Python loop over every eigenvalue,
+    each cluster sorted by tuple keys of its rounded components."""
+    order = np.argsort(-w, kind="stable")
+    w, v = w[order], v[:, order]
+    pivot = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    v = v / (pivot / np.hypot(pivot.real, pivot.imag))
+    vals = w.tolist()
+    gap = tolerance.cut(w, tolerance.ROUNDING)
+    i = 0
+    while i < len(vals):
+        jend = i + 1
+        while jend < len(vals) and abs(vals[jend] - vals[i]) <= gap:
+            jend += 1
+        if jend - i > 1:
+            cols = sorted(
+                range(i, jend),
+                key=lambda k: tuple(np.round(v[:, k], 9).view(float)),
+                reverse=True,
+            )
+            v[:, i:jend] = v[:, cols]
+        i = jend
+    return w, v

@@ -225,6 +225,41 @@ def test_diagonalize_dissipator_matches_per_column_oracle(d):
             assert np.max(np.abs(op - ref)) <= 1e-15 * max(1.0, np.max(np.abs(ref)))
 
 
+def _eig_order_cases(n, rng):
+    """(w, v) pairs for the eigenvector tie-break: eigh of a = 0, of forced and near clusters, of random
+    data, each at three scales, and hand-made columns whose rounded keys tie."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    # eigenvalues 1, 1 + 0.6 cut, 1 + 1.2 cut, ...: every adjacent gap is within the cut, no run of three is
+    chain = 1.0 + 0.6e-12 * np.arange(n)
+    mats = [
+        np.zeros((n, n)),
+        (q * rng.choice([0.0, 1.0, 2.0], size=n)) @ q.conj().T,
+        np.diag(rng.choice([0.0, 3.0], size=n)),
+        (q * chain) @ q.conj().T,
+        random_meq(2, rng).rates if n == 3 else q @ np.diag(rng.normal(size=n)) @ q.conj().T,
+    ]
+    cases = [np.linalg.eigh(scale * np.asarray(a, dtype=complex)) for a in mats for scale in (1e-8, 1.0, 1e8)]
+    x = q[:, 0]
+    cols = [x, x + 1e-13, q[:, -1], x][:n]
+    cases.append((np.zeros(len(cols)), np.stack(cols, axis=1)))
+    # Re of row 1 ties, so Im of row 1 orders these two before row 2 can
+    cols = np.zeros((n, 2), dtype=complex)
+    cols[:3] = [[1.0, 1.0], [0.2j, 0.5j], [0.3, 0.1]][:n]
+    cases.append((np.zeros(2), cols))
+    return cases
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 15, 24])
+def test_canonical_eig_order_equals_loop_oracle(n):
+    # n = 1 and J at d = 2..5; at d = 1 (J = 0) _diagonal_form returns before the tie-break
+    rng = np.random.default_rng(40 + n)
+    for w, v in _eig_order_cases(n, rng):
+        got_w, got_v = _canonical_eig_order(w, v)
+        ref_w, ref_v = oracles.canonical_eig_order(w, v)
+        assert got_w.tobytes() == ref_w.tobytes()
+        assert got_v.tobytes() == ref_v.tobytes()
+
+
 def test_hermitian_dissipator_checks(basis2):
     rng = np.random.default_rng(4)
     sym = rng.normal(size=(3, 3))

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from lindblad_ode.basis import generate_gell_mann
 from lindblad_ode.rarity import (
     _CHUNK,
     _count_psd,
+    _diagonal_bound,
     _gue_matrix,
     _normals,
     _psd_candidates,
@@ -27,7 +29,7 @@ from lindblad_ode.rarity import (
 )
 from lindblad_ode.tolerance import is_psd
 from lindblad_ode.tolerance import DATA as _PSD_TOL
-from oracles import sample_ginoe_pair, sample_gue
+from oracles import sample_ginoe_pair, sample_gue, stable_candidates_degree4
 from oracles import stream as _stream
 
 # past 2^63, and the sample count crosses a chunk boundary
@@ -201,6 +203,32 @@ def test_experiments_reject_a_seed_that_is_not_a_philox_key(experiment, seed):
         experiment(3, 10, seed)
 
 
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        (estimate_p_gue, (2.0, 100, 1), "GUE needs size j >= 1 (an integer), got 2.0"),
+        (estimate_p_lindblad_ginoe, (2, 2.5, 1), "the sample count must be an integer >= 1, got 2.5"),
+        (estimate_p_lindblad_ginoe, (2.0, 100, 1), "GinOE needs dimension d >= 2 (an integer), got 2.0"),
+        (ginoe_induced_a_covariance, (3, 2.5, 1), "the sample count must be an integer >= 2, got 2.5"),
+        (gue_p_analytic, (2.0,), "the analytic GUE value is implemented for integer sizes 1 to 8, got 2.0"),
+        (wilson_interval, (0.5, 2), "a count must be an integer, got 0.5"),
+        (estimate_p_lindblad_ginoe, (2, True, 1), "the sample count must be an integer >= 1, got True"),
+    ],
+    ids=["gue-size", "ginoe-samples", "ginoe-dim", "covariance-samples", "gue-analytic", "wilson-count", "bool"],
+)
+def test_rarity_rejects_a_size_count_or_seed_that_is_not_an_integer(call, args, message):
+    # these used to raise TypeError from inside numpy or range, or to return a result
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(*args)
+
+
+def test_rarity_accepts_numpy_integers():
+    est = estimate_p_lindblad_ginoe(np.int64(2), np.int64(100), np.uint64(7))
+    assert est == estimate_p_lindblad_ginoe(2, 100, 7)
+    assert type(est.n_samples) is int
+    assert gue_p_analytic(np.int32(2)) == gue_p_analytic(2)
+
+
 def test_gue_covariance_structure():
     report = gue_covariance_check(3, n_samples=50_000, seed=505)
     assert report.passed
@@ -332,6 +360,50 @@ def test_stability_prune_rejects_by_each_new_condition(d, spectrum, failing):
     assert not _stable_candidates(g[None], _PSD_TOL)[0]
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_stability_cascade_refines_the_degree4_prefilter(d):
+    # on real chunks: every row eigvals finds stable is kept, and nothing the all-at-once
+    # c_1..c_4, Delta_2 prefilter drops; at d >= 3 the degree-6 stage prunes more
+    j = d * d - 1
+    for seed in (12, 404, 2**64 - 1):
+        gs = _normals(seed, 0, _CHUNK, j * j + j)[:, : j * j].reshape(-1, j, j)
+        cascade = _stable_candidates(gs, _PSD_TOL)
+        oracle = stable_candidates_degree4(gs, _PSD_TOL)
+        stable = np.linalg.eigvals(gs).real.max(axis=1) <= _PSD_TOL
+        assert not (cascade & ~oracle).any()
+        assert not (stable & ~cascade).any()
+        if d >= 3:
+            assert cascade.sum() < oracle.sum() / 2
+
+
+@pytest.mark.parametrize("j", [4, 8, 15])
+def test_stability_prune_keeps_a_spectrum_whose_delta3_is_zero(j):
+    # (s^2 + 4)(s + 1)(s + 3) s^(J-4): c = 4, 7, 16, 12, 0, 0, so Delta_3 = 448 - 192 - 256 = 0 exactly
+    # while c_1..c_4 and Delta_2 = 12 are positive; only the margin of Delta_3 keeps these samples
+    c1, c2, c3, c4 = 4, 7, 16, 12
+    assert c1 * c2 * c3 - c1**2 * c4 - c3**2 == 0 and c1 * c2 - c3 > 0
+    rng = np.random.default_rng(1000 + j)
+    gs = [
+        scale * _real_matrix_with_spectrum(rng, j, np.array([2j, -2j, -1.0, -3.0])) + _PSD_TOL * np.eye(j)
+        for scale in (1e-3, 1.0, 1e3)
+        for _ in range(10)
+    ]
+    assert _stable_candidates(np.array(gs), _PSD_TOL).all()
+
+
+@pytest.mark.parametrize("j", [4, 8, 15])
+def test_stability_prune_rejects_by_delta3(j):
+    # an unstable G that only Delta_3 rejects: every c_k >= 0 and Delta_2 >= 0, so the degree-4 prefilter keeps it
+    spectrum = np.array([0.1 + 2j, 0.1 - 2j, -1.0, -3.0])
+    c = np.r_[np.poly(spectrum).real, 0.0, 0.0]
+    assert min(c[1:7]) >= 0 and c[1] * c[2] - c[3] > 0
+    assert c[1] * c[2] * c[3] - c[1] ** 2 * c[4] - c[3] ** 2 + c[1] * c[5] < -40
+    g = _real_matrix_with_spectrum(np.random.default_rng(1100 + j), j, spectrum) + _PSD_TOL * np.eye(j)
+    assert np.linalg.eigvals(g).real.max() > 0.09
+    assert stable_candidates_degree4(g[None], _PSD_TOL)[0]
+    assert not _stable_candidates(g[None], _PSD_TOL)[0]
+
+
 def _row_of(a, basis):
     """The Philox row [vec G, sqrt(d) c] whose rate matrix is a (with H = 0)."""
     pair = forward_map(MasterEqParams(np.zeros((basis.dim, basis.dim)), a), basis)
@@ -359,10 +431,10 @@ def test_psd_prefilter_keeps_every_psd_rate_matrix(d):
         edge[mm, mm] = -(15 / 16) * _PSD_TOL * max(1.0, scale)
         rows.append(_row_of(edge, basis))
     rows = np.array(rows)
-    assert _psd_candidates(rows, m, _PSD_TOL).all()
-    assert _count_psd(rows, m, _PSD_TOL) == len(rows)
+    assert _psd_candidates(rows, *_diagonal_bound(m), _PSD_TOL).all()
+    assert _count_psd(rows, m, *_diagonal_bound(m), _PSD_TOL) == len(rows)
     # -a of a PSD a of rank >= 1 has a negative diagonal entry
-    assert not _psd_candidates(-rows, m, _PSD_TOL).any()
+    assert not _psd_candidates(-rows, *_diagonal_bound(m), _PSD_TOL).any()
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -379,7 +451,7 @@ def test_psd_prefilter_keeps_every_row_at_rtol_one(d):
     unit = np.concatenate([cols, g_part, c_part, np.random.default_rng(d).normal(size=(50, j * j + j))])
     rows = np.concatenate([s * unit for s in (1e-3, 1.0, 1e3)])
     assert is_psd(np.linalg.eigvalsh(_rates(rows, m)), 1.0).all()
-    assert _psd_candidates(rows, m, 1.0).all()
+    assert _psd_candidates(rows, *_diagonal_bound(m), 1.0).all()
 
 
 # (n_positive, n_spectrum_stable) recorded before the Routh-Hurwitz and diagonal prefilters
