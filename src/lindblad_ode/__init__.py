@@ -48,7 +48,6 @@ from .rarity import (
     estimate_p_gue,
     estimate_p_lindblad_ginoe,
     ginoe_induced_a_covariance,
-    gue_covariance_check,
     gue_p_analytic,
     wilson_interval,
 )

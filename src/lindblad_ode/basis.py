@@ -7,6 +7,7 @@ Hilbert-Schmidt inner product, with F_0 = I/sqrt(d) and F_1..F_J traceless.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -65,6 +66,14 @@ class ValidationReport:
         )
 
 
+def _integer(value, low: int, high: float, requirement: str) -> int:
+    """value as an int when it is an integer (a bool is not) in [low, high]; otherwise
+    ValueError(f"{requirement}, got {value!r}")."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or not low <= value <= high:
+        raise ValueError(f"{requirement}, got {value!r}")
+    return int(value)
+
+
 def generate_gell_mann(d: int) -> NiceBasis:
     """Normalized generalized Gell-Mann basis for dimension d.
 
@@ -74,8 +83,7 @@ def generate_gell_mann(d: int) -> NiceBasis:
     then the d-1 diagonal traceless matrices of increasing rank.  For d = 3
     this is the standard listing of the eight normalized Gell-Mann matrices.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    d = _integer(d, 1, math.inf, "dimension must be an integer >= 1")
     mats = [np.eye(d, dtype=complex) / np.sqrt(d)]
     pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
     for j, k in pairs:
@@ -96,7 +104,11 @@ def generate_gell_mann(d: int) -> NiceBasis:
 
 
 def verify_nice_basis(basis: NiceBasis, tol: float = tolerance.ROUNDING) -> ValidationReport:
-    """Report the worst violations of the nice-basis axioms; passed compares them with tol."""
+    """Report the worst violations of the nice-basis axioms; passed compares them with tol.
+
+    Raises ValueError when tol is not a finite number >= 0.
+    """
+    tol = tolerance.check_rtol(tol, "tol")
     f = basis.elements
     d = basis.dim
     ident = np.max(np.abs(f[0] - np.eye(d) / np.sqrt(d))) if len(f) else 0.0
@@ -149,7 +161,7 @@ def decoordinatize(coords: np.ndarray, basis: NiceBasis) -> np.ndarray:
 def coherence_vector(rho: np.ndarray, basis: NiceBasis) -> np.ndarray:
     """Real coordinates (v_1..v_J) of a density matrix in the traceless part.
 
-    Requires Tr(rho) = 1 and rho Hermitian up to a negligible residue
+    Requires rho finite, Tr(rho) = 1 and rho Hermitian up to a negligible residue
     (tolerance.DATA).  Warns when the purity bound ||v|| <= sqrt(1 - 1/d) is
     exceeded by more than that.
     """
@@ -157,6 +169,8 @@ def coherence_vector(rho: np.ndarray, basis: NiceBasis) -> np.ndarray:
     d = basis.dim
     if rho.shape != (d, d):
         raise ValueError(f"density matrix shape {rho.shape} incompatible with dimension {d}")
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix must be finite")
     if not tolerance.negligible(np.trace(rho) - 1, rho, tolerance.DATA):
         raise ValueError(f"density matrix trace {np.trace(rho):.6g} != 1")
     if not tolerance.negligible(rho - rho.conj().T, rho, tolerance.DATA):

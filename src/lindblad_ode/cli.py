@@ -131,10 +131,7 @@ def _require(data: dict, key: str):
 
 
 def _tol(args, default: float) -> float:
-    tol = default if args.tol is None else args.tol
-    if not _is_real(tol) or tol < 0:
-        raise CliError(f"--tol must be a finite non-negative number, got {tol!r}")
-    return tol
+    return tolerance.check_rtol(default if args.tol is None else args.tol, "--tol")
 
 
 def _pair_from_input(data: dict, basis) -> OdePair:

@@ -37,8 +37,9 @@ def check_lindblad(pair: OdePair, basis: NiceBasis, tol: float = tolerance.DATA)
 
     The pair is Lindblad iff min eig(a) >= -tol * max(1, ||a||_2)
     (tolerance.is_psd); verdicts with |min eig| within 10x of that threshold
-    are flagged marginal.
+    are flagged marginal. Raises ValueError when tol is not a finite number >= 0.
     """
+    tol = tolerance.check_rtol(tol, "tol")
     a = core.rates(_gc_to_core(pair, basis), basis)
     w, v = np.linalg.eigh(a)
     eigs = w[::-1].copy()

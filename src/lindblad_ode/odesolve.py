@@ -213,7 +213,7 @@ def _step_outward(m: np.ndarray, x0: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def propagator(g: np.ndarray, t: float) -> np.ndarray:
-    """e^{Gt} for a real square matrix G and a real scalar t.
+    """e^{Gt} for a real square matrix G and a real scalar t (a bool is not).
 
     Raises ValueError for any other input, when G t is not finite, and when
     e^{Gt} is not finite (see _expm).
@@ -221,6 +221,8 @@ def propagator(g: np.ndarray, t: float) -> np.ndarray:
     g = np.asarray(g)
     if g.ndim != 2 or g.shape[0] != g.shape[1] or np.ndim(t) != 0:
         raise ValueError(f"propagator needs a square matrix G and a scalar t, got G of shape {g.shape}")
+    if np.asarray(t).dtype == bool:
+        raise ValueError(f"propagator needs a real scalar t, got {t!r}")
     with np.errstate(all="ignore"):
         gt = g * t
     if not np.all(np.isfinite(gt)):

@@ -18,6 +18,12 @@ stable G of GinOE; one loop (_second_moment_report) accumulates moments.
 
 Work is done in chunks of _CHUNK samples:
 
+- Memory. An estimate, and the moment loop, allocate one buffer of _CHUNK
+  rows and refill it for each chunk, so no two chunks of rows are alive at
+  once. M is built J unit rows at a time, so its build holds M and the work
+  arrays of one block. The working set is therefore one chunk of rows, M,
+  and the pruning stages' arrays over part of a chunk, whatever the number
+  of samples.
 - Sampling. A Philox stream is defined by its key alone (Salmon et al.,
   SC'11), so a chunk builds one Philox and re-keys it for each sample
   through its public state: key [seed, index], counter 0, empty buffer.
@@ -91,9 +97,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, tolerance
-from .basis import NiceBasis, generate_gell_mann
+from .basis import NiceBasis, _integer, generate_gell_mann
 
-_CHUNK = 4096
+_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -122,14 +128,6 @@ class CovarianceReport:
     passed: bool
 
 
-def _integer(value, low: int, high: float, requirement: str) -> int:
-    """value as an int when it is an integer (a bool is not) in [low, high]; otherwise
-    ValueError(f"{requirement}, got {value!r}")."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or not low <= value <= high:
-        raise ValueError(f"{requirement}, got {value!r}")
-    return int(value)
-
-
 def wilson_interval(k: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     n = _integer(n, 1, math.inf, "the sample count must be an integer >= 1")
@@ -144,8 +142,9 @@ def wilson_interval(k: int, n: int, z: float = 1.959963984540054) -> tuple[float
     return min(max(0.0, center - half), p), max(min(1.0, center + half), p)
 
 
-def _normals(seed: int, start: int, count: int, width: int) -> np.ndarray:
-    """Row k holds the first width normals of the stream (seed, start + k)."""
+def _normals(seed: int, start: int, count: int, width: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Row k holds the first width normals of the stream (seed, start + k); the rows are out[:count]
+    when out, of width columns, is given."""
     seed = _integer(seed, 0, 2**64 - 1, "seed must be an integer in [0, 2^64)")
     key = np.array([seed, start], dtype=np.uint64)
     bitgen = np.random.Philox(key=key)
@@ -160,7 +159,7 @@ def _normals(seed: int, start: int, count: int, width: int) -> np.ndarray:
         "has_uint32": 0,
         "uinteger": 0,
     }
-    out = np.empty((count, width))
+    out = np.empty((count, width)) if out is None else out[:count]
     for k, row in enumerate(out):
         key[1] = start + k
         bitgen.state = state
@@ -173,13 +172,18 @@ def _rates_matrix(basis: NiceBasis) -> np.ndarray:
 
     A unit row sets one entry of Lhat[1:]: G_ij = Lhat[1+i, 1+j] or
     sqrt(d) c_i = Lhat[1+i, 0], in the order a GinOE stream draws them.
+    The rows are built J at a time, so the work arrays hold one block of them.
     """
     j = basis.J
-    units = np.eye(j * j + j)
-    lhat = np.zeros((len(units), j + 1, j + 1))
-    lhat[:, 1:, 1:] = units[:, : j * j].reshape(-1, j, j)
-    lhat[:, 1:, 0] = units[:, j * j :]
-    return core.rates(core.from_coordinates(lhat, basis), basis).reshape(len(units), j * j)
+    k = np.arange(j * j + j)
+    rows = np.where(k < j * j, 1 + k // j, 1 + k - j * j)
+    cols = np.where(k < j * j, 1 + k % j, 0)
+    m = np.empty((len(k), j * j), dtype=complex)
+    for start in range(0, len(k), j):
+        lhat = np.zeros((j, j + 1, j + 1))
+        lhat[np.arange(j), rows[start : start + j], cols[start : start + j]] = 1.0
+        m[start : start + j] = core.rates(core.from_coordinates(lhat, basis), basis).reshape(j, j * j)
+    return m
 
 
 def _gue_matrix(j: int) -> np.ndarray:
@@ -299,8 +303,9 @@ def _estimate(ensemble: str, size: int, n_samples: int, seed: int, m: np.ndarray
     diagonal, m_norm = _diagonal_bound(m)
     n_psd = 0
     n_stable = 0 if ensemble == "GinOE" else None
+    buffer = np.empty((min(_CHUNK, n_samples), len(m)))
     for start in range(0, n_samples, _CHUNK):
-        rows = _normals(seed, start, min(_CHUNK, n_samples - start), len(m))
+        rows = _normals(seed, start, min(_CHUNK, n_samples - start), len(m), buffer)
         n_psd += _count_psd(rows, m, diagonal, m_norm, tol)
         if n_stable is not None:
             n_stable += _count_stable(rows[:, : j * j].reshape(-1, j, j), tol)
@@ -377,8 +382,9 @@ def _second_moment_report(ensemble: str, n: int, seed: int, m: np.ndarray, analy
     size = m.shape[1]
     s1 = np.zeros((size, size), dtype=complex)
     s2 = np.zeros((size, size))
+    buffer = np.empty((min(_CHUNK, n), len(m)))
     for start in range(0, n, _CHUNK):
-        _add_moments(s1, s2, _rates(_normals(seed, start, min(_CHUNK, n - start), len(m)), m))
+        _add_moments(s1, s2, _rates(_normals(seed, start, min(_CHUNK, n - start), len(m), buffer), m))
     emp = (s1 / n).reshape(analytic.shape)
     var = (s2 - n * np.abs(s1 / n) ** 2) / (n - 1)
     stderr = np.sqrt(np.maximum(var, 0.0) / n).reshape(analytic.shape)
@@ -408,9 +414,3 @@ def ginoe_induced_a_covariance(
     analytic = delta_term - trace_term / d
     return _second_moment_report("GinOE", n_samples, seed, _rates_matrix(basis), analytic)
 
-
-def gue_covariance_check(j: int, n_samples: int, seed: int) -> CovarianceReport:
-    """Compare E(a_mn a_m'n') of GUE samples against (1/2) delta_mn' delta_nm'."""
-    m = _gue_matrix(j)
-    eye = np.eye(j)
-    return _second_moment_report("GUE", n_samples, seed, m, 0.5 * np.einsum("mq,np->mnpq", eye, eye))

@@ -10,9 +10,13 @@
 
 Complete positivity is the first rule on the spectrum of a Hermitian matrix
 (is_psd). Only check_lindblad and verify_nice_basis (through the CLI's --tol),
-is_unital and is_hermiticity_preserving take their tolerance from a caller.
+is_unital and is_hermiticity_preserving take their tolerance from a caller;
+the first two, and the CLI, admit it through check_rtol.
 """
 from __future__ import annotations
+
+import math
+import sys
 
 import numpy as np
 
@@ -31,6 +35,20 @@ SPECTRAL = 1e-8
 # Widening of rarity's pruning conditions against eigensolver rounding; fixed
 # by the proof in the rarity module docstring, not by a choice of accuracy.
 MARGIN = 1e-10
+
+
+def check_rtol(rtol, name: str):
+    """rtol, once it is a real number (a bool is not) in [0, the largest float]; otherwise
+    ValueError(f"{name} must be a finite non-negative number, got {rtol!r}")."""
+    if isinstance(rtol, (bool, np.bool_)):
+        finite = False
+    elif isinstance(rtol, (int, np.integer)):
+        finite = rtol <= sys.float_info.max
+    else:
+        finite = isinstance(rtol, (float, np.floating)) and math.isfinite(rtol)
+    if not finite or rtol < 0:
+        raise ValueError(f"{name} must be a finite non-negative number, got {rtol!r}")
+    return rtol
 
 
 def magnitude(x) -> float:

@@ -20,8 +20,11 @@ broadcast, transpose and dict forms must equal bit for bit.
 stream, sample_ginoe_pair and sample_gue draw one rarity sample at a time
 from its own Philox stream, the reference for rarity's re-keyed batches;
 stable_candidates_degree4 is the all-at-once Routh-Hurwitz prefilter that
-rarity's staged one must refine. canonical_eig_order is the loop form of
-the eigenvector tie-break, which forward's must equal bit for bit.
+rarity's staged one must refine, and rates_matrix_all_at_once the
+single-stack build of rarity's M, which its block-by-block build must equal
+bit for bit. gue_covariance_check runs rarity's moment loop on GUE
+samples. canonical_eig_order is the loop form of the eigenvector
+tie-break, which forward's must equal bit for bit.
 spectrum_relation and dissipator_symmetry evaluate two theorems of the paper
 on the library's own maps: spec(L) = {0} u spec(G), and the four equivalent
 conditions for a Hermitian dissipator.
@@ -45,6 +48,7 @@ from lindblad_ode import (
     tolerance,
 )
 from lindblad_ode.odesolve import _MAX_NORM, _expm, _norm1
+from lindblad_ode.rarity import _gue_matrix, _second_moment_report
 
 
 def q_from_h(h, basis):
@@ -429,6 +433,22 @@ def stable_candidates_degree4(gs, tol):
     if j >= 3:
         keep &= c[1] * c[2] - c[3] >= -tolerance.MARGIN * (1.0 + r**3)
     return keep
+
+
+def rates_matrix_all_at_once(basis):
+    """M with vec a(G, c) = [vec G, sqrt(d) c] @ M, from one stack of all J^2 + J unit Lhat matrices."""
+    j = basis.J
+    units = np.eye(j * j + j)
+    lhat = np.zeros((len(units), j + 1, j + 1))
+    lhat[:, 1:, 1:] = units[:, : j * j].reshape(-1, j, j)
+    lhat[:, 1:, 0] = units[:, j * j :]
+    return core.rates(core.from_coordinates(lhat, basis), basis).reshape(len(units), j * j)
+
+
+def gue_covariance_check(j, n_samples, seed):
+    """Compare E(a_mn a_m'n') of GUE samples against (1/2) delta_mn' delta_nm'."""
+    eye = np.eye(j)
+    return _second_moment_report("GUE", n_samples, seed, _gue_matrix(j), 0.5 * np.einsum("mq,np->mnpq", eye, eye))
 
 
 def canonical_eig_order(w, v):

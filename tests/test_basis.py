@@ -52,6 +52,25 @@ def test_generate_rejects_bad_dim():
         generate_gell_mann(0)
 
 
+@pytest.mark.parametrize("d", [0, 2.5, True, 3.0])
+def test_generate_rejects_a_dim_that_is_not_an_integer_and_names_it(d):
+    # 2.5 and True used to raise TypeError from inside numpy
+    with pytest.raises(ValueError, match=rf"^dimension must be an integer >= 1, got {d!r}$"):
+        generate_gell_mann(d)
+
+
+def test_generate_accepts_a_numpy_integer():
+    basis = generate_gell_mann(np.int64(3))
+    assert type(basis.dim) is int
+    np.testing.assert_array_equal(basis.elements, generate_gell_mann(3).elements)
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf, True, "1e-9"])
+def test_verify_rejects_a_tolerance_that_is_not_finite_and_non_negative(tol):
+    with pytest.raises(ValueError, match=r"^tol must be a finite non-negative number, got "):
+        verify_nice_basis(generate_gell_mann(2), tol)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_structure_constants_properties(d):
     basis = generate_gell_mann(d)
@@ -109,6 +128,16 @@ def test_coherence_vector_properties(d, seed):
 def test_coherence_vector_rejects_bad_trace(basis2):
     with pytest.raises(ValueError):
         coherence_vector(np.eye(2), basis2)  # trace 2
+
+
+@pytest.mark.parametrize("entry", [np.inf, np.nan, complex(0.0, np.inf)])
+def test_coherence_vector_rejects_a_non_finite_rho_without_a_warning(basis2, entry):
+    # an inf entry used to emit a RuntimeWarning from the Hermiticity residue before the ValueError;
+    # filterwarnings = error would turn that warning into the exception instead
+    rho = np.diag([0.5, 0.5]).astype(complex)
+    rho[0, 1] = entry
+    with pytest.raises(ValueError, match="^density matrix must be finite$"):
+        coherence_vector(rho, basis2)
 
 
 def test_coherence_vector_warns_outside_ball(basis2):

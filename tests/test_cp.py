@@ -59,6 +59,15 @@ def test_check_lindblad_rejects_nan(basis2):
         check_lindblad(pair, basis2)
 
 
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf, True, pytest.param(2**1100, id="huge-int")])
+def test_check_lindblad_rejects_a_tolerance_that_is_not_finite_and_non_negative(basis2, tol):
+    # nan and -1 used to report the CP pair G = -I, c = 0 as not Lindblad
+    pair = OdePair(G=-np.eye(3), c=np.zeros(3))
+    assert check_lindblad(pair, basis2).is_lindblad
+    with pytest.raises(ValueError, match=r"^tol must be a finite non-negative number, got "):
+        check_lindblad(pair, basis2, tol=tol)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
 def test_quadratic_form_equals_bilinear(d, seed):

@@ -194,8 +194,10 @@ def test_propagator_properties():
         (np.eye(2), [1.0, 2.0]),
         (np.eye(2) * 1e200, 1e200),
         (np.eye(2) * 1e3, 1.0),
+        (np.eye(2), True),
+        (np.eye(2), np.bool_(False)),
     ],
-    ids=["complex", "not-square", "vector", "time-array", "gt-overflows", "result-overflows"],
+    ids=["complex", "not-square", "vector", "time-array", "gt-overflows", "result-overflows", "bool", "numpy-bool"],
 )
 def test_propagator_rejects_bad_input(g, t):
     with pytest.raises(ValueError, match="propagator"):

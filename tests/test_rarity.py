@@ -10,7 +10,6 @@ from lindblad_ode import (
     estimate_p_lindblad_ginoe,
     forward_map,
     ginoe_induced_a_covariance,
-    gue_covariance_check,
     gue_p_analytic,
     inverse_map,
     wilson_interval,
@@ -29,7 +28,13 @@ from lindblad_ode.rarity import (
 )
 from lindblad_ode.tolerance import is_psd
 from lindblad_ode.tolerance import DATA as _PSD_TOL
-from oracles import sample_ginoe_pair, sample_gue, stable_candidates_degree4
+from oracles import (
+    gue_covariance_check,
+    rates_matrix_all_at_once,
+    sample_ginoe_pair,
+    sample_gue,
+    stable_candidates_degree4,
+)
 from oracles import stream as _stream
 
 # past 2^63, and the sample count crosses a chunk boundary
@@ -258,6 +263,23 @@ def test_ginoe_counts_equal_per_sample_oracle(d):
     np.testing.assert_array_equal(_normals(_BIG_SEED, 0, _N_ACROSS, j * j + j)[:, : j * j].reshape(-1, j, j), gs)
 
 
+def test_normals_fill_a_given_buffer_on_a_partial_last_chunk():
+    width = 15 * 15 + 15
+    buffer = np.full((_CHUNK, width), np.nan)
+    rows = _normals(_BIG_SEED, 2 * _CHUNK, 37, width, buffer)
+    assert rows.shape == (37, width) and np.shares_memory(rows, buffer)
+    assert rows.tobytes() == _normals(_BIG_SEED, 2 * _CHUNK, 37, width).tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_rates_matrix_equals_the_all_at_once_build(d):
+    basis = generate_gell_mann(d)
+    m = _rates_matrix(basis)
+    oracle = rates_matrix_all_at_once(basis)
+    assert m.dtype == oracle.dtype and m.shape == oracle.shape
+    assert m.tobytes() == oracle.tobytes()
+
+
 def _stable_spectrum_block(rng, j):
     """Real block-diagonal matrix whose eigenvalues all have Re <= 0, often exactly 0."""
     b = np.zeros((j, j))
@@ -366,7 +388,7 @@ def test_stability_cascade_refines_the_degree4_prefilter(d):
     # c_1..c_4, Delta_2 prefilter drops; at d >= 3 the degree-6 stage prunes more
     j = d * d - 1
     for seed in (12, 404, 2**64 - 1):
-        gs = _normals(seed, 0, _CHUNK, j * j + j)[:, : j * j].reshape(-1, j, j)
+        gs = _normals(seed, 0, 4096, j * j + j)[:, : j * j].reshape(-1, j, j)
         cascade = _stable_candidates(gs, _PSD_TOL)
         oracle = stable_candidates_degree4(gs, _PSD_TOL)
         stable = np.linalg.eigvals(gs).real.max(axis=1) <= _PSD_TOL
@@ -517,6 +539,17 @@ def _peak_bytes(fn):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_estimate_memory_is_one_chunk_of_rows_and_m(d):
+    # one row buffer serves every chunk, the last one partial, and M is built J rows at a time
+    j = d * d - 1
+    chunk_bytes = _CHUNK * (j * j + j) * np.dtype(float).itemsize
+    m_bytes = _rates_matrix(generate_gell_mann(d)).nbytes
+    estimate_p_lindblad_ginoe(d, n_samples=1, seed=8)  # the first call imports numpy.random, which stays
+    peak = _peak_bytes(lambda: estimate_p_lindblad_ginoe(d, n_samples=3 * _CHUNK + 5, seed=8))
+    assert peak <= 1.6 * (chunk_bytes + m_bytes)
 
 
 def test_covariance_memory_does_not_grow_with_samples():

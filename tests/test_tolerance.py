@@ -1,6 +1,7 @@
 """The tolerance policy: its rules, and a guard that keeps it in one module."""
 import ast
 import io
+import re
 import tokenize
 from pathlib import Path
 
@@ -45,6 +46,19 @@ def test_guard_sees_literals(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("x = 1e-9\ny = f(a, 1e8)\nz = 2.0**52 + 0.5 + 1e-300\n_PADE13 = 64764752532480000\n")
     assert _tolerance_like_literals(probe) == ["probe.py:1: 1e-9", "probe.py:2: 1e8", "probe.py:4: 64764752532480000"]
+
+
+@pytest.mark.parametrize("rtol", [0, 0.0, 1e-9, np.float32(0.5), np.int64(2), 1.7976931348623157e308])
+def test_check_rtol_returns_a_finite_non_negative_number_unchanged(rtol):
+    assert tolerance.check_rtol(rtol, "tol") is rtol
+
+
+@pytest.mark.parametrize(
+    "rtol", [np.nan, np.inf, -1e-9, -1, True, np.bool_(False), "0.1", None, 1j, pytest.param(2**1100, id="huge-int")]
+)
+def test_check_rtol_rejects_and_names_the_value(rtol):
+    with pytest.raises(ValueError, match=rf"^tol must be a finite non-negative number, got {re.escape(repr(rtol))}$"):
+        tolerance.check_rtol(rtol, "tol")
 
 
 def test_negligible_is_absolute_up_to_scale_one_and_relative_above():
