@@ -16,7 +16,6 @@ from .basis import (
 from .cp import (
     CPReport,
     check_lindblad,
-    cp_quadratic_form,
     sample_extreme_ray,
 )
 from .forward import (
@@ -60,11 +59,8 @@ from .superop import (
     apply_faf,
     apply_tensor,
     faf_from_tensor,
-    is_hermiticity_preserving,
-    is_unital,
     superop_matrix,
     tensor_from_faf,
-    tensor_from_map,
     tensor_from_matrix,
 )
 

@@ -45,17 +45,19 @@ class StructureConstants:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Worst-case violations of the nice-basis axioms."""
+    """Worst-case violations of the nice-basis axioms, and the number of elements (a basis has dim^2)."""
 
     identity_violation: float
     hermiticity_violation: float
     trace_violation: float
     orthonormality_violation: float
     tolerance: float
+    element_count: int
+    dim: int
 
     @property
     def passed(self) -> bool:
-        return (
+        return self.element_count == self.dim**2 and (
             max(
                 self.identity_violation,
                 self.hermiticity_violation,
@@ -104,25 +106,22 @@ def generate_gell_mann(d: int) -> NiceBasis:
 
 
 def verify_nice_basis(basis: NiceBasis, tol: float = tolerance.ROUNDING) -> ValidationReport:
-    """Report the worst violations of the nice-basis axioms; passed compares them with tol.
+    """Report the worst violations of the nice-basis axioms; passed compares them with tol and
+    requires the d^2 elements of a basis.
 
     Raises ValueError when tol is not a finite number >= 0.
     """
     tol = tolerance.check_rtol(tol, "tol")
     f = basis.elements
     d = basis.dim
-    ident = np.max(np.abs(f[0] - np.eye(d) / np.sqrt(d))) if len(f) else 0.0
-    herm = float(np.max(np.abs(f - f.conj().transpose(0, 2, 1)))) if len(f) else 0.0
-    traces = np.einsum("iaa->i", f[1:]) if len(f) > 1 else np.zeros(0)
-    trace_viol = float(np.max(np.abs(traces))) if traces.size else 0.0
-    gram = np.einsum("iab,jba->ij", f, f)
-    ortho = float(np.max(np.abs(gram - np.eye(len(f)))))
     return ValidationReport(
-        identity_violation=float(ident),
-        hermiticity_violation=herm,
-        trace_violation=trace_viol,
-        orthonormality_violation=ortho,
+        identity_violation=tolerance.magnitude(f[:1] - np.eye(d) / np.sqrt(d)),
+        hermiticity_violation=tolerance.magnitude(f - f.conj().transpose(0, 2, 1)),
+        trace_violation=tolerance.magnitude(np.einsum("iaa->i", f[1:])),
+        orthonormality_violation=tolerance.magnitude(np.einsum("iab,jba->ij", f, f) - np.eye(len(f))),
         tolerance=tol,
+        element_count=len(f),
+        dim=d,
     )
 
 

@@ -176,6 +176,8 @@ def cmd_verify(args) -> tuple[dict, int]:
     else:
         basis = generate_gell_mann(d)
     report = verify_nice_basis(basis, tol=_tol(args, tolerance.DATA))
+    if report.element_count != d * d:
+        print(f"verify: {report.element_count} elements, a basis of dimension {d} has {d * d}", file=sys.stderr)
     return {
         "dim": d,
         "passed": bool(report.passed),

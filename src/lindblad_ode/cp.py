@@ -1,11 +1,12 @@
 """Complete-positivity decision for a coherence-vector ODE pair (G, c):
-recover the rate matrix a and test it for positive semidefiniteness, the
-equivalent quadratic-form test, and sampling from the extreme rays of the
-cone of completely positive dissipative generators.
+recover the rate matrix a and test it for positive semidefiniteness, and
+sample from the extreme rays of the cone of completely positive dissipative
+generators.
 
-The rate matrix a comes from the core superoperator, and the quadratic form
-is b^dag a b of that a; one eigendecomposition of a gives both the verdict
-and the diagonal form.
+The rate matrix a comes from the core superoperator; one eigendecomposition
+of a gives both the verdict and the diagonal form. The equivalent
+quadratic-form test, sum_i Tr[G~_i B^dag F_i B] = b^dag a b over traceless B,
+is a reference in the tests.
 """
 from __future__ import annotations
 
@@ -61,38 +62,19 @@ def check_lindblad(pair: OdePair, basis: NiceBasis, tol: float = tolerance.DATA)
     )
 
 
-def cp_quadratic_form(pair: OdePair, big_b: np.ndarray, basis: NiceBasis) -> float:
-    """Evaluate sum_i Tr[(sum_j G_ij F_j + c_i I) B^dag F_i B] for traceless B.
-
-    Equals b^dag a b with b_m = Tr(F_m B) and a recovered from (G, c), which
-    is how it is computed; nonnegative for every traceless B exactly when the
-    pair is Lindblad. Exposed for auditing; the verdict in check_lindblad
-    always comes from the eigenvalue test.
-    """
-    b = _traceless_coordinates(big_b, basis)
-    val = b.conj() @ core.rates(_gc_to_core(pair, basis), basis) @ b
-    if not tolerance.negligible(val.imag, val.real, tolerance.DATA):
-        raise ValueError(f"quadratic form is not real (imag {val.imag:.3e})")
-    return float(val.real)
-
-
 def sample_extreme_ray(big_b: np.ndarray, basis: NiceBasis) -> OdePair:
     """Rank-1 dissipative generator of a single Lindblad operator B.
 
     R_kl = Tr[F_k (B F_l B^dag - 1/2 {B^dag B, F_l})], c_k = (1/d) Tr([B, B^dag] F_k);
-    equals the forward map of (H = 0, a = b b^dag) with b_m = Tr(F_m B).
+    equals the forward map of (H = 0, a = b b^dag) with b_m = Tr(F_m B). Raises
+    ValueError unless B is d x d with a negligible trace (tolerance.DATA).
     """
-    b = _traceless_coordinates(big_b, basis)
-    params = MasterEqParams(hamiltonian=np.zeros((basis.dim, basis.dim)), rates=np.outer(b, b.conj()))
-    return forward_map(params, basis)
-
-
-def _traceless_coordinates(big_b: np.ndarray, basis: NiceBasis) -> np.ndarray:
-    """b_m = Tr(F_m B) for m >= 1, once B is d x d and its trace is negligible (tolerance.DATA)."""
     big_b = np.asarray(big_b, dtype=complex)
     d = basis.dim
     if big_b.shape != (d, d):
         raise ValueError(f"B must be {d}x{d}, got {big_b.shape}")
     if not tolerance.negligible(np.trace(big_b), big_b, tolerance.DATA):
         raise ValueError("B must be traceless")
-    return coordinatize(big_b, basis)[1:]
+    b = coordinatize(big_b, basis)[1:]
+    params = MasterEqParams(hamiltonian=np.zeros((d, d)), rates=np.outer(b, b.conj()))
+    return forward_map(params, basis)

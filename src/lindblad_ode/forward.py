@@ -54,7 +54,9 @@ class OdePair:
     """Real pair (G, c) defining v' = G v + c.
 
     Q and R carry the Hamiltonian/dissipative decomposition G = Q + R when
-    the pair was produced by forward_map; both are None otherwise.
+    the pair was produced by forward_map; both are None otherwise. A complex
+    G or c is finite and real up to a negligible imaginary part (tolerance.DATA),
+    which is dropped; otherwise ValueError names the residue.
     """
 
     G: np.ndarray
@@ -63,8 +65,12 @@ class OdePair:
     R: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        g = np.asarray(self.G, dtype=float)
-        c = np.asarray(self.c, dtype=float)
+        g, c = np.asarray(self.G), np.asarray(self.c)
+        if "c" in (g.dtype.kind, c.dtype.kind):
+            if not (np.isfinite(g).all() and np.isfinite(c).all()):
+                raise ValueError("G and c must be finite")
+            g, c = _real(g, "G", tolerance.DATA), _real(c, "c", tolerance.DATA)
+        g, c = np.asarray(g, dtype=float), np.asarray(c, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError(f"G must be square, got {g.shape}")
         if c.shape != (g.shape[0],):
@@ -184,10 +190,12 @@ def diagonalize_dissipator(a: np.ndarray, basis: NiceBasis) -> DiagonalDissipato
     """Diagonal form a = u^dag gamma u; L_alpha = sum_j u*_aj F_j.
 
     Eigenvalues at or below the scale-invariant cut tolerance.ROUNDING * ||a||
-    in magnitude are reported as exact zeros.
+    in magnitude are reported as exact zeros. Raises ValueError when a is not finite.
     """
     a = np.asarray(a, dtype=complex)
     core.basis_columns(a, basis, 1)
+    if not np.isfinite(a).all():
+        raise ValueError("rate matrix a must be finite")
     return _diagonal_form(*np.linalg.eigh(a), basis)
 
 

@@ -116,34 +116,21 @@ def _core_to_gc(s: np.ndarray, basis: NiceBasis) -> OdePair:
     return OdePair(G=lhat[:, 1:], c=lhat[:, 0] / np.sqrt(basis.dim))
 
 
-# The x-tilde tensor (space 3) and the superoperator tensors (spaces 4 and 5)
-# share one layout: xt_ijkl = T[i,j,k,l] = [L(|j><k|)]_il.
-_TO_CORE = {
-    1: _superop,
-    2: _x_to_core,
-    3: lambda t, b: core.from_tensor(t.entries),
-    4: lambda t, b: core.from_tensor(t.entries),
-    5: lambda t, b: core.from_tensor(t.entries),
-    6: _gc_to_core,
-}
+def _tensor_to_core(t, basis: NiceBasis) -> np.ndarray:
+    return core.from_tensor(t.entries)
 
-_FROM_CORE = {
-    1: _core_to_meq,
-    2: _core_to_x,
-    3: lambda s, b: Tensor4(entries=core.to_tensor(s), flavor="x_tilde"),
-    4: lambda s, b: SuperopTensor(entries=core.to_tensor(s)),
-    5: lambda s, b: SuperopTensor(entries=core.to_tensor(s)),
-    6: _core_to_gc,
-}
 
-# the type of each space's values and, for the tensors, the layout of their invariants
+# Each space once: the type of its values, the layout of their invariants (tensors only), the map
+# to the core superoperator S and the map back. The x-tilde tensor (space 3) and the superoperator
+# tensors (spaces 4 and 5) share one layout: xt_ijkl = T[i,j,k,l] = [L(|j><k|)]_il.
+_SUPEROP = (SuperopTensor, "x_tilde", _tensor_to_core, lambda s, b: SuperopTensor(entries=core.to_tensor(s)))
 _SPACES = {
-    1: (MasterEqParams, None),
-    2: (Tensor4, "x"),
-    3: (Tensor4, "x_tilde"),
-    4: (SuperopTensor, "x_tilde"),
-    5: (SuperopTensor, "x_tilde"),
-    6: (OdePair, None),
+    1: (MasterEqParams, None, _superop, _core_to_meq),
+    2: (Tensor4, "x", _x_to_core, _core_to_x),
+    3: (Tensor4, "x_tilde", _tensor_to_core, lambda s, b: Tensor4(entries=core.to_tensor(s), flavor="x_tilde")),
+    4: _SUPEROP,
+    5: _SUPEROP,
+    6: (OdePair, None, _gc_to_core, _core_to_gc),
 }
 
 
@@ -156,7 +143,7 @@ def phi(src: int, dst: int, value, basis: NiceBasis):
     for s in (src, dst):
         if s not in _SPACES:
             raise ValueError(f"space identifier must be 1..6, got {s}")
-    kind, layout = _SPACES[src]
+    kind, layout, to_core, _ = _SPACES[src]
     if not isinstance(value, kind):
         raise ValueError(f"space {src} values must be {kind.__name__}, got {type(value).__name__}")
     if isinstance(value, Tensor4) and value.flavor != layout:
@@ -167,7 +154,7 @@ def phi(src: int, dst: int, value, basis: NiceBasis):
         raise ValueError(f"space {src} value has dimension {value.dim}, the basis has dimension {basis.dim}")
     if layout:
         _check_invariants(value.entries, layout)
-    return _FROM_CORE[dst](_TO_CORE[src](value, basis), basis)
+    return _SPACES[dst][3](to_core(value, basis), basis)
 
 
 # --- decomposition and the image condition ---------------------------------

@@ -8,7 +8,6 @@ applying one to a matrix X is S @ vec(X).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -71,17 +70,6 @@ class FAFRep:
         object.__setattr__(self, "c", c)
 
 
-def tensor_from_map(fn: Callable[[np.ndarray], np.ndarray], d: int) -> SuperopTensor:
-    """Build the rank-4 tensor of a superoperator given as a callable on d x d matrices."""
-    t = np.zeros((d, d, d, d), dtype=complex)
-    for l in range(d):
-        for m in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[l, m] = 1.0
-            t[:, l, m, :] = fn(unit)
-    return SuperopTensor(entries=t)
-
-
 def apply_tensor(t: SuperopTensor, x: np.ndarray) -> np.ndarray:
     return core.apply(core.from_tensor(t.entries), x)
 
@@ -120,14 +108,3 @@ def apply_faf(r: FAFRep, x: np.ndarray, b: NiceBasis) -> np.ndarray:
 def adjoint_faf(r: FAFRep) -> FAFRep:
     """Coefficients of the adjoint: entrywise conjugate."""
     return FAFRep(c=r.c.conj())
-
-
-def is_hermiticity_preserving(m: SuperopMatrix, tol: float) -> bool:
-    """A superoperator preserves Hermiticity iff its coordinate matrix is real."""
-    return float(np.max(np.abs(m.entries.imag), initial=0.0)) <= tol
-
-
-def is_unital(t: SuperopTensor, tol: float) -> bool:
-    """True when E(I) vanishes (Frobenius norm at most tol)."""
-    image_of_identity = np.einsum("klln->kn", t.entries)
-    return float(np.linalg.norm(image_of_identity)) <= tol

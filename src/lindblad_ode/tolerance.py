@@ -9,9 +9,8 @@
   eigenvalue clusters do not change when the data is scaled.
 
 Complete positivity is the first rule on the spectrum of a Hermitian matrix
-(is_psd). Only check_lindblad and verify_nice_basis (through the CLI's --tol),
-is_unital and is_hermiticity_preserving take their tolerance from a caller;
-the first two, and the CLI, admit it through check_rtol.
+(is_psd). Only check_lindblad and verify_nice_basis (through the CLI's --tol)
+take their tolerance from a caller, and both admit it through check_rtol.
 """
 from __future__ import annotations
 

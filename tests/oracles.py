@@ -4,15 +4,19 @@ theorems about them as checks.
 These are the explicit trace and einsum formulas of the paper, one per map,
 written directly over the basis elements, the structure-constant routes
 for c, H and the G = Q + R split, the explicit actions of the dissipator and
-of the sandwich form, the quadratic form of the CP test, and the numerical
+of the sandwich form, the quadratic form of the CP test (cp_quadratic_form,
+the trace sum that equals b^dag a b for traceless B), and the numerical
 ranks of a -> R and a -> (R, c) (these run the library's forward map over a
 basis of the rate matrices). The library derives every map from the
 vec/reshuffle core in `lindblad_ode.core`; the tests compare the two.
-They cost about d^10 and are only meant for small d. expm_extended is the
-matrix exponential in numpy's extended precision, a reference for the
-solver's double-precision one, per_time_trajectory the propagator
-trajectory with one exponential per time, a reference for the library's
-stepping, and modal_trajectory the spectral closed form of v' = G v + c.
+They cost about d^10 and are only meant for small d. tensor_from_map builds
+the tensor of a callable one matrix unit at a time, and is_unital and
+is_hermiticity_preserving judge E(I) = 0 and a real coordinate matrix
+against an absolute bound. expm_extended is the matrix exponential in
+numpy's extended precision, a reference for the solver's double-precision
+one, per_time_trajectory the propagator trajectory with one exponential per
+time, a reference for the library's stepping, and modal_trajectory the
+spectral closed form of v' = G v + c.
 kron_hamiltonian_superop, kron_dissipator_superop, moveaxis_reshuffle,
 moveaxis_unreshuffle and unique_step_outward are the np.kron, np.moveaxis
 and np.unique forms of the core and of the stepping, which the library's
@@ -37,6 +41,7 @@ from scipy.optimize import linear_sum_assignment
 from lindblad_ode import (
     MasterEqParams,
     OdePair,
+    SuperopMatrix,
     SuperopTensor,
     Tensor4,
     adjoint_tensor,
@@ -44,7 +49,6 @@ from lindblad_ode import (
     forward_map,
     liouvillian_matrix,
     structure_constants,
-    tensor_from_map,
     tolerance,
 )
 from lindblad_ode.odesolve import _MAX_NORM, _expm, _norm1
@@ -87,7 +91,7 @@ def g_tilde(g, c, basis):
 
 
 def cp_quadratic_form(pair: OdePair, big_b, basis):
-    """sum_i Tr[G~_i B^dag F_i B]."""
+    """sum_i Tr[G~_i B^dag F_i B]; equals b^dag a b with b_m = Tr(F_m B) for traceless B."""
     gt = g_tilde(pair.G, pair.c, basis)
     big_b = np.asarray(big_b, dtype=complex)
     return np.einsum("iab,bc,icd,da->", gt, big_b.conj().T, basis.traceless, big_b, optimize=True)
@@ -214,6 +218,29 @@ def apply_faf(c, x, basis):
     """sum_ij c_ij F_i X F_j over the full basis."""
     f = basis.elements
     return np.einsum("ij,iab,bc,jcd->ad", c, f, x, f, optimize=True)
+
+
+def tensor_from_map(fn, d) -> SuperopTensor:
+    """The rank-4 tensor of a superoperator given as a callable on d x d matrices, one matrix unit at a time."""
+    t = np.zeros((d, d, d, d), dtype=complex)
+    for l in range(d):
+        for m in range(d):
+            unit = np.zeros((d, d), dtype=complex)
+            unit[l, m] = 1.0
+            image = np.asarray(fn(unit))
+            assert image.shape == (d, d), f"fn must return a {d}x{d} matrix, got shape {image.shape}"
+            t[:, l, m, :] = image
+    return SuperopTensor(entries=t)
+
+
+def is_hermiticity_preserving(m: SuperopMatrix, tol):
+    """A superoperator preserves Hermiticity iff its coordinate matrix is real: max|Im E_ij| <= tol."""
+    return float(np.max(np.abs(m.entries.imag), initial=0.0)) <= tol
+
+
+def is_unital(t: SuperopTensor, tol):
+    """E(I) = sum_l T[k,l,l,n] vanishes: its Frobenius norm is at most tol."""
+    return float(np.linalg.norm(np.einsum("klln->kn", t.entries))) <= tol
 
 
 def superop_hermitian(a, basis, tol):

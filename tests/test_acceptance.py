@@ -18,7 +18,6 @@ from lindblad_ode import (
     OdePair,
     check_lindblad,
     coherence_vector,
-    cp_quadratic_form,
     decompose_g,
     estimate_p_gue,
     estimate_p_lindblad_ginoe,
@@ -176,7 +175,7 @@ def test_acceptance_09_cp_form():
             pair = forward_map(p, basis)
             b = rng.normal(size=J) + 1j * rng.normal(size=J)
             bmat = np.einsum("m,mij->ij", b, basis.traceless)
-            lhs = cp_quadratic_form(pair, bmat, basis)
+            lhs = oracles.cp_quadratic_form(pair, bmat, basis)
             a = inverse_map(pair, basis).rates
             rhs = b.conj() @ a @ b
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))

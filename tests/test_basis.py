@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lindblad_ode import (
+    NiceBasis,
     coherence_vector,
     coordinatize,
     decoordinatize,
@@ -21,6 +22,18 @@ def test_basis_axioms(d):
     assert basis.elements.shape == (d * d, d, d)
     report = verify_nice_basis(basis, tol=1e-12)
     assert report.passed
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_verify_requires_d_squared_elements(count):
+    # (I, sigma_x, sigma_y) / sqrt 2 meets every axiom but is one element short of a basis
+    basis = generate_gell_mann(2)
+    report = verify_nice_basis(NiceBasis(dim=2, elements=basis.elements[:count]), tol=1e-12)
+    assert report.element_count == count and report.dim == 2
+    violations = (report.identity_violation, report.hermiticity_violation, report.trace_violation)
+    assert max(*violations, report.orthonormality_violation) <= 1e-12
+    assert not report.passed
+    assert verify_nice_basis(basis, tol=1e-12).element_count == 4
 
 
 def test_d2_is_normalized_paulis():

