@@ -21,10 +21,20 @@ class NiceBasis:
     """Orthonormal Hermitian operator basis with F_0 = I/sqrt(d).
 
     elements has shape (J+1, d, d); elements[0] is the normalized identity.
+    They are checked on construction: ValueError names the first failure that
+    verify_nice_basis reports at its default tolerance.
     """
 
-    dim: int
     elements: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "elements", np.asarray(self.elements, dtype=complex))
+        if (failure := verify_nice_basis(self.elements).failure) is not None:
+            raise ValueError(failure)
+
+    @property
+    def dim(self) -> int:
+        return self.elements.shape[-1]
 
     @property
     def J(self) -> int:
@@ -56,16 +66,18 @@ class ValidationReport:
     dim: int
 
     @property
+    def failure(self) -> str | None:
+        """The element count unless it is dim^2, else the first axiom above violated beyond tolerance, or None."""
+        if self.element_count != self.dim**2:
+            return f"{self.element_count} elements, a basis of dimension {self.dim} has {self.dim**2}"
+        for axiom in ("identity", "hermiticity", "trace", "orthonormality"):
+            if (violation := getattr(self, f"{axiom}_violation")) > self.tolerance:
+                return f"{axiom} violated by {violation:.3e}, beyond the tolerance {self.tolerance:g}"
+        return None
+
+    @property
     def passed(self) -> bool:
-        return self.element_count == self.dim**2 and (
-            max(
-                self.identity_violation,
-                self.hermiticity_violation,
-                self.trace_violation,
-                self.orthonormality_violation,
-            )
-            <= self.tolerance
-        )
+        return self.failure is None
 
 
 def _integer(value, low: int, high: float, requirement: str) -> int:
@@ -74,6 +86,14 @@ def _integer(value, low: int, high: float, requirement: str) -> int:
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or not low <= value <= high:
         raise ValueError(f"{requirement}, got {value!r}")
     return int(value)
+
+
+def _finite(x, what: str) -> np.ndarray:
+    """x as a complex array, once every entry is finite; otherwise ValueError(f"{what} must be finite")."""
+    x = np.asarray(x, dtype=complex)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} must be finite")
+    return x
 
 
 def generate_gell_mann(d: int) -> NiceBasis:
@@ -102,18 +122,20 @@ def generate_gell_mann(d: int) -> NiceBasis:
         diag[:r] = 1.0
         diag[r] = -r
         mats.append(np.diag(diag).astype(complex) / np.sqrt(r * (r + 1)))
-    return NiceBasis(dim=d, elements=np.array(mats))
+    return NiceBasis(np.array(mats))
 
 
-def verify_nice_basis(basis: NiceBasis, tol: float = tolerance.ROUNDING) -> ValidationReport:
-    """Report the worst violations of the nice-basis axioms; passed compares them with tol and
-    requires the d^2 elements of a basis.
+def verify_nice_basis(elements, tol: float = tolerance.ROUNDING) -> ValidationReport:
+    """Report the worst violations of the nice-basis axioms by any number of d x d matrices, none
+    included; passed compares them with tol and requires the d^2 elements of a basis.
 
-    Raises ValueError when tol is not a finite number >= 0.
+    Raises ValueError when tol is not a finite number >= 0 or elements are not finite d x d matrices, d >= 1.
     """
     tol = tolerance.check_rtol(tol, "tol")
-    f = basis.elements
-    d = basis.dim
+    f = _finite(elements, "basis elements")
+    if f.ndim != 3 or f.shape[1] != f.shape[2] or f.shape[1] < 1:
+        raise ValueError(f"basis elements must be n x n matrices with n >= 1, got shape {f.shape}")
+    d = f.shape[-1]
     return ValidationReport(
         identity_violation=tolerance.magnitude(f[:1] - np.eye(d) / np.sqrt(d)),
         hermiticity_violation=tolerance.magnitude(f - f.conj().transpose(0, 2, 1)),
@@ -126,23 +148,16 @@ def verify_nice_basis(basis: NiceBasis, tol: float = tolerance.ROUNDING) -> Vali
 
 
 def structure_constants(basis: NiceBasis) -> StructureConstants:
-    """Compute f_ijk = -i Tr([F_i, F_j] F_k) for the traceless elements.
-
-    Raises ValueError if the result has an imaginary residue that is not
-    negligible at the scale of the basis, which signals an invalid basis.
-    """
+    """Compute f_ijk = -i Tr([F_i, F_j] F_k) for the traceless elements; it is real, as they are Hermitian."""
     ft = basis.traceless
     prod = np.einsum("iab,jbc->ijac", ft, ft)
     comm = prod - prod.transpose(1, 0, 2, 3)
-    f = -1j * np.einsum("ijab,kba->ijk", comm, ft)
-    if not tolerance.negligible(f.imag, basis.elements, tolerance.DATA):
-        raise ValueError(f"structure constants not real (residue {tolerance.magnitude(f.imag):.3e}); basis invalid")
-    return StructureConstants(f=f.real)
+    return StructureConstants(f=(-1j * np.einsum("ijab,kba->ijk", comm, ft)).real)
 
 
 def coordinatize(x: np.ndarray, basis: NiceBasis) -> np.ndarray:
     """Coordinates X_i = Tr(F_i X); real vector iff X is Hermitian."""
-    x = np.asarray(x, dtype=complex)
+    x = _finite(x, "operator X")
     d = basis.dim
     if x.shape != (d, d):
         raise ValueError(f"operator shape {x.shape} incompatible with dimension {d}")
@@ -151,7 +166,7 @@ def coordinatize(x: np.ndarray, basis: NiceBasis) -> np.ndarray:
 
 def decoordinatize(coords: np.ndarray, basis: NiceBasis) -> np.ndarray:
     """Inverse of coordinatize: X = sum_i coords_i F_i."""
-    coords = np.asarray(coords)
+    coords = _finite(coords, "coordinates")
     if coords.shape != (basis.J + 1,):
         raise ValueError(f"expected {basis.J + 1} coordinates, got {coords.shape}")
     return np.einsum("i,iab->ab", coords, basis.elements)
@@ -164,19 +179,17 @@ def coherence_vector(rho: np.ndarray, basis: NiceBasis) -> np.ndarray:
     (tolerance.DATA).  Warns when the purity bound ||v|| <= sqrt(1 - 1/d) is
     exceeded by more than that.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = _finite(rho, "density matrix")
     d = basis.dim
     if rho.shape != (d, d):
         raise ValueError(f"density matrix shape {rho.shape} incompatible with dimension {d}")
-    if not np.isfinite(rho).all():
-        raise ValueError("density matrix must be finite")
     if not tolerance.negligible(np.trace(rho) - 1, rho, tolerance.DATA):
         raise ValueError(f"density matrix trace {np.trace(rho):.6g} != 1")
     if not tolerance.negligible(rho - rho.conj().T, rho, tolerance.DATA):
         raise ValueError("density matrix is not Hermitian")
     v = np.einsum("iab,ba->i", basis.traceless, rho)
     v = v.real.copy()
-    purity = np.sqrt(1 - 1 / d) if d > 1 else 0.0
+    purity = np.sqrt(1 - 1 / d)
     if np.linalg.norm(v) > purity + tolerance.bound(tolerance.magnitude(rho), tolerance.DATA):
         warnings.warn(
             f"coherence vector norm {np.linalg.norm(v):.6g} exceeds purity bound {purity:.6g}",

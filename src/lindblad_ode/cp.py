@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, tolerance
-from .basis import NiceBasis, coordinatize
+from .basis import NiceBasis, _finite, coordinatize
 from .forward import DiagonalDissipator, MasterEqParams, OdePair, _diagonal_form, forward_map
 from .inverse import _gc_to_core
 
@@ -67,9 +67,9 @@ def sample_extreme_ray(big_b: np.ndarray, basis: NiceBasis) -> OdePair:
 
     R_kl = Tr[F_k (B F_l B^dag - 1/2 {B^dag B, F_l})], c_k = (1/d) Tr([B, B^dag] F_k);
     equals the forward map of (H = 0, a = b b^dag) with b_m = Tr(F_m B). Raises
-    ValueError unless B is d x d with a negligible trace (tolerance.DATA).
+    ValueError unless B is finite and d x d with a negligible trace (tolerance.DATA).
     """
-    big_b = np.asarray(big_b, dtype=complex)
+    big_b = _finite(big_b, "B")
     d = basis.dim
     if big_b.shape != (d, d):
         raise ValueError(f"B must be {d}x{d}, got {big_b.shape}")

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core, tolerance
-from .basis import NiceBasis
+from .basis import NiceBasis, _finite
 
 
 @dataclass(frozen=True)
@@ -17,12 +17,12 @@ class MasterEqParams:
     """Pair (H, a): traceless Hermitian Hamiltonian and Hermitian rate matrix.
 
     H is made traceless on construction by subtracting (Tr H / d) I; the
-    subtracted constant is recorded in trace_shift.
+    subtracted constant is recorded in trace_shift, which is not an argument.
     """
 
     hamiltonian: np.ndarray
     rates: np.ndarray
-    trace_shift: float = 0.0
+    trace_shift: float = field(init=False)
 
     def __post_init__(self):
         h = np.asarray(self.hamiltonian, dtype=complex)
@@ -65,18 +65,16 @@ class OdePair:
     R: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        g, c = np.asarray(self.G), np.asarray(self.c)
-        if "c" in (g.dtype.kind, c.dtype.kind):
-            if not (np.isfinite(g).all() and np.isfinite(c).all()):
-                raise ValueError("G and c must be finite")
+        dtype = complex if np.iscomplexobj(self.G) or np.iscomplexobj(self.c) else float
+        g, c = np.asarray(self.G, dtype=dtype), np.asarray(self.c, dtype=dtype)
+        if not (np.isfinite(g).all() and np.isfinite(c).all()):
+            raise ValueError("G and c must be finite")
+        if dtype is complex:
             g, c = _real(g, "G", tolerance.DATA), _real(c, "c", tolerance.DATA)
-        g, c = np.asarray(g, dtype=float), np.asarray(c, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError(f"G must be square, got {g.shape}")
         if c.shape != (g.shape[0],):
             raise ValueError(f"c must have length {g.shape[0]}, got {c.shape}")
-        if not (np.isfinite(g).all() and np.isfinite(c).all()):
-            raise ValueError("G and c must be finite")
         object.__setattr__(self, "G", g)
         object.__setattr__(self, "c", c)
 
@@ -95,7 +93,7 @@ class DiagonalDissipator:
 
 def apply_dissipator(a: np.ndarray, x: np.ndarray, basis: NiceBasis) -> np.ndarray:
     """sum_ij a_ij (F_i X F_j - 1/2 {F_j F_i, X}); a need not be Hermitian here."""
-    return core.apply(core.dissipator_superop(np.asarray(a, dtype=complex), basis), x)
+    return core.apply(core.dissipator_superop(_finite(a, "rate matrix a"), basis), x)
 
 
 def apply_liouvillian(params: MasterEqParams, x: np.ndarray, basis: NiceBasis) -> np.ndarray:
@@ -117,7 +115,7 @@ def _real(m: np.ndarray, what: str, rtol: float = tolerance.ROUNDING) -> np.ndar
 
 def q_from_h(h: np.ndarray, basis: NiceBasis) -> np.ndarray:
     """Antisymmetric Q with Q_ij = -i Tr(F_i [H, F_j])."""
-    s = core.hamiltonian_superop(np.asarray(h, dtype=complex))
+    s = core.hamiltonian_superop(_finite(h, "Hamiltonian H"))
     return _real(core.coordinates(s, basis)[1:, 1:], "Q")
 
 
@@ -133,7 +131,7 @@ def c_from_a(a: np.ndarray, basis: NiceBasis) -> np.ndarray:
 
 def _dissipator_rc(a: np.ndarray, basis: NiceBasis) -> tuple[np.ndarray, np.ndarray]:
     """(R, c) of the dissipator, declared real together so that c is judged on the scale of R."""
-    s = core.dissipator_superop(np.asarray(a, dtype=complex), basis)
+    s = core.dissipator_superop(_finite(a, "rate matrix a"), basis)
     lhat = _real(core.coordinates(s, basis)[1:], "(R, c)")
     return lhat[:, 1:], lhat[:, 0] / np.sqrt(basis.dim)
 
@@ -192,10 +190,8 @@ def diagonalize_dissipator(a: np.ndarray, basis: NiceBasis) -> DiagonalDissipato
     Eigenvalues at or below the scale-invariant cut tolerance.ROUNDING * ||a||
     in magnitude are reported as exact zeros. Raises ValueError when a is not finite.
     """
-    a = np.asarray(a, dtype=complex)
+    a = _finite(a, "rate matrix a")
     core.basis_columns(a, basis, 1)
-    if not np.isfinite(a).all():
-        raise ValueError("rate matrix a must be finite")
     return _diagonal_form(*np.linalg.eigh(a), basis)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import core, tolerance
 from .basis import NiceBasis
 from .forward import MasterEqParams, OdePair, _real, _superop, q_from_h
-from .superop import SuperopTensor
+from .superop import SuperopTensor, _rank4
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,7 @@ class Tensor4:
     flavor: str
 
     def __post_init__(self):
-        t = np.asarray(self.entries, dtype=complex)
-        if t.ndim != 4 or len(set(t.shape)) != 1:
-            raise ValueError(f"tensor must have shape (d,d,d,d), got {t.shape}")
+        t = _rank4(self.entries)
         if self.flavor not in ("x", "x_tilde"):
             raise ValueError(f"unknown flavor {self.flavor!r}")
         object.__setattr__(self, "entries", t)

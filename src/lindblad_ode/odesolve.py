@@ -36,6 +36,7 @@ itself.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,16 +160,22 @@ class OdeSolution:
         Steps outward from t = 0 on each side of it (see _step_outward): a row
         carries the rounding of every step before it on its side, about
         (steps) 2^s u in all, where the direct form e^{Mt} x0 carries 2^s u.
-        Raises ValueError for times of two or more dimensions, and at the first
-        time, in the order given, where v(t) is not finite, which includes
-        every time whose e^{Mt} _expm would refuse.
+        Raises ValueError for times of two or more dimensions or not integer or
+        float (bools and strings included), and at the first time, in the order
+        given, where v(t) is not finite, which includes every time whose e^{Mt}
+        _expm would refuse.
         A deviation v0 - v_infinity that is exactly 0 gives exactly v_infinity
         at every time, however fast e^{Gt} grows.
         """
-        t = np.asarray(times, dtype=float)
+        t = np.asarray(times)
+        # a list that mixes bools with numbers converts to an integer dtype, so its entries are read as well
+        entries = () if isinstance(times, np.ndarray) else np.asarray(times, dtype=object).flat
+        if t.dtype.kind not in "iuf" or any(isinstance(x, (bool, np.bool_)) for x in entries):
+            got = "a bool" if t.dtype.kind in "biuf" else f"dtype {t.dtype}"
+            raise ValueError(f"times must be integers or floats, got {got}")
         if t.ndim > 1:
             raise ValueError(f"trajectory needs a scalar or a 1-d array of times, got an array of shape {t.shape}")
-        t = t.reshape(-1)
+        t = np.asarray(t, dtype=float).reshape(-1)
         j = len(self.v0)
         if self._x0.any():
             with np.errstate(all="ignore"):
@@ -272,14 +279,16 @@ def solve(pair: OdePair, v0) -> OdeSolution:
 def evolve_density(
     params: MasterEqParams, rho0: np.ndarray, times, basis: NiceBasis
 ) -> list[np.ndarray]:
-    """Evolve a density matrix under the master equation at the given times."""
+    """Evolve a density matrix under the master equation at the given times; raises ValueError unless
+    coherence_vector accepts rho0 and it is positive semidefinite (tolerance.DATA)."""
+    with warnings.catch_warnings():
+        # a rho0 outside the purity ball is not PSD: the error below says so, the warning would repeat it
+        warnings.simplefilter("ignore", UserWarning)
+        v0 = coherence_vector(rho0, basis)
     rho0 = np.asarray(rho0, dtype=complex)
-    d = basis.dim
-    if rho0.shape != (d, d):
-        raise ValueError(f"density matrix must be {d}x{d}, got {rho0.shape}")
     if not tolerance.is_psd(np.linalg.eigvalsh((rho0 + rho0.conj().T) / 2), tolerance.DATA):
         raise ValueError("density matrix is not positive semidefinite")
-    v0 = coherence_vector(rho0, basis)
+    d = basis.dim
     pair = forward_map(params, basis)
     sol = solve(pair, v0)
     rhos = np.eye(d) / d + np.einsum("tk,kab->tab", sol.trajectory(times), basis.traceless)

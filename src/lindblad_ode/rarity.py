@@ -100,6 +100,7 @@ from . import core, tolerance
 from .basis import NiceBasis, _integer, generate_gell_mann
 
 _CHUNK = 1024
+_Z95 = 1.959963984540054  # the two-sided 95% quantile of the standard normal distribution
 
 
 @dataclass(frozen=True)
@@ -128,13 +129,13 @@ class CovarianceReport:
     passed: bool
 
 
-def wilson_interval(k: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
+def wilson_interval(k: int, n: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     n = _integer(n, 1, math.inf, "the sample count must be an integer >= 1")
     k = _integer(k, -math.inf, math.inf, "a count must be an integer")
     if not 0 <= k <= n:
         raise ValueError(f"a count of {k} is not in [0, n] for n = {n}")
-    p = k / n
+    p, z = k / n, _Z95
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
     half = z * np.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denom
@@ -286,14 +287,10 @@ def _count_stable(gs: np.ndarray, tol: float) -> int:
     return int(np.sum(np.linalg.eigvals(gs[cand]).real.max(axis=1) <= tol))
 
 
-def _ginoe_basis(d: int, basis: NiceBasis | None) -> NiceBasis:
-    """The basis of a GinOE experiment in dimension d: the Gell-Mann one unless basis is given."""
-    d = _integer(d, 2, math.inf, "GinOE needs dimension d >= 2 (an integer)")
-    if basis is None:
-        return generate_gell_mann(d)
-    if basis.dim != d:
-        raise ValueError(f"basis has dimension {basis.dim}, but d = {d}")
-    return basis
+def _ginoe_basis(d: int) -> NiceBasis:
+    """The Gell-Mann basis of a GinOE experiment in dimension d. Nice bases differ by an orthogonal O on
+    their traceless parts, and GinOE is invariant under (G, c) -> (O G O^T, O c), so no other is needed."""
+    return generate_gell_mann(_integer(d, 2, math.inf, "GinOE needs dimension d >= 2 (an integer)"))
 
 
 def _estimate(ensemble: str, size: int, n_samples: int, seed: int, m: np.ndarray, tol: float) -> RarityEstimate:
@@ -323,19 +320,16 @@ def _estimate(ensemble: str, size: int, n_samples: int, seed: int, m: np.ndarray
     )
 
 
-def estimate_p_lindblad_ginoe(
-    d: int, n_samples: int, seed: int, basis: NiceBasis | None = None
-) -> RarityEstimate:
+def estimate_p_lindblad_ginoe(d: int, n_samples: int, seed: int) -> RarityEstimate:
     """Fraction of GinOE pairs (G, c) whose recovered rate matrix is PSD.
 
     G has i.i.d. N(0, 1) entries and sqrt(d) c i.i.d. N(0, 1) entries, drawn
     in that order from the Philox stream (seed, k) of sample k; a is a(G, c)
-    in basis, the Gell-Mann one by default. Also counts pairs whose G
+    in the Gell-Mann basis. Also counts pairs whose G
     spectrum is stable (all real parts <= 0); the PSD count never exceeds
     the stable count.
     """
-    basis = _ginoe_basis(d, basis)
-    return _estimate("GinOE", d, n_samples, seed, _rates_matrix(basis), tolerance.DATA)
+    return _estimate("GinOE", d, n_samples, seed, _rates_matrix(_ginoe_basis(d)), tolerance.DATA)
 
 
 def estimate_p_gue(j: int, n_samples: int, seed: int) -> RarityEstimate:
@@ -400,12 +394,10 @@ def _second_moment_report(ensemble: str, n: int, seed: int, m: np.ndarray, analy
     )
 
 
-def ginoe_induced_a_covariance(
-    d: int, n_samples: int, seed: int, basis: NiceBasis | None = None
-) -> CovarianceReport:
+def ginoe_induced_a_covariance(d: int, n_samples: int, seed: int) -> CovarianceReport:
     """Compare E(a_mn a_m'n') of GinOE-induced rate matrices against
-    delta_mn' delta_nm' - (1/d) Tr(F_m' F_n' F_m F_n)."""
-    basis = _ginoe_basis(d, basis)
+    delta_mn' delta_nm' - (1/d) Tr(F_m' F_n' F_m F_n), in the Gell-Mann basis."""
+    basis = _ginoe_basis(d)
     j = basis.J
     ft = basis.traceless
     eye = np.eye(j)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .basis import NiceBasis
+from .basis import NiceBasis, _finite
 
 
 @dataclass(frozen=True)
@@ -25,14 +25,19 @@ class SuperopTensor:
     entries: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.entries, dtype=complex)
-        if t.ndim != 4 or len(set(t.shape)) != 1:
-            raise ValueError(f"tensor must have shape (d,d,d,d), got {t.shape}")
-        object.__setattr__(self, "entries", t)
+        object.__setattr__(self, "entries", _rank4(self.entries))
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
+
+
+def _rank4(entries) -> np.ndarray:
+    """entries as a complex (d, d, d, d) array of finite entries; otherwise ValueError."""
+    t = _finite(entries, "tensor")
+    if t.ndim != 4 or len(set(t.shape)) != 1:
+        raise ValueError(f"tensor must have shape (d,d,d,d), got {t.shape}")
+    return t
 
 
 @dataclass(frozen=True)
@@ -46,7 +51,7 @@ class SuperopMatrix:
     basis: NiceBasis
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=complex)
+        e = _finite(self.entries, "matrix")
         n = self.basis.J + 1
         if e.shape != (n, n):
             raise ValueError(f"matrix must be {n}x{n} for this basis, got {e.shape}")
@@ -64,7 +69,7 @@ class FAFRep:
     c: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.c, dtype=complex)
+        c = _finite(self.c, "coefficient matrix")
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise ValueError(f"coefficient matrix must be square, got {c.shape}")
         object.__setattr__(self, "c", c)

@@ -20,7 +20,7 @@ from conftest import random_density
 def test_basis_axioms(d):
     basis = generate_gell_mann(d)
     assert basis.elements.shape == (d * d, d, d)
-    report = verify_nice_basis(basis, tol=1e-12)
+    report = verify_nice_basis(basis.elements, tol=1e-12)
     assert report.passed
 
 
@@ -28,12 +28,14 @@ def test_basis_axioms(d):
 def test_verify_requires_d_squared_elements(count):
     # (I, sigma_x, sigma_y) / sqrt 2 meets every axiom but is one element short of a basis
     basis = generate_gell_mann(2)
-    report = verify_nice_basis(NiceBasis(dim=2, elements=basis.elements[:count]), tol=1e-12)
+    report = verify_nice_basis(basis.elements[:count], tol=1e-12)
     assert report.element_count == count and report.dim == 2
     violations = (report.identity_violation, report.hermiticity_violation, report.trace_violation)
     assert max(*violations, report.orthonormality_violation) <= 1e-12
     assert not report.passed
-    assert verify_nice_basis(basis, tol=1e-12).element_count == 4
+    assert verify_nice_basis(basis.elements, tol=1e-12).element_count == 4
+    with pytest.raises(ValueError, match=f"^{count} elements, a basis of dimension 2 has 4$"):
+        NiceBasis(basis.elements[:count])
 
 
 def test_d2_is_normalized_paulis():
@@ -81,7 +83,7 @@ def test_generate_accepts_a_numpy_integer():
 @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf, True, "1e-9"])
 def test_verify_rejects_a_tolerance_that_is_not_finite_and_non_negative(tol):
     with pytest.raises(ValueError, match=r"^tol must be a finite non-negative number, got "):
-        verify_nice_basis(generate_gell_mann(2), tol)
+        verify_nice_basis(generate_gell_mann(2).elements, tol)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

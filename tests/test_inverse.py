@@ -266,7 +266,7 @@ def test_maps_are_covariant_under_an_orthogonal_change_of_basis(d, seed):
     rng = np.random.default_rng(7000 + 10 * d + seed)
     o, r = np.linalg.qr(rng.normal(size=(gm.J, gm.J)))
     o = o * np.sign(np.diag(r))
-    rotated = NiceBasis(dim=d, elements=np.concatenate([gm.elements[:1], np.einsum("ij,jab->iab", o, gm.traceless)]))
+    rotated = NiceBasis(np.concatenate([gm.elements[:1], np.einsum("ij,jab->iab", o, gm.traceless)]))
     params = random_meq(d, rng, psd=seed == 0)
     pair = forward_map(params, gm)
     pair_r = forward_map(MasterEqParams(params.hamiltonian, o @ params.rates @ o.T), rotated)

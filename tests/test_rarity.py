@@ -193,13 +193,6 @@ def test_ginoe_covariance_rejects_dimension_one():
         ginoe_induced_a_covariance(1, n_samples=10, seed=0)
 
 
-@pytest.mark.parametrize("experiment", [estimate_p_lindblad_ginoe, ginoe_induced_a_covariance])
-def test_ginoe_rejects_a_basis_of_another_dimension(experiment):
-    with pytest.raises(ValueError, match=r"^basis has dimension 3, but d = 2$"):
-        experiment(2, 10, 0, basis=generate_gell_mann(3))
-    assert experiment(2, 10, 0, basis=generate_gell_mann(2)) == experiment(2, 10, 0)
-
-
 @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
 @pytest.mark.parametrize("experiment", [estimate_p_lindblad_ginoe, estimate_p_gue, ginoe_induced_a_covariance])
 def test_experiments_reject_a_seed_that_is_not_a_philox_key(experiment, seed):
