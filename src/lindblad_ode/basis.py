@@ -28,7 +28,7 @@ class NiceBasis:
     elements: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", np.asarray(self.elements, dtype=complex))
+        object.__setattr__(self, "elements", _numbers(self.elements, "basis elements"))
         if (failure := verify_nice_basis(self.elements).failure) is not None:
             raise ValueError(failure)
 
@@ -88,12 +88,39 @@ def _integer(value, low: int, high: float, requirement: str) -> int:
     return int(value)
 
 
-def _finite(x, what: str) -> np.ndarray:
-    """x as a complex array, once every entry is finite; otherwise ValueError(f"{what} must be finite")."""
-    x = np.asarray(x, dtype=complex)
-    if not np.isfinite(x).all():
-        raise ValueError(f"{what} must be finite")
-    return x
+def _numbers(x, what: str, dtype: type = complex, finite: str | None = "") -> np.ndarray:
+    """x as a float or complex (dtype) array: the one gate of every array argument.
+
+    The ValueError names the operand what. Refused: a bool, string or object dtype, or a bool among
+    numbers (f"{what} must be numbers, got a bool", "integers or floats" for a float dtype); a non-finite
+    entry unless finite is None (f"{finite or what} must be finite"); and, for a float dtype, an imaginary
+    part not negligible at tolerance.DATA (f"{what} has imaginary residue ..."), which is dropped otherwise.
+    """
+    a = np.asarray(x)
+    kind = a.dtype.kind
+    # a list that mixes bools with numbers converts to a number dtype, so its entries are read as well
+    if kind not in "iufc" or not isinstance(x, np.ndarray) and any(
+        isinstance(e, (bool, np.bool_)) for e in np.asarray(x, dtype=object).flat
+    ):
+        got = "a bool" if kind in "biufc" else f"dtype {a.dtype}"
+        raise ValueError(f"{what} must be {'numbers' if dtype is complex else 'integers or floats'}, got {got}")
+    a = a.astype(complex if kind == "c" else dtype, copy=False)
+    if finite is not None and not np.isfinite(a).all():
+        raise ValueError(f"{finite or what} must be finite")
+    return _real(a, what, tolerance.DATA) if kind == "c" and dtype is float else a
+
+
+def _real(m: np.ndarray, what: str, rtol: float = tolerance.ROUNDING) -> np.ndarray:
+    """Re m, once its imaginary residue is negligible at the scale of m."""
+    if not tolerance.negligible(m.imag, m, rtol):
+        raise ValueError(f"{what} has imaginary residue {tolerance.magnitude(m.imag):.3e}")
+    return m.real.copy()
+
+
+def _hermitian(m: np.ndarray, what: str) -> None:
+    """Raise ValueError(f"{what} is not Hermitian") unless m - m^dag is negligible at tolerance.DATA."""
+    if not tolerance.negligible(m - m.conj().T, m, tolerance.DATA):
+        raise ValueError(f"{what} is not Hermitian")
 
 
 def generate_gell_mann(d: int) -> NiceBasis:
@@ -132,7 +159,7 @@ def verify_nice_basis(elements, tol: float = tolerance.ROUNDING) -> ValidationRe
     Raises ValueError when tol is not a finite number >= 0 or elements are not finite d x d matrices, d >= 1.
     """
     tol = tolerance.check_rtol(tol, "tol")
-    f = _finite(elements, "basis elements")
+    f = _numbers(elements, "basis elements")
     if f.ndim != 3 or f.shape[1] != f.shape[2] or f.shape[1] < 1:
         raise ValueError(f"basis elements must be n x n matrices with n >= 1, got shape {f.shape}")
     d = f.shape[-1]
@@ -157,7 +184,7 @@ def structure_constants(basis: NiceBasis) -> StructureConstants:
 
 def coordinatize(x: np.ndarray, basis: NiceBasis) -> np.ndarray:
     """Coordinates X_i = Tr(F_i X); real vector iff X is Hermitian."""
-    x = _finite(x, "operator X")
+    x = _numbers(x, "operator X")
     d = basis.dim
     if x.shape != (d, d):
         raise ValueError(f"operator shape {x.shape} incompatible with dimension {d}")
@@ -166,7 +193,7 @@ def coordinatize(x: np.ndarray, basis: NiceBasis) -> np.ndarray:
 
 def decoordinatize(coords: np.ndarray, basis: NiceBasis) -> np.ndarray:
     """Inverse of coordinatize: X = sum_i coords_i F_i."""
-    coords = _finite(coords, "coordinates")
+    coords = _numbers(coords, "coordinates")
     if coords.shape != (basis.J + 1,):
         raise ValueError(f"expected {basis.J + 1} coordinates, got {coords.shape}")
     return np.einsum("i,iab->ab", coords, basis.elements)
@@ -179,14 +206,13 @@ def coherence_vector(rho: np.ndarray, basis: NiceBasis) -> np.ndarray:
     (tolerance.DATA).  Warns when the purity bound ||v|| <= sqrt(1 - 1/d) is
     exceeded by more than that.
     """
-    rho = _finite(rho, "density matrix")
+    rho = _numbers(rho, "density matrix")
     d = basis.dim
     if rho.shape != (d, d):
         raise ValueError(f"density matrix shape {rho.shape} incompatible with dimension {d}")
     if not tolerance.negligible(np.trace(rho) - 1, rho, tolerance.DATA):
         raise ValueError(f"density matrix trace {np.trace(rho):.6g} != 1")
-    if not tolerance.negligible(rho - rho.conj().T, rho, tolerance.DATA):
-        raise ValueError("density matrix is not Hermitian")
+    _hermitian(rho, "density matrix")
     v = np.einsum("iab,ba->i", basis.traceless, rho)
     v = v.real.copy()
     purity = np.sqrt(1 - 1 / d)

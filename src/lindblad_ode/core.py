@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .basis import NiceBasis, _finite
+from .basis import NiceBasis, _numbers
 
 
 def basis_matrix(basis: NiceBasis) -> np.ndarray:
@@ -113,7 +113,7 @@ def to_tensor(s: np.ndarray) -> np.ndarray:
 def apply(s: np.ndarray, x: np.ndarray) -> np.ndarray:
     """L(X) = S @ vec(X) for a d x d matrix X."""
     d = _dim(s)
-    x = _finite(x, "operator X")
+    x = _numbers(x, "operator X")
     if x.shape != (d, d):
         raise ValueError(f"operator shape {x.shape} incompatible with dimension {d}")
     return (s @ x.ravel()).reshape(d, d)

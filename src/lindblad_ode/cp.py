@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, tolerance
-from .basis import NiceBasis, _finite, coordinatize
+from .basis import NiceBasis, _numbers, coordinatize
 from .forward import DiagonalDissipator, MasterEqParams, OdePair, _diagonal_form, forward_map
 from .inverse import _gc_to_core
 
@@ -69,7 +69,7 @@ def sample_extreme_ray(big_b: np.ndarray, basis: NiceBasis) -> OdePair:
     equals the forward map of (H = 0, a = b b^dag) with b_m = Tr(F_m B). Raises
     ValueError unless B is finite and d x d with a negligible trace (tolerance.DATA).
     """
-    big_b = _finite(big_b, "B")
+    big_b = _numbers(big_b, "B")
     d = basis.dim
     if big_b.shape != (d, d):
         raise ValueError(f"B must be {d}x{d}, got {big_b.shape}")

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core, tolerance
-from .basis import NiceBasis, _finite
+from .basis import NiceBasis, _hermitian, _numbers, _real
 
 
 @dataclass(frozen=True)
@@ -25,20 +25,15 @@ class MasterEqParams:
     trace_shift: float = field(init=False)
 
     def __post_init__(self):
-        h = np.asarray(self.hamiltonian, dtype=complex)
-        a = np.asarray(self.rates, dtype=complex)
+        h, a = _numbers(self.hamiltonian, "Hamiltonian H"), _numbers(self.rates, "rate matrix a")
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValueError(f"Hamiltonian must be square, got {h.shape}")
         d = h.shape[0]
         j = d**2 - 1
         if a.shape != (j, j):
             raise ValueError(f"rate matrix must be {j}x{j} for dimension {d}, got {a.shape}")
-        if not (np.isfinite(h).all() and np.isfinite(a).all()):
-            raise ValueError("H and a must be finite")
-        if not tolerance.negligible(h - h.conj().T, h, tolerance.DATA):
-            raise ValueError("Hamiltonian is not Hermitian")
-        if not tolerance.negligible(a - a.conj().T, a, tolerance.DATA):
-            raise ValueError("rate matrix is not Hermitian")
+        _hermitian(h, "Hamiltonian")
+        _hermitian(a, "rate matrix")
         shift = np.trace(h).real / d
         object.__setattr__(self, "hamiltonian", h - shift * np.eye(d))
         object.__setattr__(self, "rates", a)
@@ -54,9 +49,9 @@ class OdePair:
     """Real pair (G, c) defining v' = G v + c.
 
     Q and R carry the Hamiltonian/dissipative decomposition G = Q + R when
-    the pair was produced by forward_map; both are None otherwise. A complex
-    G or c is finite and real up to a negligible imaginary part (tolerance.DATA),
-    which is dropped; otherwise ValueError names the residue.
+    the pair was produced by forward_map; both are None otherwise. G and c pass
+    basis._numbers as real operands: a negligible imaginary part (tolerance.DATA)
+    is dropped, and ValueError names a larger one.
     """
 
     G: np.ndarray
@@ -65,12 +60,7 @@ class OdePair:
     R: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        dtype = complex if np.iscomplexobj(self.G) or np.iscomplexobj(self.c) else float
-        g, c = np.asarray(self.G, dtype=dtype), np.asarray(self.c, dtype=dtype)
-        if not (np.isfinite(g).all() and np.isfinite(c).all()):
-            raise ValueError("G and c must be finite")
-        if dtype is complex:
-            g, c = _real(g, "G", tolerance.DATA), _real(c, "c", tolerance.DATA)
+        g, c = _numbers(self.G, "G", float, finite="G and c"), _numbers(self.c, "c", float, finite="G and c")
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError(f"G must be square, got {g.shape}")
         if c.shape != (g.shape[0],):
@@ -93,7 +83,7 @@ class DiagonalDissipator:
 
 def apply_dissipator(a: np.ndarray, x: np.ndarray, basis: NiceBasis) -> np.ndarray:
     """sum_ij a_ij (F_i X F_j - 1/2 {F_j F_i, X}); a need not be Hermitian here."""
-    return core.apply(core.dissipator_superop(_finite(a, "rate matrix a"), basis), x)
+    return core.apply(core.dissipator_superop(_numbers(a, "rate matrix a"), basis), x)
 
 
 def apply_liouvillian(params: MasterEqParams, x: np.ndarray, basis: NiceBasis) -> np.ndarray:
@@ -106,32 +96,25 @@ def _superop(params: MasterEqParams, basis: NiceBasis) -> np.ndarray:
     return core.hamiltonian_superop(params.hamiltonian) + core.dissipator_superop(params.rates, basis)
 
 
-def _real(m: np.ndarray, what: str, rtol: float = tolerance.ROUNDING) -> np.ndarray:
-    """Re m, once its imaginary residue is negligible at the scale of m."""
-    if not tolerance.negligible(m.imag, m, rtol):
-        raise ValueError(f"{what} has imaginary residue {tolerance.magnitude(m.imag):.3e}")
-    return m.real.copy()
-
-
 def q_from_h(h: np.ndarray, basis: NiceBasis) -> np.ndarray:
     """Antisymmetric Q with Q_ij = -i Tr(F_i [H, F_j])."""
-    s = core.hamiltonian_superop(_finite(h, "Hamiltonian H"))
+    s = core.hamiltonian_superop(_numbers(h, "Hamiltonian H"))
     return _real(core.coordinates(s, basis)[1:, 1:], "Q")
 
 
 def r_from_a(a: np.ndarray, basis: NiceBasis) -> np.ndarray:
     """R_kl = sum_ij a_ij Tr[F_k (F_i F_l F_j - 1/2 {F_j F_i, F_l})]."""
-    return _dissipator_rc(a, basis)[0]
+    return _dissipator_rc(_numbers(a, "rate matrix a"), basis)[0]
 
 
 def c_from_a(a: np.ndarray, basis: NiceBasis) -> np.ndarray:
     """c_k = (1/d) sum_ij a_ij Tr([F_i, F_j] F_k)."""
-    return _dissipator_rc(a, basis)[1]
+    return _dissipator_rc(_numbers(a, "rate matrix a"), basis)[1]
 
 
 def _dissipator_rc(a: np.ndarray, basis: NiceBasis) -> tuple[np.ndarray, np.ndarray]:
-    """(R, c) of the dissipator, declared real together so that c is judged on the scale of R."""
-    s = core.dissipator_superop(_finite(a, "rate matrix a"), basis)
+    """(R, c) of the dissipator of a gated a, declared real together so that c is judged on the scale of R."""
+    s = core.dissipator_superop(a, basis)
     lhat = _real(core.coordinates(s, basis)[1:], "(R, c)")
     return lhat[:, 1:], lhat[:, 0] / np.sqrt(basis.dim)
 
@@ -188,10 +171,12 @@ def diagonalize_dissipator(a: np.ndarray, basis: NiceBasis) -> DiagonalDissipato
     """Diagonal form a = u^dag gamma u; L_alpha = sum_j u*_aj F_j.
 
     Eigenvalues at or below the scale-invariant cut tolerance.ROUNDING * ||a||
-    in magnitude are reported as exact zeros. Raises ValueError when a is not finite.
+    in magnitude are reported as exact zeros. Raises ValueError when a is not finite,
+    or not Hermitian at tolerance.DATA (eigh would read only its lower triangle).
     """
-    a = _finite(a, "rate matrix a")
+    a = _numbers(a, "rate matrix a")
     core.basis_columns(a, basis, 1)
+    _hermitian(a, "rate matrix")
     return _diagonal_form(*np.linalg.eigh(a), basis)
 
 

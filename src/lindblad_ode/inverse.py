@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, tolerance
-from .basis import NiceBasis
-from .forward import MasterEqParams, OdePair, _real, _superop, q_from_h
+from .basis import NiceBasis, _numbers, _real
+from .forward import MasterEqParams, OdePair, _superop, q_from_h
 from .superop import SuperopTensor, _rank4
 
 
@@ -62,7 +62,7 @@ def _check_invariants(x: np.ndarray, flavor: str) -> None:
 
 def h_from_g(g: np.ndarray, basis: NiceBasis) -> np.ndarray:
     """Traceless Hermitian H = (1/2id) sum_nm G_nm [F_m, F_n]."""
-    return core.hamiltonian(_gc_to_core(OdePair(G=g, c=np.zeros(len(g))), basis))
+    return core.hamiltonian(_gc_to_core(OdePair(G=g, c=np.zeros(np.shape(g)[:1])), basis))
 
 
 def a_from_gc(g: np.ndarray, c: np.ndarray, basis: NiceBasis) -> np.ndarray:
@@ -106,6 +106,8 @@ def _core_to_x(s: np.ndarray, basis: NiceBasis) -> Tensor4:
 
 
 def _gc_to_core(pair: OdePair, basis: NiceBasis) -> np.ndarray:
+    # checks G itself, so that a mismatch names the shape of G, not that of the Lhat built from it
+    core.basis_columns(pair.G, basis, 1)
     return core.from_coordinates(core.gc_coordinates(pair.G, pair.c, basis.dim), basis)
 
 
@@ -161,14 +163,15 @@ def phi(src: int, dst: int, value, basis: NiceBasis):
 def decompose_g(g: np.ndarray, basis: NiceBasis) -> tuple[np.ndarray, np.ndarray]:
     """Split G into the Hamiltonian part Q = q_from_h(h_from_g(G)) and the dissipative part R = G - Q.
 
-    For d >= 3 Q generally differs from the antisymmetric part of G.
+    G is read as OdePair reads it. For d >= 3 Q generally differs from the antisymmetric part of G.
     """
+    g = _numbers(g, "G", float)
     q = q_from_h(h_from_g(g, basis), basis)
-    return q, np.asarray(g, dtype=float) - q
+    return q, g - q
 
 
 def r_image_check(r: np.ndarray, basis: NiceBasis) -> bool:
     """True iff sum_mn R_mn [F_n, F_m] = 2id H(R) is negligible at the scale of R (tolerance.DATA),
-    i.e. R lies in the image of a -> R."""
-    r = np.asarray(r, dtype=float)
+    i.e. R lies in the image of a -> R; R is read as OdePair reads G."""
+    r = _numbers(r, "R", float)
     return tolerance.negligible(2 * basis.dim * tolerance.magnitude(h_from_g(r, basis)), r, tolerance.DATA)

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tolerance
-from .basis import NiceBasis, coherence_vector
+from .basis import NiceBasis, _numbers, coherence_vector
 from .forward import MasterEqParams, OdePair, forward_map
 
 
@@ -160,22 +160,17 @@ class OdeSolution:
         Steps outward from t = 0 on each side of it (see _step_outward): a row
         carries the rounding of every step before it on its side, about
         (steps) 2^s u in all, where the direct form e^{Mt} x0 carries 2^s u.
-        Raises ValueError for times of two or more dimensions or not integer or
-        float (bools and strings included), and at the first time, in the order
-        given, where v(t) is not finite, which includes every time whose e^{Mt}
-        _expm would refuse.
+        Raises ValueError for times of two or more dimensions or that basis._numbers
+        refuses as real operands (bools and strings included), and at the first
+        time, in the order given, where v(t) is not finite, which includes every
+        time whose e^{Mt} _expm would refuse.
         A deviation v0 - v_infinity that is exactly 0 gives exactly v_infinity
         at every time, however fast e^{Gt} grows.
         """
-        t = np.asarray(times)
-        # a list that mixes bools with numbers converts to an integer dtype, so its entries are read as well
-        entries = () if isinstance(times, np.ndarray) else np.asarray(times, dtype=object).flat
-        if t.dtype.kind not in "iuf" or any(isinstance(x, (bool, np.bool_)) for x in entries):
-            got = "a bool" if t.dtype.kind in "biuf" else f"dtype {t.dtype}"
-            raise ValueError(f"times must be integers or floats, got {got}")
+        t = _numbers(times, "times", float, finite=None)
         if t.ndim > 1:
             raise ValueError(f"trajectory needs a scalar or a 1-d array of times, got an array of shape {t.shape}")
-        t = np.asarray(t, dtype=float).reshape(-1)
+        t = t.reshape(-1)
         j = len(self.v0)
         if self._x0.any():
             with np.errstate(all="ignore"):
@@ -220,23 +215,15 @@ def _step_outward(m: np.ndarray, x0: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def propagator(g: np.ndarray, t: float) -> np.ndarray:
-    """e^{Gt} for a real square matrix G and a real scalar t (a bool is not).
+    """e^{Gt} for a real square matrix G and a real scalar t, each read by basis._numbers as a real operand.
 
-    Raises ValueError for any other input, when G t is not finite, and when
-    e^{Gt} is not finite (see _expm).
+    Raises ValueError for any other input, and when e^{Gt} is not finite (see _expm), G t included.
     """
-    g = np.asarray(g)
-    if g.ndim != 2 or g.shape[0] != g.shape[1] or np.ndim(t) != 0:
+    g, t = _numbers(g, "propagator G", float), _numbers(t, "propagator t", float)
+    if g.ndim != 2 or g.shape[0] != g.shape[1] or t.ndim != 0:
         raise ValueError(f"propagator needs a square matrix G and a scalar t, got G of shape {g.shape}")
-    if np.asarray(t).dtype == bool:
-        raise ValueError(f"propagator needs a real scalar t, got {t!r}")
     with np.errstate(all="ignore"):
-        gt = g * t
-    if not np.all(np.isfinite(gt)):
-        raise ValueError("propagator needs a finite G t")
-    if np.any(np.imag(gt) != 0):
-        raise ValueError("propagator needs a real G and t")
-    e = _expm(np.real(gt))
+        e = _expm(g * t)
     if not np.all(np.isfinite(e)):
         raise ValueError("propagator: e^{Gt} is not finite")
     return e
@@ -250,15 +237,13 @@ def solve(pair: OdePair, v0) -> OdeSolution:
     otherwise it steps (v, 1) under [[G, c], [0, 0]] (kind "general"). The
     ranks of G and [G c] behind v_infinity and frozen_consistent are taken at
     their own scale-invariant cut, tolerance.ROUNDING. Raises ValueError when
-    v0 has the wrong length or is not finite.
+    v0 has the wrong length or basis._numbers refuses it as a real operand.
     """
     g, c = pair.G, pair.c
     j = g.shape[0]
-    v0 = np.asarray(v0, dtype=float)
+    v0 = _numbers(v0, "v0", float)
     if v0.shape != (j,):
         raise ValueError(f"v0 must have length {j}, got {v0.shape}")
-    if not np.isfinite(v0).all():
-        raise ValueError("v0 must be finite")
     sv = np.linalg.svd(g, compute_uv=False)
     rank_g = tolerance.rank(sv, tolerance.ROUNDING)
     v_inf = -np.linalg.solve(g, c) if j and rank_g == j else None
@@ -281,11 +266,11 @@ def evolve_density(
 ) -> list[np.ndarray]:
     """Evolve a density matrix under the master equation at the given times; raises ValueError unless
     coherence_vector accepts rho0 and it is positive semidefinite (tolerance.DATA)."""
+    rho0 = _numbers(rho0, "density matrix")
     with warnings.catch_warnings():
         # a rho0 outside the purity ball is not PSD: the error below says so, the warning would repeat it
         warnings.simplefilter("ignore", UserWarning)
         v0 = coherence_vector(rho0, basis)
-    rho0 = np.asarray(rho0, dtype=complex)
     if not tolerance.is_psd(np.linalg.eigvalsh((rho0 + rho0.conj().T) / 2), tolerance.DATA):
         raise ValueError("density matrix is not positive semidefinite")
     d = basis.dim

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .basis import NiceBasis, _finite
+from .basis import NiceBasis, _numbers
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class SuperopTensor:
 
 def _rank4(entries) -> np.ndarray:
     """entries as a complex (d, d, d, d) array of finite entries; otherwise ValueError."""
-    t = _finite(entries, "tensor")
+    t = _numbers(entries, "tensor")
     if t.ndim != 4 or len(set(t.shape)) != 1:
         raise ValueError(f"tensor must have shape (d,d,d,d), got {t.shape}")
     return t
@@ -51,7 +51,7 @@ class SuperopMatrix:
     basis: NiceBasis
 
     def __post_init__(self):
-        e = _finite(self.entries, "matrix")
+        e = _numbers(self.entries, "matrix")
         n = self.basis.J + 1
         if e.shape != (n, n):
             raise ValueError(f"matrix must be {n}x{n} for this basis, got {e.shape}")
@@ -69,7 +69,7 @@ class FAFRep:
     c: np.ndarray
 
     def __post_init__(self):
-        c = _finite(self.c, "coefficient matrix")
+        c = _numbers(self.c, "coefficient matrix")
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise ValueError(f"coefficient matrix must be square, got {c.shape}")
         object.__setattr__(self, "c", c)

@@ -14,8 +14,10 @@ from lindblad_ode import (
     apply_faf,
     apply_liouvillian,
     c_from_a,
+    check_lindblad,
     coordinatize,
     core,
+    decompose_g,
     diagonalize_dissipator,
     evolve_density,
     faf_from_tensor,
@@ -27,6 +29,7 @@ from lindblad_ode import (
     phi,
     q_from_h,
     r_from_a,
+    r_image_check,
     superop_matrix,
 )
 from lindblad_ode.tolerance import DATA as DATA_TOL
@@ -240,10 +243,34 @@ _P3 = MasterEqParams(hamiltonian=_H3, rates=np.eye(8))
         (c_from_a, (np.eye(8),)),
         (evolve_density, (_P3, np.eye(2) / 2, [0.0, 1.0])),
         (diagonalize_dissipator, (np.eye(8),)),
+        (h_from_g, (-np.eye(8),)),
+        (a_from_gc, (-np.eye(8), np.zeros(8))),
+        (inverse_map, (OdePair(-np.eye(8), np.zeros(8)),)),
+        (check_lindblad, (OdePair(-np.eye(8), np.zeros(8)),)),
+        (decompose_g, (-np.eye(8),)),
+        (r_image_check, (-np.eye(8),)),
     ],
     ids=lambda v: getattr(v, "__name__", None),
 )
 def test_maps_name_both_dimensions_given_a_basis_of_another_dimension(fn, operands):
     # d=3 operands with the d=2 basis; the core checks them where it first uses the basis
     with pytest.raises(ValueError, match="operand of dimension 3 does not match the basis of dimension 2"):
+        fn(*operands, generate_gell_mann(2))
+
+
+@pytest.mark.parametrize(
+    "fn, operands",
+    [
+        (h_from_g, (-np.eye(4),)),
+        (a_from_gc, (-np.eye(4), np.zeros(4))),
+        (inverse_map, (OdePair(-np.eye(4), np.zeros(4)),)),
+        (check_lindblad, (OdePair(-np.eye(4), np.zeros(4)),)),
+        (decompose_g, (-np.eye(4),)),
+        (r_image_check, (-np.eye(4),)),
+    ],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_inverse_maps_name_the_shape_of_a_g_of_no_dimension(fn, operands):
+    # a 4 x 4 G is J x J for no d; the message named the (5, 5) Lhat built from it
+    with pytest.raises(ValueError, match=r"^operand of shape \(4, 4\) does not match the basis of dimension 2$"):
         fn(*operands, generate_gell_mann(2))

@@ -233,6 +233,16 @@ def test_diagonalize_dissipator_rejects_a_non_finite_rate_matrix(basis2, entry):
         diagonalize_dissipator(a, basis2)
 
 
+@pytest.mark.parametrize("transpose", [False, True], ids=["upper", "lower"])
+def test_diagonalize_dissipator_rejects_a_rate_matrix_that_is_not_hermitian(basis2, transpose):
+    # eigh reads the lower triangle alone: gamma was (1, 1, 1) for this a and (6, 1, -4) for its transpose
+    a = np.array([[1.0, 5.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(ValueError, match=r"^rate matrix is not Hermitian$"):
+        diagonalize_dissipator(a.T if transpose else a, basis2)
+    # a residue negligible at tolerance.DATA is accepted, as MasterEqParams accepts it
+    a = np.eye(3) + np.triu(np.full((3, 3), 1e-12), 1)
+    np.testing.assert_allclose(diagonalize_dissipator(a, basis2).gamma, np.ones(3), rtol=1e-12)
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_diagonalize_dissipator_matches_per_column_oracle(d):
     basis = generate_gell_mann(d)
