@@ -107,20 +107,22 @@ def _numbers(x, what: str, dtype: type = complex, finite: str | None = "") -> np
     a = a.astype(complex if kind == "c" else dtype, copy=False)
     if finite is not None and not np.isfinite(a).all():
         raise ValueError(f"{finite or what} must be finite")
-    return _real(a, what, tolerance.DATA) if kind == "c" and dtype is float else a
+    return _real(a, what) if kind == "c" and dtype is float else a
 
 
-def _real(m: np.ndarray, what: str, rtol: float = tolerance.ROUNDING) -> np.ndarray:
-    """Re m, once its imaginary residue is negligible at the scale of m."""
-    if not tolerance.negligible(m.imag, m, rtol):
+def _real(m: np.ndarray, what: str) -> np.ndarray:
+    """Re m, once its imaginary residue is negligible at the scale of m (tolerance.DATA)."""
+    if not tolerance.negligible(m.imag, m, tolerance.DATA):
         raise ValueError(f"{what} has imaginary residue {tolerance.magnitude(m.imag):.3e}")
     return m.real.copy()
 
 
-def _hermitian(m: np.ndarray, what: str) -> None:
-    """Raise ValueError(f"{what} is not Hermitian") unless m - m^dag is negligible at tolerance.DATA."""
-    if not tolerance.negligible(m - m.conj().T, m, tolerance.DATA):
+def _hermitian(m: np.ndarray, what: str) -> np.ndarray:
+    """The Hermitian part (m + m^dag)/2 of m, once m - m^dag is negligible at tolerance.DATA (else
+    ValueError(f"{what} is not Hermitian")); an exactly Hermitian m is returned as it is."""
+    if not tolerance.negligible(defect := m - m.conj().T, m, tolerance.DATA):
         raise ValueError(f"{what} is not Hermitian")
+    return (m + m.conj().T) / 2 if defect.any() else m
 
 
 def generate_gell_mann(d: int) -> NiceBasis:

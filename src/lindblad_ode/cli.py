@@ -24,7 +24,7 @@ import numpy as np
 from . import tolerance
 from .basis import NiceBasis, generate_gell_mann, structure_constants, verify_nice_basis
 from .cp import check_lindblad
-from .forward import MasterEqParams, OdePair, forward_map
+from .forward import MasterEqParams, OdePair, forward_map, q_from_h, r_from_a
 from .inverse import decompose_g, h_from_g, inverse_map, r_image_check
 from .odesolve import evolve_density, solve
 from .rarity import estimate_p_gue, estimate_p_lindblad_ginoe
@@ -188,12 +188,13 @@ def cmd_verify(args) -> tuple[dict, int]:
 
 def cmd_forward(args) -> tuple[dict, int]:
     basis = _basis(args)
-    pair = forward_map(_meq_from_input(_load_input(args.input), basis), basis)
+    params = _meq_from_input(_load_input(args.input), basis)
+    pair = forward_map(params, basis)
     return {
         "G": _real_out(pair.G),
         "c": _real_out(pair.c),
-        "Q": _real_out(pair.Q),
-        "R": _real_out(pair.R),
+        "Q": _real_out(q_from_h(params.hamiltonian, basis)),
+        "R": _real_out(r_from_a(params.rates, basis)),
     }, 0
 
 

@@ -16,8 +16,8 @@ from .basis import NiceBasis, _hermitian, _numbers, _real
 class MasterEqParams:
     """Pair (H, a): traceless Hermitian Hamiltonian and Hermitian rate matrix.
 
-    H is made traceless on construction by subtracting (Tr H / d) I; the
-    subtracted constant is recorded in trace_shift, which is not an argument.
+    Each is stored as its Hermitian part, once its Hermiticity defect is negligible at tolerance.DATA.
+    H is made traceless by subtracting (Tr H / d) I, recorded in trace_shift, which is not an argument.
     """
 
     hamiltonian: np.ndarray
@@ -25,15 +25,10 @@ class MasterEqParams:
     trace_shift: float = field(init=False)
 
     def __post_init__(self):
-        h, a = _numbers(self.hamiltonian, "Hamiltonian H"), _numbers(self.rates, "rate matrix a")
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise ValueError(f"Hamiltonian must be square, got {h.shape}")
+        h = _hamiltonian_matrix(self.hamiltonian)
         d = h.shape[0]
-        j = d**2 - 1
-        if a.shape != (j, j):
-            raise ValueError(f"rate matrix must be {j}x{j} for dimension {d}, got {a.shape}")
-        _hermitian(h, "Hamiltonian")
-        _hermitian(a, "rate matrix")
+        a = _rate_matrix(self.rates, d)
+        h, a = _hermitian(h, "Hamiltonian"), _hermitian(a, "rate matrix")
         shift = np.trace(h).real / d
         object.__setattr__(self, "hamiltonian", h - shift * np.eye(d))
         object.__setattr__(self, "rates", a)
@@ -44,20 +39,32 @@ class MasterEqParams:
         return self.hamiltonian.shape[0]
 
 
+def _hamiltonian_matrix(h) -> np.ndarray:
+    """h through the input gate, once it is one square matrix."""
+    h = _numbers(h, "Hamiltonian H")
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"Hamiltonian must be square, got {h.shape}")
+    return h
+
+
+def _rate_matrix(a, d: int, any_size: bool = False) -> np.ndarray:
+    """a through the input gate, once it is one J x J matrix, J = d^2 - 1 (with any_size, one matrix the core sizes)."""
+    a, j = _numbers(a, "rate matrix a"), d**2 - 1
+    if a.ndim != 2 or not any_size and a.shape != (j, j):
+        raise ValueError(f"rate matrix must be {j}x{j} for dimension {d}, got {a.shape}")
+    return a
+
+
 @dataclass(frozen=True)
 class OdePair:
     """Real pair (G, c) defining v' = G v + c.
 
-    Q and R carry the Hamiltonian/dissipative decomposition G = Q + R when
-    the pair was produced by forward_map; both are None otherwise. G and c pass
-    basis._numbers as real operands: a negligible imaginary part (tolerance.DATA)
-    is dropped, and ValueError names a larger one.
+    G and c pass basis._numbers as real operands: a negligible imaginary part (tolerance.DATA) is
+    dropped, and ValueError names a larger one. G = Q + R splits by q_from_h and r_from_a, or decompose_g.
     """
 
     G: np.ndarray
     c: np.ndarray
-    Q: np.ndarray | None = field(default=None, compare=False)
-    R: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         g, c = _numbers(self.G, "G", float, finite="G and c"), _numbers(self.c, "c", float, finite="G and c")
@@ -83,7 +90,7 @@ class DiagonalDissipator:
 
 def apply_dissipator(a: np.ndarray, x: np.ndarray, basis: NiceBasis) -> np.ndarray:
     """sum_ij a_ij (F_i X F_j - 1/2 {F_j F_i, X}); a need not be Hermitian here."""
-    return core.apply(core.dissipator_superop(_numbers(a, "rate matrix a"), basis), x)
+    return core.apply(core.dissipator_superop(_rate_matrix(a, basis.dim, any_size=True), basis), x)
 
 
 def apply_liouvillian(params: MasterEqParams, x: np.ndarray, basis: NiceBasis) -> np.ndarray:
@@ -96,34 +103,30 @@ def _superop(params: MasterEqParams, basis: NiceBasis) -> np.ndarray:
     return core.hamiltonian_superop(params.hamiltonian) + core.dissipator_superop(params.rates, basis)
 
 
+def _core_to_gc(s: np.ndarray, basis: NiceBasis) -> OdePair:
+    """(G, c) of the core superoperator S: the rows 1..J of Lhat, real at tolerance.DATA."""
+    lhat = _real(core.coordinates(s, basis)[1:], "(G, c) of the superoperator")
+    return OdePair(G=lhat[:, 1:], c=lhat[:, 0] / np.sqrt(basis.dim))
+
+
 def q_from_h(h: np.ndarray, basis: NiceBasis) -> np.ndarray:
-    """Antisymmetric Q with Q_ij = -i Tr(F_i [H, F_j])."""
-    s = core.hamiltonian_superop(_numbers(h, "Hamiltonian H"))
-    return _real(core.coordinates(s, basis)[1:, 1:], "Q")
+    """Antisymmetric Q with Q_ij = -i Tr(F_i [H, F_j]): the G of the Hamiltonian term alone."""
+    return _core_to_gc(core.hamiltonian_superop(_hamiltonian_matrix(h)), basis).G
 
 
 def r_from_a(a: np.ndarray, basis: NiceBasis) -> np.ndarray:
-    """R_kl = sum_ij a_ij Tr[F_k (F_i F_l F_j - 1/2 {F_j F_i, F_l})]."""
-    return _dissipator_rc(_numbers(a, "rate matrix a"), basis)[0]
+    """R_kl = sum_ij a_ij Tr[F_k (F_i F_l F_j - 1/2 {F_j F_i, F_l})]: the G of the dissipator alone."""
+    return _core_to_gc(core.dissipator_superop(_rate_matrix(a, basis.dim, any_size=True), basis), basis).G
 
 
 def c_from_a(a: np.ndarray, basis: NiceBasis) -> np.ndarray:
     """c_k = (1/d) sum_ij a_ij Tr([F_i, F_j] F_k)."""
-    return _dissipator_rc(_numbers(a, "rate matrix a"), basis)[1]
-
-
-def _dissipator_rc(a: np.ndarray, basis: NiceBasis) -> tuple[np.ndarray, np.ndarray]:
-    """(R, c) of the dissipator of a gated a, declared real together so that c is judged on the scale of R."""
-    s = core.dissipator_superop(a, basis)
-    lhat = _real(core.coordinates(s, basis)[1:], "(R, c)")
-    return lhat[:, 1:], lhat[:, 0] / np.sqrt(basis.dim)
+    return _core_to_gc(core.dissipator_superop(_rate_matrix(a, basis.dim, any_size=True), basis), basis).c
 
 
 def forward_map(params: MasterEqParams, basis: NiceBasis) -> OdePair:
-    """Map (H, a) to the ODE pair (G = Q + R, c)."""
-    q = q_from_h(params.hamiltonian, basis)
-    r, c = _dissipator_rc(params.rates, basis)
-    return OdePair(G=q + r, c=c, Q=q, R=r)
+    """Map (H, a) to the ODE pair (G, c) as phi(1, 6) does; G = q_from_h(H) + r_from_a(a) up to rounding."""
+    return _core_to_gc(_superop(params, basis), basis)
 
 
 def liouvillian_matrix(params: MasterEqParams, basis: NiceBasis) -> np.ndarray:
@@ -174,7 +177,7 @@ def diagonalize_dissipator(a: np.ndarray, basis: NiceBasis) -> DiagonalDissipato
     in magnitude are reported as exact zeros. Raises ValueError when a is not finite,
     or not Hermitian at tolerance.DATA (eigh would read only its lower triangle).
     """
-    a = _numbers(a, "rate matrix a")
+    a = _rate_matrix(a, basis.dim, any_size=True)
     core.basis_columns(a, basis, 1)
     _hermitian(a, "rate matrix")
     return _diagonal_form(*np.linalg.eigh(a), basis)

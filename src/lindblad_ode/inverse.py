@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, tolerance
-from .basis import NiceBasis, _numbers, _real
-from .forward import MasterEqParams, OdePair, _superop, q_from_h
+from .basis import NiceBasis, _numbers
+from .forward import MasterEqParams, OdePair, _core_to_gc, _superop, q_from_h
 from .superop import SuperopTensor, _rank4
 
 
@@ -111,11 +111,6 @@ def _gc_to_core(pair: OdePair, basis: NiceBasis) -> np.ndarray:
     return core.from_coordinates(core.gc_coordinates(pair.G, pair.c, basis.dim), basis)
 
 
-def _core_to_gc(s: np.ndarray, basis: NiceBasis) -> OdePair:
-    lhat = _real(core.coordinates(s, basis)[1:], "(G, c) of the superoperator", tolerance.DATA)
-    return OdePair(G=lhat[:, 1:], c=lhat[:, 0] / np.sqrt(basis.dim))
-
-
 def _tensor_to_core(t, basis: NiceBasis) -> np.ndarray:
     return core.from_tensor(t.entries)
 
@@ -148,8 +143,6 @@ def phi(src: int, dst: int, value, basis: NiceBasis):
         raise ValueError(f"space {src} values must be {kind.__name__}, got {type(value).__name__}")
     if isinstance(value, Tensor4) and value.flavor != layout:
         raise ValueError(f"space {src} expects flavor {layout!r}, got {value.flavor!r}")
-    if src == 6 and value.G.shape != (basis.J, basis.J):
-        raise ValueError(f"space 6 value has G of shape {value.G.shape}, the basis has dimension {basis.dim}")
     if src != 6 and value.dim != basis.dim:
         raise ValueError(f"space {src} value has dimension {value.dim}, the basis has dimension {basis.dim}")
     if layout:

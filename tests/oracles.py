@@ -269,7 +269,7 @@ def dissipator_symmetry(a, basis):
         "superop_hermitian": zero(s - s.conj().T),
         "rates_symmetric": zero(a - a.T),
         "rates_real": zero(a.imag),
-        "r_symmetric_and_c_zero": zero(pair.R - pair.R.T) and zero(pair.c),
+        "r_symmetric_and_c_zero": zero(pair.G - pair.G.T) and zero(pair.c),
     }
 
 
@@ -301,7 +301,7 @@ def image_dimensions(basis):
         forward_map(MasterEqParams(hamiltonian=zero_h, rates=(y + y.T) / 2 + 0.5j * (y - y.T)), basis)
         for y in np.eye(j * j).reshape(-1, j, j)
     ]
-    rs = np.array([p.R for p in pairs])
+    rs = np.array([p.G for p in pairs])
     rows_r = rs.reshape(j * j, -1)
 
     def _rank(m):

@@ -1,5 +1,6 @@
 """The input contract of the exported names: a malformed input raises ValueError with its message and
 emits no warning, and a value the package derives cannot be passed in."""
+import dataclasses
 import re
 import warnings
 
@@ -39,6 +40,23 @@ MALFORMED = {
     "at-string": (lambda: SOLUTION.at("1"), "times must be integers or floats, got dtype <U1"),
     "evolve-bool-time": (
         lambda: lo.evolve_density(PARAMS, RHO, [0.0, True], GM2), "times must be integers or floats, got a bool"
+    ),
+    # an operand that is not one matrix reached numpy: an IndexError, or a message about broadcasting
+    "q-from-h-vector": (lambda: lo.q_from_h(np.zeros(4), GM2), "Hamiltonian must be square, got (4,)"),
+    "q-from-h-not-square": (lambda: lo.q_from_h(np.zeros((2, 3)), GM2), "Hamiltonian must be square, got (2, 3)"),
+    "r-from-a-stack": (
+        lambda: lo.r_from_a(np.zeros((2, 3, 3)), GM2), "rate matrix must be 3x3 for dimension 2, got (2, 3, 3)"
+    ),
+    "c-from-a-stack": (
+        lambda: lo.c_from_a(np.zeros((2, 3, 3)), GM2), "rate matrix must be 3x3 for dimension 2, got (2, 3, 3)"
+    ),
+    "apply-dissipator-stack": (
+        lambda: lo.apply_dissipator(np.zeros((2, 3, 3)), np.eye(2), GM2),
+        "rate matrix must be 3x3 for dimension 2, got (2, 3, 3)",
+    ),
+    "diagonalize-dissipator-stack": (
+        lambda: lo.diagonalize_dissipator(np.zeros((2, 3, 3)), GM2),
+        "rate matrix must be 3x3 for dimension 2, got (2, 3, 3)",
     ),
 }
 
@@ -156,6 +174,14 @@ def test_the_trace_shift_is_derived_and_cannot_be_passed():
     with pytest.raises(TypeError, match="trace_shift"):
         lo.MasterEqParams(np.diag([2.0, 0.0]), np.zeros((3, 3)), trace_shift=7.0)
     assert lo.MasterEqParams(np.diag([2.0, 0.0]), np.zeros((3, 3))).trace_shift == 1.0
+
+
+def test_an_ode_pair_is_g_and_c_alone():
+    # Q and R were fields that any caller could set without a check: OdePair(-I, 0, Q="junk", R=[1]) passed
+    for extra in ({"Q": np.zeros((3, 3))}, {"R": np.zeros((3, 3))}):
+        with pytest.raises(TypeError, match="|".join(extra)):
+            lo.OdePair(-np.eye(3), np.zeros(3), **extra)
+    assert [f.name for f in dataclasses.fields(lo.OdePair)] == ["G", "c"]
 
 
 def test_a_basis_derives_its_dimension_from_its_elements():

@@ -137,10 +137,12 @@ def test_phi_validates_inputs(basis2):
         (1, MasterEqParams(hamiltonian=np.zeros((3, 3)), rates=np.zeros((8, 8)))),
         (2, Tensor4(entries=np.zeros((3, 3, 3, 3)), flavor="x")),
         (4, SuperopTensor(np.zeros((3, 3, 3, 3)))),
-        (6, OdePair(G=np.zeros((8, 8)), c=np.zeros(8))),
     ]:
         with pytest.raises(ValueError, match="the basis has dimension 2"):
-            phi(src, 6 if src != 6 else 1, value, basis2)
+            phi(src, 6, value, basis2)
+    # the G of a space-6 value is checked by the core alone
+    with pytest.raises(ValueError, match="^operand of dimension 3 does not match the basis of dimension 2$"):
+        phi(6, 1, OdePair(G=np.zeros((8, 8)), c=np.zeros(8)), basis2)
 
 
 @pytest.mark.parametrize("d", [2, 3])
