@@ -28,9 +28,9 @@ class NiceBasis:
     elements: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", _numbers(self.elements, "basis elements"))
         if (failure := verify_nice_basis(self.elements).failure) is not None:
             raise ValueError(failure)
+        object.__setattr__(self, "elements", np.asarray(self.elements, dtype=complex))  # verified: convert only
 
     @property
     def dim(self) -> int:
@@ -115,6 +115,15 @@ def _real(m: np.ndarray, what: str) -> np.ndarray:
     if not tolerance.negligible(m.imag, m, tolerance.DATA):
         raise ValueError(f"{what} has imaginary residue {tolerance.magnitude(m.imag):.3e}")
     return m.real.copy()
+
+
+def _built(cls, what: str | None, **fields):
+    """cls(**fields), fields from checked data, past __post_init__; ValueError(f"{what} is not finite") for overflow."""
+    if what and not all(np.isfinite(v).all() for v in fields.values() if isinstance(v, np.ndarray)):
+        raise ValueError(f"{what} is not finite")
+    value = object.__new__(cls)
+    value.__dict__.update(fields)
+    return value
 
 
 def _hermitian(m: np.ndarray, what: str) -> np.ndarray:

@@ -3,26 +3,27 @@ recover the rate matrix a and test it for positive semidefiniteness, and
 sample from the extreme rays of the cone of completely positive dissipative
 generators.
 
-The rate matrix a comes from the core superoperator; one eigendecomposition
-of a gives both the verdict and the diagonal form. The equivalent
+The rate matrix a comes from the core superoperator; its eigenvalues give the
+verdict, and its eigenvectors only the diagonal form, on demand. The equivalent
 quadratic-form test, sum_i Tr[G~_i B^dag F_i B] = b^dag a b over traceless B,
 is a reference in the tests.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import core, tolerance
-from .basis import NiceBasis, _numbers, coordinatize
+from .basis import NiceBasis, _built, _numbers, coordinatize
 from .forward import DiagonalDissipator, MasterEqParams, OdePair, _diagonal_form, forward_map
 from .inverse import _gc_to_core
 
 
 @dataclass(frozen=True)
 class CPReport:
-    """Verdict on whether an ODE pair is generated by a Lindblad equation."""
+    """Verdict on whether an ODE pair is generated by a Lindblad equation; the eigenvalues of a descending."""
 
     a: np.ndarray
     eigenvalues: np.ndarray
@@ -30,7 +31,15 @@ class CPReport:
     is_lindblad: bool
     marginal: bool
     tolerance_used: float
-    diagonal_form: DiagonalDissipator | None
+    _basis: NiceBasis = field(init=False, repr=False, compare=False)
+    _noise: float = field(init=False, repr=False, compare=False)
+
+    @cached_property
+    def diagonal_form(self) -> DiagonalDissipator | None:
+        """diagonalize_dissipator(a), rates up to _noise zeroed, by one eigh on first read; None unless is_lindblad."""
+        if not self.is_lindblad:
+            return None
+        return _diagonal_form(self.eigenvalues[::-1], np.linalg.eigh(self.a)[1], self._basis, self._noise)
 
 
 def check_lindblad(pair: OdePair, basis: NiceBasis, tol: float = tolerance.DATA) -> CPReport:
@@ -42,23 +51,16 @@ def check_lindblad(pair: OdePair, basis: NiceBasis, tol: float = tolerance.DATA)
     """
     tol = tolerance.check_rtol(tol, "tol")
     a = core.rates(_gc_to_core(pair, basis), basis)
-    w, v = np.linalg.eigh(a)
-    eigs = w[::-1].copy()
+    eigs = np.linalg.eigvalsh(a)[::-1].copy()
     min_eig = float(eigs[-1]) if eigs.size else 0.0
     verdict = bool(tolerance.is_psd(eigs, tol))
     # the spectral norm of the Hermitian a is its largest |eigenvalue|
     marginal = bool(abs(min_eig) <= 10.0 * tolerance.bound(tolerance.magnitude(eigs), tol))
     # a is recovered from (G, c) with rounding at their scale: a rate below it is noise
     noise = max(tolerance.cut(pair.G, tolerance.ROUNDING), tolerance.cut(pair.c, tolerance.ROUNDING))
-    diag = _diagonal_form(w, v, basis, noise) if verdict else None
-    return CPReport(
-        a=a,
-        eigenvalues=eigs,
-        min_eigenvalue=min_eig,
-        is_lindblad=verdict,
-        marginal=marginal,
-        tolerance_used=tol,
-        diagonal_form=diag,
+    return _built(
+        CPReport, None, a=a, eigenvalues=eigs, min_eigenvalue=min_eig, is_lindblad=verdict, marginal=marginal,
+        tolerance_used=tol, _basis=basis, _noise=noise,
     )
 
 

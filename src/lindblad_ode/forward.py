@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core, tolerance
-from .basis import NiceBasis, _hermitian, _numbers, _real
+from .basis import NiceBasis, _built, _hermitian, _numbers, _real
 
 
 @dataclass(frozen=True)
@@ -104,29 +104,50 @@ def _superop(params: MasterEqParams, basis: NiceBasis) -> np.ndarray:
 
 
 def _core_to_gc(s: np.ndarray, basis: NiceBasis) -> OdePair:
-    """(G, c) of the core superoperator S: the rows 1..J of Lhat, real at tolerance.DATA."""
-    lhat = _real(core.coordinates(s, basis)[1:], "(G, c) of the superoperator")
-    return OdePair(G=lhat[:, 1:], c=lhat[:, 0] / np.sqrt(basis.dim))
+    """(G, c) of S, the rows 1..J of Lhat, finite and real at tolerance.DATA; callers run it under np.errstate."""
+    lhat = core.coordinates(s, basis)[1:]
+    if not np.isfinite(lhat).all():
+        raise ValueError("(G, c) of the superoperator is not finite")
+    lhat = _real(lhat, "(G, c) of the superoperator")
+    return _built(OdePair, None, G=lhat[:, 1:], c=lhat[:, 0] / np.sqrt(basis.dim))
+
+
+def _core_to_meq(s: np.ndarray, basis: NiceBasis) -> MasterEqParams:
+    """MasterEqParams' arithmetic on the H and a of S, Hermitian by construction (a up to rounding)."""
+    h, a, d = core.hamiltonian(s), core.rates(s, basis), basis.dim
+    a = (a + a.conj().T) / 2 if (a - a.conj().T).any() else a
+    shift = np.trace(h).real / d
+    h = h - shift * np.eye(d)
+    return _built(MasterEqParams, "(H, a) of the superoperator", hamiltonian=h, rates=a, trace_shift=float(shift))
 
 
 def q_from_h(h: np.ndarray, basis: NiceBasis) -> np.ndarray:
-    """Antisymmetric Q with Q_ij = -i Tr(F_i [H, F_j]): the G of the Hamiltonian term alone."""
-    return _core_to_gc(core.hamiltonian_superop(_hamiltonian_matrix(h)), basis).G
+    """Antisymmetric Q with Q_ij = -i Tr(F_i [H, F_j]), the G of H alone; H is read as MasterEqParams reads it."""
+    with np.errstate(all="ignore"):
+        return _core_to_gc(core.hamiltonian_superop(_hermitian(_hamiltonian_matrix(h), "Hamiltonian")), basis).G
 
 
 def r_from_a(a: np.ndarray, basis: NiceBasis) -> np.ndarray:
-    """R_kl = sum_ij a_ij Tr[F_k (F_i F_l F_j - 1/2 {F_j F_i, F_l})]: the G of the dissipator alone."""
-    return _core_to_gc(core.dissipator_superop(_rate_matrix(a, basis.dim, any_size=True), basis), basis).G
+    """R_kl = sum_ij a_ij Tr[F_k (F_i F_l F_j - 1/2 {F_j F_i, F_l})], the G of a alone, read as MasterEqParams does."""
+    return _dissipator_gc(a, basis).G
 
 
 def c_from_a(a: np.ndarray, basis: NiceBasis) -> np.ndarray:
-    """c_k = (1/d) sum_ij a_ij Tr([F_i, F_j] F_k)."""
-    return _core_to_gc(core.dissipator_superop(_rate_matrix(a, basis.dim, any_size=True), basis), basis).c
+    """c_k = (1/d) sum_ij a_ij Tr([F_i, F_j] F_k); a is read as MasterEqParams reads it."""
+    return _dissipator_gc(a, basis).c
+
+
+def _dissipator_gc(a, basis: NiceBasis) -> OdePair:
+    a = _rate_matrix(a, basis.dim, any_size=True)
+    core.basis_columns(a, basis, 1)
+    with np.errstate(all="ignore"):
+        return _core_to_gc(core.dissipator_superop(_hermitian(a, "rate matrix"), basis), basis)
 
 
 def forward_map(params: MasterEqParams, basis: NiceBasis) -> OdePair:
     """Map (H, a) to the ODE pair (G, c) as phi(1, 6) does; G = q_from_h(H) + r_from_a(a) up to rounding."""
-    return _core_to_gc(_superop(params, basis), basis)
+    with np.errstate(all="ignore"):
+        return _core_to_gc(_superop(params, basis), basis)
 
 
 def liouvillian_matrix(params: MasterEqParams, basis: NiceBasis) -> np.ndarray:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, tolerance
-from .basis import NiceBasis, _numbers
-from .forward import MasterEqParams, OdePair, _core_to_gc, _superop, q_from_h
+from .basis import NiceBasis, _built, _numbers
+from .forward import MasterEqParams, OdePair, _core_to_gc, _core_to_meq, _superop, q_from_h
 from .superop import SuperopTensor, _rank4
 
 
@@ -71,15 +71,12 @@ def a_from_gc(g: np.ndarray, c: np.ndarray, basis: NiceBasis) -> np.ndarray:
 
 
 def inverse_map(pair: OdePair, basis: NiceBasis) -> MasterEqParams:
-    """Unique (traceless H, a) whose coherence-vector ODE is v' = Gv + c."""
-    return _core_to_meq(_gc_to_core(pair, basis), basis)
+    """Unique (traceless H, a) whose coherence-vector ODE is v' = Gv + c: phi(6, 1)."""
+    return phi(6, 1, pair, basis)
 
 
 # --- six-space maps: each space to the core superoperator S and back -------
-
-
-def _core_to_meq(s: np.ndarray, basis: NiceBasis) -> MasterEqParams:
-    return MasterEqParams(hamiltonian=core.hamiltonian(s), rates=core.rates(s, basis))
+_TENSOR = "tensor of the superoperator"
 
 
 def _identity_legs(b: np.ndarray) -> np.ndarray:
@@ -102,7 +99,7 @@ def _b_from_xt(xt: np.ndarray, d: int) -> np.ndarray:
 
 def _core_to_x(s: np.ndarray, basis: NiceBasis) -> Tensor4:
     xt = core.to_tensor(s)
-    return Tensor4(entries=xt - _identity_legs(_b_from_xt(xt, basis.dim)), flavor="x")
+    return _built(Tensor4, _TENSOR, entries=xt - _identity_legs(_b_from_xt(xt, basis.dim)), flavor="x")
 
 
 def _gc_to_core(pair: OdePair, basis: NiceBasis) -> np.ndarray:
@@ -118,11 +115,14 @@ def _tensor_to_core(t, basis: NiceBasis) -> np.ndarray:
 # Each space once: the type of its values, the layout of their invariants (tensors only), the map
 # to the core superoperator S and the map back. The x-tilde tensor (space 3) and the superoperator
 # tensors (spaces 4 and 5) share one layout: xt_ijkl = T[i,j,k,l] = [L(|j><k|)]_il.
-_SUPEROP = (SuperopTensor, "x_tilde", _tensor_to_core, lambda s, b: SuperopTensor(entries=core.to_tensor(s)))
+_SUPEROP = (
+    SuperopTensor, "x_tilde", _tensor_to_core, lambda s, b: _built(SuperopTensor, _TENSOR, entries=core.to_tensor(s))
+)
 _SPACES = {
     1: (MasterEqParams, None, _superop, _core_to_meq),
     2: (Tensor4, "x", _x_to_core, _core_to_x),
-    3: (Tensor4, "x_tilde", _tensor_to_core, lambda s, b: Tensor4(entries=core.to_tensor(s), flavor="x_tilde")),
+    3: (Tensor4, "x_tilde", _tensor_to_core,
+        lambda s, b: _built(Tensor4, _TENSOR, entries=core.to_tensor(s), flavor="x_tilde")),
     4: _SUPEROP,
     5: _SUPEROP,
     6: (OdePair, None, _gc_to_core, _core_to_gc),
@@ -147,7 +147,8 @@ def phi(src: int, dst: int, value, basis: NiceBasis):
         raise ValueError(f"space {src} value has dimension {value.dim}, the basis has dimension {basis.dim}")
     if layout:
         _check_invariants(value.entries, layout)
-    return _SPACES[dst][3](to_core(value, basis), basis)
+    with np.errstate(all="ignore"):  # each map back builds its value with basis._built, which refuses overflow
+        return _SPACES[dst][3](to_core(value, basis), basis)
 
 
 # --- decomposition and the image condition ---------------------------------

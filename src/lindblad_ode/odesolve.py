@@ -21,8 +21,8 @@ A trajectory steps along its time grid, as A. H. Al-Mohy and N. J. Higham,
 (2011) 488, do for e^{tA} b: the times t >= 0 and the times t < 0 are each
 ordered by |t|, and on each side x <- e^{M h} x steps outward from x(0)
 through the differences h of consecutive times. One _expm call takes the
-exponentials of a side's distinct steps, so a uniform grid of any length
-needs about four of them (the differences of a linspace round to a few
+exponentials of a side's distinct non-zero steps, so a uniform grid of any
+length needs about three (the differences of a linspace round to a few
 neighbouring values), where the direct form e^{M t} x(0) takes one per time.
 Error model: each e^{M h} carries a relative error of about 2^s u (u = 2^-53,
 s the squarings of M h), and the rounding of every step before a row on its
@@ -188,10 +188,10 @@ def _step_outward(m: np.ndarray, x0: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Row k is e^{M t_k} x0, by steps outward from t = 0.
 
     The times t >= 0 (nan among them) and t < 0 are each ordered by |t|, stably;
-    one _expm call takes the distinct differences h of a side, prepended by 0, and
-    x <- e^{M h} x runs through them from x0. A row is nan where _expm would refuse
-    M t_k itself: ||M t||_1 grows with |t|, so a side holds such a time only if its
-    last one is one.
+    one _expm call takes the distinct non-zero differences h of a side, prepended
+    by 0, and x <- e^{M h} x runs through them from x0 (e^0 = I). A row is nan
+    where _expm would refuse M t_k itself: ||M t||_1 grows with |t|, so a side
+    holds such a time only if its last one is one.
     """
     out = np.empty((len(t), len(x0)))
     for side in (~(t < 0), t < 0):
@@ -200,10 +200,10 @@ def _step_outward(m: np.ndarray, x0: np.ndarray, t: np.ndarray) -> np.ndarray:
             continue
         order = order[np.argsort(np.abs(t[order]), kind="stable")]
         ts = t[order]
-        # each step (a time minus the one before) -> its place in the _expm stack; 0.0 and -0.0 are one key
-        index, tl = {}, ts.tolist()
+        # each step (a time minus the one before) -> its place in [I, _expm stack]; 0.0 and -0.0 are one key
+        index, tl = {0.0: 0}, ts.tolist()
         which = [index.setdefault(b - a, len(index)) for a, b in zip([0.0] + tl, tl)]
-        exps = list(_expm(m * np.array(list(index))[:, None, None]))
+        exps = [np.eye(len(m)), *(_expm(m * np.array(list(index)[1:])[:, None, None]) if len(index) > 1 else ())]
         rows = np.empty((len(ts), len(x0)))
         x = x0
         for k, row in zip(which, rows):
@@ -266,15 +266,12 @@ def evolve_density(
 ) -> list[np.ndarray]:
     """Evolve a density matrix under the master equation at the given times; raises ValueError unless
     coherence_vector accepts rho0 and it is positive semidefinite (tolerance.DATA)."""
-    rho0 = _numbers(rho0, "density matrix")
     with warnings.catch_warnings():
         # a rho0 outside the purity ball is not PSD: the error below says so, the warning would repeat it
         warnings.simplefilter("ignore", UserWarning)
         v0 = coherence_vector(rho0, basis)
+    rho0 = np.asarray(rho0, dtype=complex)  # coherence_vector has passed it through the input gate
     if not tolerance.is_psd(np.linalg.eigvalsh((rho0 + rho0.conj().T) / 2), tolerance.DATA):
         raise ValueError("density matrix is not positive semidefinite")
-    d = basis.dim
-    pair = forward_map(params, basis)
-    sol = solve(pair, v0)
-    rhos = np.eye(d) / d + np.einsum("tk,kab->tab", sol.trajectory(times), basis.traceless)
-    return list(rhos)
+    trajectory = solve(forward_map(params, basis), v0).trajectory(times)
+    return list(np.eye(basis.dim) / basis.dim + np.einsum("tk,kab->tab", trajectory, basis.traceless))

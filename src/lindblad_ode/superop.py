@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .basis import NiceBasis, _numbers
+from .basis import NiceBasis, _built, _numbers
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,9 @@ def adjoint_tensor(t: SuperopTensor) -> SuperopTensor:
 
 
 def superop_matrix(t: SuperopTensor, b: NiceBasis) -> SuperopMatrix:
-    """E_ij = Tr[F_i E(F_j)]."""
-    return SuperopMatrix(entries=core.coordinates(core.from_tensor(t.entries), b), basis=b)
+    """E_ij = Tr[F_i E(F_j)]; raises ValueError when the matrix E is not finite."""
+    with np.errstate(all="ignore"):
+        return _built(SuperopMatrix, "matrix E", entries=core.coordinates(core.from_tensor(t.entries), b), basis=b)
 
 
 def tensor_from_matrix(m: SuperopMatrix) -> SuperopTensor:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import lindblad_ode as lo
+from lindblad_ode import basis, core, cp, forward, inverse, odesolve, superop
 
 GM2 = lo.generate_gell_mann(2)
 SOLUTION = lo.solve(lo.OdePair(G=-np.eye(3), c=np.zeros(3)), np.zeros(3))
@@ -57,6 +58,31 @@ MALFORMED = {
     "diagonalize-dissipator-stack": (
         lambda: lo.diagonalize_dissipator(np.zeros((2, 3, 3)), GM2),
         "rate matrix must be 3x3 for dimension 2, got (2, 3, 3)",
+    ),
+    # each said "(G, c) of the superoperator has imaginary residue ...", naming neither operand nor condition
+    "q-from-h-not-hermitian": (lambda: lo.q_from_h([[0, 1], [0, 0]], GM2), "Hamiltonian is not Hermitian"),
+    "r-from-a-not-hermitian": (lambda: lo.r_from_a(1j * np.eye(3), GM2), "rate matrix is not Hermitian"),
+    "c-from-a-not-hermitian": (lambda: lo.c_from_a(1j * np.eye(3), GM2), "rate matrix is not Hermitian"),
+}
+
+HUGE_PAIR = lo.OdePair(1e308 * np.ones((3, 3)), np.ones(3))
+HUGE_PARAMS = lo.MasterEqParams(np.zeros((2, 2)), 1e308 * np.eye(3))
+
+# name: (call, message) on finite input whose result overflows; inverse_map returned rates holding inf+nanj
+# with a RuntimeWarning, and forward_map said "(G, c) of the superoperator has imaginary residue nan"
+OVERFLOW = {
+    "inverse-map": (lambda: lo.inverse_map(HUGE_PAIR, GM2), "(H, a) of the superoperator is not finite"),
+    "phi-6-1": (lambda: lo.phi(6, 1, HUGE_PAIR, GM2), "(H, a) of the superoperator is not finite"),
+    "forward-map": (lambda: lo.forward_map(HUGE_PARAMS, GM2), "(G, c) of the superoperator is not finite"),
+    "q-from-h": (
+        lambda: lo.q_from_h(1e308 * np.diag([1.0, -1.0]), GM2), "(G, c) of the superoperator is not finite"
+    ),
+    "r-from-a": (lambda: lo.r_from_a(1e308 * np.eye(3), GM2), "(G, c) of the superoperator is not finite"),
+    "phi-1-2": (lambda: lo.phi(1, 2, HUGE_PARAMS, GM2), "tensor of the superoperator is not finite"),
+    "phi-1-4": (lambda: lo.phi(1, 4, HUGE_PARAMS, GM2), "tensor of the superoperator is not finite"),
+    "superop-matrix": (
+        lambda: lo.superop_matrix(lo.SuperopTensor(1e308 * np.ones((2,) * 4)), GM2),
+        "matrix E is not finite",
     ),
 }
 
@@ -160,6 +186,51 @@ def _raises_without_a_warning(call, message):
 @pytest.mark.parametrize("name", MALFORMED)
 def test_malformed_input_raises_its_message_without_a_warning(name):
     _raises_without_a_warning(*MALFORMED[name])
+
+
+@pytest.mark.parametrize("name", OVERFLOW)
+def test_a_result_that_overflows_raises_its_message_without_a_warning(name):
+    _raises_without_a_warning(*OVERFLOW[name])
+
+
+@pytest.fixture
+def gate_calls(monkeypatch):
+    """The operand names that basis._numbers is called with from here on, in every module that calls it."""
+    calls = []
+    gate = basis._numbers
+
+    def counting_gate(*args, **kwargs):
+        calls.append(args[1])
+        return gate(*args, **kwargs)
+
+    for module in (basis, core, cp, forward, inverse, odesolve, superop):
+        monkeypatch.setattr(module, "_numbers", counting_gate)
+    return calls
+
+
+def test_the_conversions_do_not_pass_their_own_results_through_the_input_gate(gate_calls):
+    # every value they build from checked data was scanned again by the constructor of its type
+    rng = np.random.default_rng(11)
+    for d in (2, 3):
+        b = lo.generate_gell_mann(d)
+        h, m = rng.normal(size=(d, d)), rng.normal(size=(d * d - 1,) * 2)
+        params = lo.MasterEqParams(h + h.T, m @ m.T)
+        gate_calls.clear()
+        pair = lo.forward_map(params, b)
+        lo.inverse_map(pair, b)
+        tensor = lo.phi(1, 4, params, b)
+        lo.phi(4, 6, tensor, b)
+        lo.superop_matrix(tensor, b)
+        assert gate_calls == []
+
+
+def test_an_input_passes_the_gate_once(gate_calls):
+    # NiceBasis, then verify_nice_basis, scanned the elements; evolve_density, then coherence_vector, rho0
+    lo.NiceBasis(GM2.elements)
+    assert gate_calls == ["basis elements"]
+    gate_calls.clear()
+    lo.evolve_density(PARAMS, RHO, [0.0, 1.0], GM2)
+    assert gate_calls.count("density matrix") == 1
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "imag-inf"])

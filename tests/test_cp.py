@@ -199,3 +199,43 @@ def test_hamiltonian_only_pair_has_zero_rates(d):
         report = check_lindblad(forward_map(MasterEqParams(h + h.conj().T, a), basis), basis)
         assert np.count_nonzero(report.diagonal_form.gamma) == 1
         assert report.diagonal_form.gamma[0] == pytest.approx(1e-6, rel=1e-6)
+
+
+def _counting_eigh(monkeypatch):
+    """Count the calls of np.linalg.eigh from here on."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+def test_the_eigenvectors_are_computed_once_and_only_for_the_diagonal_form(monkeypatch, basis2):
+    # the verdict needs the eigenvalues alone: eigh ran on every pair, CP or not
+    calls = _counting_eigh(monkeypatch)
+    g = np.zeros((3, 3))
+    g[0, 1] = 1.0
+    report = check_lindblad(OdePair(G=g, c=np.zeros(3)), basis2)
+    assert not report.is_lindblad and report.diagonal_form is None
+    assert calls == []
+    report = check_lindblad(OdePair(G=dephasing_g(), c=np.zeros(3)), basis2)
+    assert report.is_lindblad and calls == []
+    for _ in range(3):
+        assert report.diagonal_form is not None
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_gamma_holds_the_reported_eigenvalues(d):
+    basis = generate_gell_mann(d)
+    rng = np.random.default_rng(70 + d)
+    for _ in range(5):
+        report = check_lindblad(forward_map(random_meq(d, rng, psd=True), basis), basis)
+        gamma = report.diagonal_form.gamma
+        kept = gamma != 0
+        assert kept.any()
+        np.testing.assert_array_equal(gamma[kept], report.eigenvalues[kept])
