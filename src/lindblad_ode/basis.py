@@ -117,10 +117,18 @@ def _real(m: np.ndarray, what: str) -> np.ndarray:
     return m.real.copy()
 
 
+def _finite(x: np.ndarray, what: str) -> np.ndarray:
+    """x, a value computed from checked data, once no entry overflowed; else ValueError(f"{what} is not finite")."""
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} is not finite")
+    return x
+
+
 def _built(cls, what: str | None, **fields):
     """cls(**fields), fields from checked data, past __post_init__; ValueError(f"{what} is not finite") for overflow."""
-    if what and not all(np.isfinite(v).all() for v in fields.values() if isinstance(v, np.ndarray)):
-        raise ValueError(f"{what} is not finite")
+    for v in fields.values():
+        if what and isinstance(v, np.ndarray):
+            _finite(v, what)
     value = object.__new__(cls)
     value.__dict__.update(fields)
     return value

@@ -9,8 +9,8 @@ Machine-readable JSON goes to --out (or stdout); human diagnostics go to
 stderr. Exit codes: 0 success, 3 Markovian-but-not-CP (check-cp only), 1 any
 error, usage errors included.
 
-Complex-typed fields (H, a, rho, basis elements) are encoded entrywise as
-[re, im]; real fields (G, c, Q, R, v) as plain numbers.
+Complex fields are encoded entrywise as [re, im], real fields as plain
+numbers; _COMPLEX_FIELDS names the complex ones, in input and output alike.
 """
 from __future__ import annotations
 
@@ -41,15 +41,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _complex_out(m: np.ndarray):
-    m = np.asarray(m, dtype=complex)
-    return np.stack([m.real, m.imag], -1).tolist()
-
-
-def _real_out(m: np.ndarray):
-    return np.asarray(m, dtype=float).tolist()
-
-
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -75,7 +66,8 @@ def _parse_matrix(rows, name: str) -> np.ndarray:
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise CliError(f"{name} must be rectangular")
-    return np.array([[_parse_number(v) for v in r] for r in rows])
+    m = np.array([[_parse_number(v) for v in r] for r in rows])
+    return m if name in _COMPLEX_FIELDS else _real(m, name)
 
 
 def _parse_vector(vals, name: str) -> np.ndarray:
@@ -104,6 +96,10 @@ def _load_input(path: str) -> dict:
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
+    for name, value in payload.items():  # an array: entrywise [re, im] in _COMPLEX_FIELDS, else plain numbers
+        if isinstance(value, np.ndarray):
+            value = np.stack([value.real, value.imag], -1) if name in _COMPLEX_FIELDS else value.astype(float)
+            payload[name] = value.tolist()
     text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -128,12 +124,12 @@ def _require(data: dict, key: str):
     return data[key]
 
 
-def _tol(args, default: float) -> float:
-    return tolerance.check_rtol(default if args.tol is None else args.tol, "--tol")
+def _tol(args) -> float:
+    return tolerance.check_rtol(tolerance.DATA if args.tol is None else args.tol, "--tol")
 
 
 def _pair_from_input(data: dict, basis) -> OdePair:
-    g = _real(_parse_matrix(_require(data, "G"), "G"), "G")
+    g = _parse_matrix(_require(data, "G"), "G")
     c = np.zeros(len(g)) if data.get("c") is None else _parse_vector(data["c"], "c")
     if g.shape[0] != basis.J:
         raise CliError(f"G size {g.shape[0]} does not match --dim {basis.dim} (expected {basis.J})")
@@ -154,11 +150,7 @@ def _meq_from_input(data: dict, basis) -> MasterEqParams:
 
 def cmd_basis(args) -> tuple[dict, int]:
     basis = _basis(args)
-    return {
-        "dim": basis.dim,
-        "elements": _complex_out(basis.elements),
-        "structure_constants": _real_out(structure_constants(basis).f),
-    }, 0
+    return {"dim": basis.dim, "elements": basis.elements, "structure_constants": structure_constants(basis).f}, 0
 
 
 def cmd_verify(args) -> tuple[dict, int]:
@@ -172,7 +164,7 @@ def cmd_verify(args) -> tuple[dict, int]:
             raise CliError(f"every basis element must be {d}x{d}")
     else:
         elements = generate_gell_mann(d).elements
-    report = verify_nice_basis(elements, tol=_tol(args, tolerance.DATA))
+    report = verify_nice_basis(elements, tol=_tol(args))
     if not report.passed:
         print(f"verify: {report.failure}", file=sys.stderr)
     return {
@@ -190,46 +182,36 @@ def cmd_forward(args) -> tuple[dict, int]:
     basis = _basis(args)
     params = _meq_from_input(_load_input(args.input), basis)
     pair = forward_map(params, basis)
-    return {
-        "G": _real_out(pair.G),
-        "c": _real_out(pair.c),
-        "Q": _real_out(q_from_h(params.hamiltonian, basis)),
-        "R": _real_out(r_from_a(params.rates, basis)),
-    }, 0
+    return {"G": pair.G, "c": pair.c, "Q": q_from_h(params.hamiltonian, basis), "R": r_from_a(params.rates, basis)}, 0
 
 
 def cmd_inverse(args) -> tuple[dict, int]:
     basis = _basis(args)
     params = inverse_map(_pair_from_input(_load_input(args.input), basis), basis)
-    return {"H": _complex_out(params.hamiltonian), "a": _complex_out(params.rates)}, 0
+    return {"H": params.hamiltonian, "a": params.rates}, 0
 
 
 def cmd_decompose(args) -> tuple[dict, int]:
     basis = _basis(args)
     g = _pair_from_input(_load_input(args.input), basis).G
     q, r = decompose_g(g, basis)
-    return {
-        "Q": _real_out(q),
-        "R": _real_out(r),
-        "H": _complex_out(h_from_g(g, basis)),
-        "r_image_condition": bool(r_image_check(r, basis)),
-    }, 0
+    return {"Q": q, "R": r, "H": h_from_g(g, basis), "r_image_condition": bool(r_image_check(r, basis))}, 0
 
 
 def cmd_check_cp(args) -> tuple[dict, int]:
     basis = _basis(args)
     pair = _pair_from_input(_load_input(args.input), basis)
-    report = check_lindblad(pair, basis, tol=_tol(args, tolerance.DATA))
+    report = check_lindblad(pair, basis, tol=_tol(args))
     payload = {
         "is_lindblad": bool(report.is_lindblad),
         "marginal": bool(report.marginal),
-        "a": _complex_out(report.a),
-        "eigenvalues": _real_out(report.eigenvalues),
+        "a": report.a,
+        "eigenvalues": report.eigenvalues,
         "min_eigenvalue": report.min_eigenvalue,
         "tolerance_used": report.tolerance_used,
     }
     if report.diagonal_form is not None:
-        payload["gamma"] = _real_out(report.diagonal_form.gamma)
+        payload["gamma"] = report.diagonal_form.gamma
     return payload, 0 if report.is_lindblad else 3
 
 
@@ -240,12 +222,7 @@ def cmd_solve(args) -> tuple[dict, int]:
     v0 = _parse_vector(data.get("v0", [0.0] * basis.J), "v0")
     times = _parse_vector(data.get("times", [0.0]), "times")
     sol = solve(pair, v0)
-    payload = {
-        "solver": sol.kind,
-        "times": _real_out(times),
-        "trajectory": _real_out(sol.trajectory(times)),
-        "v_infinity": None if sol.v_infinity is None else _real_out(sol.v_infinity),
-    }
+    payload = {"solver": sol.kind, "times": times, "trajectory": sol.trajectory(times), "v_infinity": sol.v_infinity}
     if sol.kind == "general":
         payload["frozen_consistent"] = sol.frozen_consistent
     return payload, 0
@@ -258,7 +235,7 @@ def cmd_evolve(args) -> tuple[dict, int]:
     rho0 = _parse_matrix(_require(data, "rho0"), "rho0")
     times = _parse_vector(data.get("times", [0.0]), "times")
     rhos = evolve_density(params, rho0, times, basis)
-    return {"times": _real_out(times), "states": [_complex_out(r) for r in rhos]}, 0
+    return {"times": times, "states": np.array(rhos)}, 0
 
 
 def cmd_rarity(args) -> tuple[dict, int]:
@@ -290,15 +267,14 @@ def cmd_roundtrip(args) -> tuple[dict, int]:
     pair = forward_map(params, basis)
     back = inverse_map(pair, basis)
     return {
-        "G": _real_out(pair.G),
-        "c": _real_out(pair.c),
-        "H_recovered": _complex_out(back.hamiltonian),
-        "a_recovered": _complex_out(back.rates),
+        "G": pair.G, "c": pair.c, "H_recovered": back.hamiltonian, "a_recovered": back.rates,
         "max_error_H": float(np.max(np.abs(back.hamiltonian - params.hamiltonian), initial=0.0)),
         "max_error_a": float(np.max(np.abs(back.rates - params.rates), initial=0.0)),
     }, 0
 
 
+# the fields written, and read, entrywise as [re, im]; every other array field is real
+_COMPLEX_FIELDS = {"elements", "element", "H", "a", "rho0", "states", "H_recovered", "a_recovered"}
 _ENSEMBLES = ("ginoe", "gue")
 # option -> (its add_argument keywords, the check of its value in a config file)
 _OPTIONS = {

@@ -15,10 +15,10 @@ from functools import cached_property
 
 import numpy as np
 
-from . import core, tolerance
+from . import tolerance
 from .basis import NiceBasis, _built, _numbers, coordinatize
 from .forward import DiagonalDissipator, MasterEqParams, OdePair, _diagonal_form, forward_map
-from .inverse import _gc_to_core
+from .inverse import _rates
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,10 @@ def check_lindblad(pair: OdePair, basis: NiceBasis, tol: float = tolerance.DATA)
 
     The pair is Lindblad iff min eig(a) >= -tol * max(1, ||a||_2)
     (tolerance.is_psd); verdicts with |min eig| within 10x of that threshold
-    are flagged marginal. Raises ValueError when tol is not a finite number >= 0.
+    are flagged marginal. Raises ValueError when tol is not a finite number >= 0, or when a overflows.
     """
     tol = tolerance.check_rtol(tol, "tol")
-    a = core.rates(_gc_to_core(pair, basis), basis)
+    a = _rates(pair, basis)
     eigs = np.linalg.eigvalsh(a)[::-1].copy()
     min_eig = float(eigs[-1]) if eigs.size else 0.0
     verdict = bool(tolerance.is_psd(eigs, tol))

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core, tolerance
-from .basis import NiceBasis, _built, _hermitian, _numbers, _real
+from .basis import NiceBasis, _built, _finite, _hermitian, _numbers, _real
 
 
 @dataclass(frozen=True)
@@ -26,17 +26,19 @@ class MasterEqParams:
 
     def __post_init__(self):
         h = _hamiltonian_matrix(self.hamiltonian)
-        d = h.shape[0]
-        a = _rate_matrix(self.rates, d)
-        h, a = _hermitian(h, "Hamiltonian"), _hermitian(a, "rate matrix")
-        shift = np.trace(h).real / d
-        object.__setattr__(self, "hamiltonian", h - shift * np.eye(d))
-        object.__setattr__(self, "rates", a)
-        object.__setattr__(self, "trace_shift", float(shift))
+        a = _rate_matrix(self.rates, h.shape[0])
+        for name, value in _normal_form(_hermitian(h, "Hamiltonian"), _hermitian(a, "rate matrix")).items():
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
         return self.hamiltonian.shape[0]
+
+
+def _normal_form(h: np.ndarray, a: np.ndarray) -> dict:
+    """The fields of MasterEqParams from Hermitian h and a: h less (Tr h / d) I, a, and that trace_shift."""
+    shift = np.trace(h).real / len(h)
+    return {"hamiltonian": h - shift * np.eye(len(h)), "rates": a, "trace_shift": float(shift)}
 
 
 def _hamiltonian_matrix(h) -> np.ndarray:
@@ -105,20 +107,16 @@ def _superop(params: MasterEqParams, basis: NiceBasis) -> np.ndarray:
 
 def _core_to_gc(s: np.ndarray, basis: NiceBasis) -> OdePair:
     """(G, c) of S, the rows 1..J of Lhat, finite and real at tolerance.DATA; callers run it under np.errstate."""
-    lhat = core.coordinates(s, basis)[1:]
-    if not np.isfinite(lhat).all():
-        raise ValueError("(G, c) of the superoperator is not finite")
-    lhat = _real(lhat, "(G, c) of the superoperator")
+    what = "(G, c) of the superoperator"
+    lhat = _real(_finite(core.coordinates(s, basis)[1:], what), what)
     return _built(OdePair, None, G=lhat[:, 1:], c=lhat[:, 0] / np.sqrt(basis.dim))
 
 
 def _core_to_meq(s: np.ndarray, basis: NiceBasis) -> MasterEqParams:
-    """MasterEqParams' arithmetic on the H and a of S, Hermitian by construction (a up to rounding)."""
-    h, a, d = core.hamiltonian(s), core.rates(s, basis), basis.dim
+    """MasterEqParams' normal form of the H and a of S, Hermitian by construction (a up to rounding)."""
+    h, a = core.hamiltonian(s), core.rates(s, basis)
     a = (a + a.conj().T) / 2 if (a - a.conj().T).any() else a
-    shift = np.trace(h).real / d
-    h = h - shift * np.eye(d)
-    return _built(MasterEqParams, "(H, a) of the superoperator", hamiltonian=h, rates=a, trace_shift=float(shift))
+    return _built(MasterEqParams, "(H, a) of the superoperator", **_normal_form(h, a))
 
 
 def q_from_h(h: np.ndarray, basis: NiceBasis) -> np.ndarray:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, tolerance
-from .basis import NiceBasis, _built, _numbers
-from .forward import MasterEqParams, OdePair, _core_to_gc, _core_to_meq, _superop, q_from_h
+from .basis import NiceBasis, _built, _finite, _numbers
+from .forward import MasterEqParams, OdePair, _core_to_gc, _core_to_meq, _superop
 from .superop import SuperopTensor, _rank4
 
 
@@ -61,13 +61,19 @@ def _check_invariants(x: np.ndarray, flavor: str) -> None:
 
 
 def h_from_g(g: np.ndarray, basis: NiceBasis) -> np.ndarray:
-    """Traceless Hermitian H = (1/2id) sum_nm G_nm [F_m, F_n]."""
-    return core.hamiltonian(_gc_to_core(OdePair(G=g, c=np.zeros(np.shape(g)[:1])), basis))
+    """Traceless Hermitian H = (1/2id) sum_nm G_nm [F_m, F_n]; G is read as OdePair reads it."""
+    return _with_hamiltonian(g, "G", basis)[1]
 
 
 def a_from_gc(g: np.ndarray, c: np.ndarray, basis: NiceBasis) -> np.ndarray:
     """Hermitian a with a_mn = sum_i Tr[G~_i F_m F_i F_n], G~_i = sum_j G_ij F_j + c_i I."""
-    return core.rates(_gc_to_core(OdePair(G=g, c=c), basis), basis)
+    return _rates(OdePair(G=g, c=c), basis)
+
+
+def _rates(pair: OdePair, basis: NiceBasis) -> np.ndarray:
+    """The rate matrix a of (G, c); ValueError unless it is finite."""
+    with np.errstate(all="ignore"):
+        return _finite(core.rates(_gc_to_core(pair, basis), basis), "rate matrix a of (G, c)")
 
 
 def inverse_map(pair: OdePair, basis: NiceBasis) -> MasterEqParams:
@@ -157,15 +163,27 @@ def phi(src: int, dst: int, value, basis: NiceBasis):
 def decompose_g(g: np.ndarray, basis: NiceBasis) -> tuple[np.ndarray, np.ndarray]:
     """Split G into the Hamiltonian part Q = q_from_h(h_from_g(G)) and the dissipative part R = G - Q.
 
-    G is read as OdePair reads it. For d >= 3 Q generally differs from the antisymmetric part of G.
+    G is read as OdePair reads it; ValueError when H, Q or R overflows. For d >= 3 Q generally differs
+    from the antisymmetric part of G.
     """
-    g = _numbers(g, "G", float)
-    q = q_from_h(h_from_g(g, basis), basis)
-    return q, g - q
+    g, h = _with_hamiltonian(g, "G", basis)
+    with np.errstate(all="ignore"):
+        q = _core_to_gc(core.hamiltonian_superop(h), basis).G
+        return q, _finite(g - q, "R = G - Q")
 
 
 def r_image_check(r: np.ndarray, basis: NiceBasis) -> bool:
     """True iff sum_mn R_mn [F_n, F_m] = 2id H(R) is negligible at the scale of R (tolerance.DATA),
     i.e. R lies in the image of a -> R; R is read as OdePair reads G."""
-    r = _numbers(r, "R", float)
-    return tolerance.negligible(2 * basis.dim * tolerance.magnitude(h_from_g(r, basis)), r, tolerance.DATA)
+    r, h = _with_hamiltonian(r, "R", basis)
+    return tolerance.negligible(2 * basis.dim * tolerance.magnitude(h), r, tolerance.DATA)
+
+
+def _with_hamiltonian(g, what: str, basis: NiceBasis) -> tuple[np.ndarray, np.ndarray]:
+    """(G, h_from_g(G)) of the real square operand what, which passes the gate once; ValueError unless H is finite."""
+    g = _numbers(g, what, float)
+    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        raise ValueError(f"{what} must be square, got {g.shape}")
+    with np.errstate(all="ignore"):
+        h = core.hamiltonian(_gc_to_core(_built(OdePair, None, G=g, c=np.zeros(len(g))), basis))
+    return g, _finite(h, f"H of {what}")

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tolerance
-from .basis import NiceBasis, _numbers, coherence_vector
+from .basis import NiceBasis, _finite, _numbers, coherence_vector
 from .forward import MasterEqParams, OdePair, forward_map
 
 
@@ -223,10 +223,7 @@ def propagator(g: np.ndarray, t: float) -> np.ndarray:
     if g.ndim != 2 or g.shape[0] != g.shape[1] or t.ndim != 0:
         raise ValueError(f"propagator needs a square matrix G and a scalar t, got G of shape {g.shape}")
     with np.errstate(all="ignore"):
-        e = _expm(g * t)
-    if not np.all(np.isfinite(e)):
-        raise ValueError("propagator: e^{Gt} is not finite")
-    return e
+        return _finite(_expm(g * t), "propagator: e^{Gt}")
 
 
 def solve(pair: OdePair, v0) -> OdeSolution:

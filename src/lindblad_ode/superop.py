@@ -81,7 +81,7 @@ def apply_tensor(t: SuperopTensor, x: np.ndarray) -> np.ndarray:
 
 def adjoint_tensor(t: SuperopTensor) -> SuperopTensor:
     """Tensor of the adjoint map, <E'(A), B> = <A, E(B)> in Hilbert-Schmidt sense."""
-    return SuperopTensor(entries=t.entries.conj().transpose(1, 0, 3, 2))
+    return _built(SuperopTensor, None, entries=t.entries.conj().transpose(1, 0, 3, 2))
 
 
 def superop_matrix(t: SuperopTensor, b: NiceBasis) -> SuperopMatrix:
@@ -91,20 +91,22 @@ def superop_matrix(t: SuperopTensor, b: NiceBasis) -> SuperopMatrix:
 
 
 def tensor_from_matrix(m: SuperopMatrix) -> SuperopTensor:
-    """Invert superop_matrix: T[k,l,m,n] = sum_ij E_ij (F_i)_kn (F_j)_ml."""
-    return SuperopTensor(entries=core.to_tensor(core.from_coordinates(m.entries, m.basis)))
+    """Invert superop_matrix: T[k,l,m,n] = sum_ij E_ij (F_i)_kn (F_j)_ml; raises ValueError when T is not finite."""
+    with np.errstate(all="ignore"):
+        return _built(SuperopTensor, "tensor T", entries=core.to_tensor(core.from_coordinates(m.entries, m.basis)))
 
 
 def faf_from_tensor(t: SuperopTensor, b: NiceBasis) -> FAFRep:
-    """Closed-form coefficients c_ij = sum F_i[l,k] F_j[n,m] T[k,l,m,n]."""
-    return FAFRep(c=core.sandwich_coefficients(core.from_tensor(t.entries), b))
+    """Closed-form coefficients c_ij = sum F_i[l,k] F_j[n,m] T[k,l,m,n]; raises ValueError when c is not finite."""
+    with np.errstate(all="ignore"):
+        return _built(FAFRep, "coefficient matrix c", c=core.sandwich_coefficients(core.from_tensor(t.entries), b))
 
 
 def tensor_from_faf(r: FAFRep, b: NiceBasis) -> SuperopTensor:
-    """T[k,l,m,n] = sum_ij c_ij (F_i)_kl (F_j)_mn."""
-    p = core.basis_columns(r.c, b)
-    d = b.dim
-    return SuperopTensor(entries=(p @ r.c @ p.T).reshape(d, d, d, d))
+    """T[k,l,m,n] = sum_ij c_ij (F_i)_kl (F_j)_mn; raises ValueError when T is not finite."""
+    p, d = core.basis_columns(r.c, b), b.dim
+    with np.errstate(all="ignore"):
+        return _built(SuperopTensor, "tensor T", entries=(p @ r.c @ p.T).reshape(d, d, d, d))
 
 
 def apply_faf(r: FAFRep, x: np.ndarray, b: NiceBasis) -> np.ndarray:
@@ -113,4 +115,4 @@ def apply_faf(r: FAFRep, x: np.ndarray, b: NiceBasis) -> np.ndarray:
 
 def adjoint_faf(r: FAFRep) -> FAFRep:
     """Coefficients of the adjoint: entrywise conjugate."""
-    return FAFRep(c=r.c.conj())
+    return _built(FAFRep, None, c=r.c.conj())

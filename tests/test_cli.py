@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lindblad_ode.cli import main
+import lindblad_ode as lo
+from lindblad_ode.cli import _COMMANDS, _COMPLEX_FIELDS, main
 
 
 def _run(argv, out_path):
@@ -251,6 +252,13 @@ MALFORMED = {
     "config-dim-not-an-integer": (["--config", '{"dim": "x"}', "basis"], None, "dim"),
     "bad-dim": (["basis", "--dim", "x"], None, "invalid int value"),
     "unknown-subcommand": (["transmogrify", "--dim", "2"], None, "invalid choice"),
+    "check-cp-complex-G": (
+        ["check-cp", "--dim", "2"], '{"G": [[[-1, 2], 0, 0], [0, -1, 0], [0, 0, -2]]}', "G must be real"
+    ),
+    # a finite G whose rate matrix overflows: RuntimeWarnings, then numpy's "Eigenvalues did not converge"
+    "check-cp-overflowing-G": (
+        ["check-cp", "--dim", "3"], '{"G": %s}' % ([[1.7e308] * 8] * 8), "rate matrix a of (G, c) is not finite"
+    ),
     "check-cp-complex-c": (["check-cp", "--dim", "2"], '{"G": %s, "c": [[0.0, 3.0], 0, 1]}' % _G3, "c must be real"),
     "solve-complex-c": (["solve", "--dim", "2"], '{"G": %s, "c": [[0.0, 3.0], 0, 1]}' % _G3, "c must be real"),
     "solve-complex-v0": (["solve", "--dim", "2"], '{"G": %s, "v0": [1, [0, -2], 0]}' % _G3, "v0 must be real"),
@@ -403,3 +411,39 @@ def test_no_cli_path_loads_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
+
+
+def _field_inputs():
+    """subcommand -> (its arguments, its input or None) at d = 3, where no real array field has a last axis of 2."""
+    h, a = np.diag([1.0, 0.0, -1.0]), np.eye(8) + 0.5j * (np.eye(8, k=1) - np.eye(8, k=-1))
+    pair = lo.forward_map(lo.MasterEqParams(h, a), lo.generate_gell_mann(3))
+    meq = {"H": _mat(h), "a": _mat(a)}
+    gc = {"G": pair.G.tolist(), "c": pair.c.tolist()}
+    return {
+        "basis": ([], None),
+        "verify": ([], {"elements": [_mat(f) for f in lo.generate_gell_mann(3).elements]}),
+        "forward": ([], meq),
+        "inverse": ([], gc),
+        "decompose": ([], gc),
+        "check-cp": ([], gc),
+        "solve": ([], {**gc, "v0": [0.1] * 8, "times": [0, 0.5, 1]}),
+        "evolve": ([], {**meq, "rho0": _mat(np.diag([1.0, 0.0, 0.0])), "times": [0, 0.5, 1]}),
+        "rarity": (["--samples", "16"], None),
+        "roundtrip": ([], meq),
+    }
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_an_array_field_is_written_as_pairs_exactly_when_it_is_complex(command, tmp_path):
+    # at d = 3 a real array ends in an axis of length 3, 8 or 9, so a last axis of 2 marks [re, im] pairs
+    args, payload = _field_inputs()[command]
+    argv = [command, "--dim", "3", *args]
+    if payload is not None:
+        argv += ["--in", _write_json(tmp_path / "in.json", payload)]
+    code, out = _run(argv, tmp_path / "out.json")
+    assert code == 0
+    for name, value in json.loads(out).items():
+        if isinstance(value, list):
+            entries = np.array(value)
+            assert entries.dtype == float, name
+            assert (entries.ndim > 1 and entries.shape[-1] == 2) == (name in _COMPLEX_FIELDS), name

@@ -67,6 +67,12 @@ MALFORMED = {
 
 HUGE_PAIR = lo.OdePair(1e308 * np.ones((3, 3)), np.ones(3))
 HUGE_PARAMS = lo.MasterEqParams(np.zeros((2, 2)), 1e308 * np.eye(3))
+HUGE_FAF = lo.FAFRep(1e308 * np.ones((4, 4)))
+GM3 = lo.generate_gell_mann(3)
+HUGE_G3 = 1.7e308 * np.ones((8, 8))
+# the H and Q of this G are finite, and one entry of R = G - Q is 5/3 of 1.2e308
+R_OVERFLOWS = np.zeros((8, 8))
+R_OVERFLOWS[[0, 1, 2, 4, 5, 6], [6, 2, 1, 5, 4, 0]] = 1.2e308 * np.array([1, -1, 1, -1, 1, 1])
 
 # name: (call, message) on finite input whose result overflows; inverse_map returned rates holding inf+nanj
 # with a RuntimeWarning, and forward_map said "(G, c) of the superoperator has imaginary residue nan"
@@ -84,6 +90,26 @@ OVERFLOW = {
         lambda: lo.superop_matrix(lo.SuperopTensor(1e308 * np.ones((2,) * 4)), GM2),
         "matrix E is not finite",
     ),
+    # the superoperator maps warned and then blamed their own result as a bad operand, "tensor must be finite"
+    "tensor-from-matrix": (
+        lambda: lo.tensor_from_matrix(lo.SuperopMatrix(1e308 * np.ones((4, 4)), GM2)), "tensor T is not finite"
+    ),
+    "faf-from-tensor": (
+        lambda: lo.faf_from_tensor(lo.SuperopTensor(1e308 * np.ones((2,) * 4)), GM2),
+        "coefficient matrix c is not finite",
+    ),
+    "tensor-from-faf": (lambda: lo.tensor_from_faf(HUGE_FAF, GM2), "tensor T is not finite"),
+    "apply-faf": (lambda: lo.apply_faf(HUGE_FAF, np.eye(2), GM2), "tensor T is not finite"),
+    # check-cp warned eight times and then failed in eigvalsh with "Eigenvalues did not converge"
+    "check-lindblad": (
+        lambda: lo.check_lindblad(lo.OdePair(HUGE_G3, np.zeros(8)), GM3), "rate matrix a of (G, c) is not finite"
+    ),
+    "a-from-gc": (lambda: lo.a_from_gc(HUGE_G3, np.zeros(8), GM3), "rate matrix a of (G, c) is not finite"),
+    # decompose_g warned ten times and then blamed the H it had computed, "Hamiltonian H must be finite"
+    "decompose-g": (lambda: lo.decompose_g(HUGE_G3, GM3), "H of G is not finite"),
+    "decompose-g-r": (lambda: lo.decompose_g(R_OVERFLOWS, GM3), "R = G - Q is not finite"),
+    "h-from-g": (lambda: lo.h_from_g(HUGE_G3, GM3), "H of G is not finite"),
+    "r-image-check": (lambda: lo.r_image_check(HUGE_G3, GM3), "H of R is not finite"),
 }
 
 # name: (call on a non-finite entry, message)
@@ -231,6 +257,13 @@ def test_an_input_passes_the_gate_once(gate_calls):
     gate_calls.clear()
     lo.evolve_density(PARAMS, RHO, [0.0, 1.0], GM2)
     assert gate_calls.count("density matrix") == 1
+    # decompose_g scanned G twice and then the H it had computed; r_image_check recorded ["R", "G", "c"]
+    gate_calls.clear()
+    lo.decompose_g(-np.eye(8), GM3)
+    assert gate_calls.count("G") == 1 and "Hamiltonian H" not in gate_calls
+    gate_calls.clear()
+    lo.r_image_check(np.eye(8), GM3)
+    assert gate_calls == ["R"]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "imag-inf"])
