@@ -23,7 +23,6 @@ from .forward import (
     MasterEqParams,
     OdePair,
     apply_dissipator,
-    apply_liouvillian,
     c_from_a,
     diagonalize_dissipator,
     forward_map,
@@ -32,13 +31,19 @@ from .forward import (
     r_from_a,
 )
 from .inverse import (
+    FAFRep,
+    SuperopMatrix,
+    SuperopTensor,
     Tensor4,
     a_from_gc,
+    adjoint,
+    apply,
     decompose_g,
     h_from_g,
     inverse_map,
     phi,
     r_image_check,
+    superop_matrix,
 )
 from .odesolve import OdeSolution, evolve_density, propagator, solve
 from .rarity import (
@@ -49,19 +54,6 @@ from .rarity import (
     ginoe_induced_a_covariance,
     gue_p_analytic,
     wilson_interval,
-)
-from .superop import (
-    FAFRep,
-    SuperopMatrix,
-    SuperopTensor,
-    adjoint_faf,
-    adjoint_tensor,
-    apply_faf,
-    apply_tensor,
-    faf_from_tensor,
-    superop_matrix,
-    tensor_from_faf,
-    tensor_from_matrix,
 )
 
 __version__ = "0.1.0"

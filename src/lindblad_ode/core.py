@@ -145,6 +145,12 @@ def sandwich_coefficients(s: np.ndarray, basis: NiceBasis) -> np.ndarray:
     return p.conj().T @ unreshuffle(s) @ p.conj()
 
 
+def from_sandwich_coefficients(c: np.ndarray, basis: NiceBasis) -> np.ndarray:
+    """Inverse of sandwich_coefficients: S = reshuffle(P c P^T)."""
+    p = basis_columns(c, basis)
+    return reshuffle(p @ c @ p.T)
+
+
 def rates(s: np.ndarray, basis: NiceBasis) -> np.ndarray:
     """a = Ft^dag unreshuffle(S) conj(Ft), the traceless block of the sandwich coefficients."""
     return sandwich_coefficients(s, basis)[..., 1:, 1:]

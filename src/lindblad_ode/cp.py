@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import tolerance
-from .basis import NiceBasis, _built, _numbers, coordinatize
+from .basis import NiceBasis, _built, _finite, _numbers, coordinatize
 from .forward import DiagonalDissipator, MasterEqParams, OdePair, _diagonal_form, forward_map
 from .inverse import _rates
 
@@ -47,11 +47,12 @@ def check_lindblad(pair: OdePair, basis: NiceBasis, tol: float = tolerance.DATA)
 
     The pair is Lindblad iff min eig(a) >= -tol * max(1, ||a||_2)
     (tolerance.is_psd); verdicts with |min eig| within 10x of that threshold
-    are flagged marginal. Raises ValueError when tol is not a finite number >= 0, or when a overflows.
+    are flagged marginal. Raises ValueError when tol is not a finite number >= 0, or when a or one of
+    its eigenvalues overflows.
     """
     tol = tolerance.check_rtol(tol, "tol")
     a = _rates(pair, basis)
-    eigs = np.linalg.eigvalsh(a)[::-1].copy()
+    eigs = _finite(np.linalg.eigvalsh(a)[::-1].copy(), "eigenvalue of the rate matrix a of (G, c)")
     min_eig = float(eigs[-1]) if eigs.size else 0.0
     verdict = bool(tolerance.is_psd(eigs, tol))
     # the spectral norm of the Hermitian a is its largest |eigenvalue|

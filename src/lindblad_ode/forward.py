@@ -91,13 +91,11 @@ class DiagonalDissipator:
 
 
 def apply_dissipator(a: np.ndarray, x: np.ndarray, basis: NiceBasis) -> np.ndarray:
-    """sum_ij a_ij (F_i X F_j - 1/2 {F_j F_i, X}); a need not be Hermitian here."""
-    return core.apply(core.dissipator_superop(_rate_matrix(a, basis.dim, any_size=True), basis), x)
-
-
-def apply_liouvillian(params: MasterEqParams, x: np.ndarray, basis: NiceBasis) -> np.ndarray:
-    """L(X) = -i[H, X] + sum_ij a_ij (F_i X F_j - 1/2 {F_j F_i, X})."""
-    return core.apply(_superop(params, basis), x)
+    """L(X) = sum_ij a_ij (F_i X F_j - 1/2 {F_j F_i, X}); a need not be Hermitian here. Raises ValueError
+    when L(X) is not finite."""
+    a = _rate_matrix(a, basis.dim, any_size=True)
+    with np.errstate(all="ignore"):
+        return _finite(core.apply(core.dissipator_superop(a, basis), x), "L(X)")
 
 
 def _superop(params: MasterEqParams, basis: NiceBasis) -> np.ndarray:
@@ -194,12 +192,14 @@ def diagonalize_dissipator(a: np.ndarray, basis: NiceBasis) -> DiagonalDissipato
 
     Eigenvalues at or below the scale-invariant cut tolerance.ROUNDING * ||a||
     in magnitude are reported as exact zeros. Raises ValueError when a is not finite,
-    or not Hermitian at tolerance.DATA (eigh would read only its lower triangle).
+    or not Hermitian at tolerance.DATA (eigh would read only its lower triangle), or
+    when an eigenvalue overflows.
     """
     a = _rate_matrix(a, basis.dim, any_size=True)
     core.basis_columns(a, basis, 1)
     _hermitian(a, "rate matrix")
-    return _diagonal_form(*np.linalg.eigh(a), basis)
+    w, v = np.linalg.eigh(a)
+    return _diagonal_form(_finite(w, "eigenvalue of the rate matrix a"), v, basis)
 
 
 def _diagonal_form(w: np.ndarray, v: np.ndarray, basis: NiceBasis, floor: float = 0.0) -> DiagonalDissipator:

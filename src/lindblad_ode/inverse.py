@@ -1,15 +1,18 @@
 """Inverse map from the coherence-vector ODE pair (G, c) back to master
-equation data (H, a), the six-space bijection between the equivalent
-representations of a trace-annihilating Hermiticity-preserving generator,
-the G = Q + R decomposition, and the image condition on R.
+equation data (H, a), the bijection between the equivalent representations
+of a superoperator, with one action and one adjoint through them, the
+G = Q + R decomposition, and the image condition on R.
 
-Space identifiers used by `phi`:
+Space identifiers used by `phi`; spaces 1, 2, 3 and 6 hold trace-annihilating
+Hermiticity-preserving generators only, spaces 4, 5, 7 and 8 any superoperator:
   1: (H, a)                       MasterEqParams
-  2: rank-4 tensor x              Tensor4, flavor "x"
-  3: rank-4 tensor x-tilde        Tensor4, flavor "x_tilde"
+  2: rank-4 tensor x              Tensor4
+  3: rank-4 tensor x-tilde        SuperopTensor, read as a generator's
   4: superoperator on all of M_d  SuperopTensor
   5: superoperator on Hermitians  SuperopTensor (same data, restricted action)
   6: (G, c)                       OdePair
+  7: coordinate matrix            SuperopMatrix
+  8: sandwich coefficients        FAFRep
 """
 from __future__ import annotations
 
@@ -20,29 +23,68 @@ import numpy as np
 from . import core, tolerance
 from .basis import NiceBasis, _built, _finite, _numbers
 from .forward import MasterEqParams, OdePair, _core_to_gc, _core_to_meq, _superop
-from .superop import SuperopTensor, _rank4
+
+
+def _equal_axes(entries, what: str, ndim: int) -> np.ndarray:
+    """entries as a complex array of finite entries with ndim axes of one length; otherwise ValueError."""
+    a = _numbers(entries, what)
+    if a.ndim != ndim or len(set(a.shape)) != 1:
+        raise ValueError(f"{what} must have {ndim} axes of one length, got shape {a.shape}")
+    return a
 
 
 @dataclass(frozen=True)
-class Tensor4:
-    """Rank-4 tensor x or x-tilde encoding a generator.
-
-    flavor "x":       x_ijkl = conj(x_lkji) and sum_k (x_ijkk + x_kkij) = 0.
-    flavor "x_tilde": x_ijkl = conj(x_lkji) and sum_i x_ijki = 0.
-    """
+class _Tensor:
+    """A rank-4 tensor over matrix units; Tensor4 and SuperopTensor read it in two ways."""
 
     entries: np.ndarray
-    flavor: str
 
     def __post_init__(self):
-        t = _rank4(self.entries)
-        if self.flavor not in ("x", "x_tilde"):
-            raise ValueError(f"unknown flavor {self.flavor!r}")
-        object.__setattr__(self, "entries", t)
+        object.__setattr__(self, "entries", _equal_axes(self.entries, "tensor", 4))
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
+
+
+@dataclass(frozen=True)
+class Tensor4(_Tensor):
+    """Rank-4 tensor x encoding a generator: x_ijkl = conj(x_lkji) and sum_k (x_ijkk + x_kkij) = 0."""
+
+
+@dataclass(frozen=True)
+class SuperopTensor(_Tensor):
+    """Rank-4 tensor T of any superoperator E, (E(A))_kn = sum_lm T[k,l,m,n] A[l,m].
+
+    Equivalently T[k,l,m,n] = E(|l><m|)[k,n]. For a generator it is the tensor x-tilde:
+    xt_ijkl = conj(xt_lkji) and sum_i xt_ijki = 0.
+    """
+
+
+@dataclass(frozen=True)
+class SuperopMatrix:
+    """Coordinate matrix E_ij = <F_i, E(F_j)> of any superoperator E over the full nice basis.
+
+    Real entries exactly when E is Hermiticity-preserving.
+    """
+
+    entries: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", _equal_axes(self.entries, "matrix", 2))
+
+
+@dataclass(frozen=True)
+class FAFRep:
+    """Coefficients c_ij of E(A) = sum_ij c_ij F_i A F_j over the full basis, for any superoperator E.
+
+    c is real-symmetric exactly when E is both Hermiticity-preserving and Hermitian.
+    """
+
+    c: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "c", _equal_axes(self.c, "coefficient matrix", 2))
 
 
 def _check_invariants(x: np.ndarray, flavor: str) -> None:
@@ -81,7 +123,7 @@ def inverse_map(pair: OdePair, basis: NiceBasis) -> MasterEqParams:
     return phi(6, 1, pair, basis)
 
 
-# --- six-space maps: each space to the core superoperator S and back -------
+# --- the spaces of phi: each to the core superoperator S and back --------------
 _TENSOR = "tensor of the superoperator"
 
 
@@ -97,15 +139,11 @@ def _x_to_core(t: Tensor4, basis: NiceBasis) -> np.ndarray:
     return core.from_tensor(t.entries - 0.5 * _identity_legs(k))
 
 
-def _b_from_xt(xt: np.ndarray, d: int) -> np.ndarray:
-    tr_full = np.einsum("llkk->", xt)
-    b = np.einsum("ijkk->ij", xt) + np.einsum("kkij->ij", xt) - (tr_full / d) * np.eye(d)
-    return b / (2 * d)
-
-
 def _core_to_x(s: np.ndarray, basis: NiceBasis) -> Tensor4:
-    xt = core.to_tensor(s)
-    return _built(Tensor4, _TENSOR, entries=xt - _identity_legs(_b_from_xt(xt, basis.dim)), flavor="x")
+    xt, d = core.to_tensor(s), basis.dim
+    # the identity legs of b that take x-tilde to x, which keeps sum_k (x_ijkk + x_kkij) = 0
+    b = np.einsum("ijkk->ij", xt) + np.einsum("kkij->ij", xt) - (np.einsum("llkk->", xt) / d) * np.eye(d)
+    return _built(Tensor4, _TENSOR, entries=xt - _identity_legs(b / (2 * d)))
 
 
 def _gc_to_core(pair: OdePair, basis: NiceBasis) -> np.ndarray:
@@ -114,47 +152,94 @@ def _gc_to_core(pair: OdePair, basis: NiceBasis) -> np.ndarray:
     return core.from_coordinates(core.gc_coordinates(pair.G, pair.c, basis.dim), basis)
 
 
-def _tensor_to_core(t, basis: NiceBasis) -> np.ndarray:
-    return core.from_tensor(t.entries)
-
-
-# Each space once: the type of its values, the layout of their invariants (tensors only), the map
-# to the core superoperator S and the map back. The x-tilde tensor (space 3) and the superoperator
-# tensors (spaces 4 and 5) share one layout: xt_ijkl = T[i,j,k,l] = [L(|j><k|)]_il.
+# Each space once: the type of its values; the flavor of the tensor invariants they must keep, if any;
+# the map to the core superoperator S and the map back; and its adjoint S^dag in the space's own layout,
+# exact there, for a space of any superoperator, or None for a space of generators. Space 3 reads the
+# superoperator tensor of spaces 4 and 5 as the x-tilde tensor: xt_ijkl = T[i,j,k,l] = [L(|j><k|)]_il.
+_TENSOR_MAPS = (
+    lambda t, b: core.from_tensor(t.entries), lambda s, b: _built(SuperopTensor, _TENSOR, entries=core.to_tensor(s))
+)
 _SUPEROP = (
-    SuperopTensor, "x_tilde", _tensor_to_core, lambda s, b: _built(SuperopTensor, _TENSOR, entries=core.to_tensor(s))
+    SuperopTensor, None, *_TENSOR_MAPS,
+    lambda t: _built(SuperopTensor, None, entries=t.entries.conj().transpose(1, 0, 3, 2)),
 )
 _SPACES = {
-    1: (MasterEqParams, None, _superop, _core_to_meq),
-    2: (Tensor4, "x", _x_to_core, _core_to_x),
-    3: (Tensor4, "x_tilde", _tensor_to_core,
-        lambda s, b: _built(Tensor4, _TENSOR, entries=core.to_tensor(s), flavor="x_tilde")),
+    1: (MasterEqParams, None, _superop, _core_to_meq, None),
+    2: (Tensor4, "x", _x_to_core, _core_to_x, None),
+    3: (SuperopTensor, "x_tilde", *_TENSOR_MAPS, None),
     4: _SUPEROP,
     5: _SUPEROP,
-    6: (OdePair, None, _gc_to_core, _core_to_gc),
+    6: (OdePair, None, _gc_to_core, _core_to_gc, None),
+    7: (SuperopMatrix, None, lambda m, b: core.from_coordinates(m.entries, b),
+        lambda s, b: _built(SuperopMatrix, "matrix E", entries=core.coordinates(s, b)),
+        lambda m: _built(SuperopMatrix, None, entries=m.entries.conj().T)),
+    8: (FAFRep, None, lambda r, b: core.from_sandwich_coefficients(r.c, b),
+        lambda s, b: _built(FAFRep, "coefficient matrix c", c=core.sandwich_coefficients(s, b)),
+        lambda r: _built(FAFRep, None, c=r.c.conj())),
 }
 
 
 def phi(src: int, dst: int, value, basis: NiceBasis):
-    """Apply the bijection between generator representations.
+    """Apply the bijection between superoperator representations.
 
-    src and dst are space identifiers 1..6 (see module docstring). Every
-    request goes from src to the core superoperator and from there to dst.
+    src and dst are space identifiers 1..8 (see module docstring). Every request goes from src to the
+    core superoperator S and from there to dst. A value of space 2 or 3 must keep the tensor invariants
+    of x or x-tilde, and an S read from a space of any superoperator into one of generators must keep the
+    x-tilde invariants (tolerance.TENSOR); otherwise ValueError.
     """
     for s in (src, dst):
         if s not in _SPACES:
-            raise ValueError(f"space identifier must be 1..6, got {s}")
-    kind, layout, to_core, _ = _SPACES[src]
+            raise ValueError(f"space identifier must be 1..8, got {s}")
+    with np.errstate(all="ignore"):  # each map back builds its value with basis._built, which refuses overflow
+        s = _to_core(src, value, basis)
+        if _SPACES[dst][4] is None and _SPACES[src][4] is not None:
+            # a tensor is checked as it is; a matrix of space 7 or 8 on the tensor of its S, which may overflow
+            xt = value.entries if isinstance(value, SuperopTensor) else _finite(core.to_tensor(s), _TENSOR)
+            _check_invariants(xt, "x_tilde")
+        return _SPACES[dst][3](s, basis)
+
+
+def _to_core(src: int, value, basis: NiceBasis) -> np.ndarray:
+    """The core superoperator S of a value of space src, once it is a value of that space; callers run
+    it under np.errstate."""
+    kind, flavor, to_core, _, _ = _SPACES[src]
     if not isinstance(value, kind):
         raise ValueError(f"space {src} values must be {kind.__name__}, got {type(value).__name__}")
-    if isinstance(value, Tensor4) and value.flavor != layout:
-        raise ValueError(f"space {src} expects flavor {layout!r}, got {value.flavor!r}")
-    if src != 6 and value.dim != basis.dim:
-        raise ValueError(f"space {src} value has dimension {value.dim}, the basis has dimension {basis.dim}")
-    if layout:
-        _check_invariants(value.entries, layout)
-    with np.errstate(all="ignore"):  # each map back builds its value with basis._built, which refuses overflow
-        return _SPACES[dst][3](to_core(value, basis), basis)
+    # the core checks (G, c) and the coordinate matrices against the basis, in the same words
+    if getattr(value, "dim", basis.dim) != basis.dim:
+        raise ValueError(f"operand of dimension {value.dim} does not match the basis of dimension {basis.dim}")
+    if flavor:
+        _check_invariants(value.entries, flavor)
+    return to_core(value, basis)
+
+
+def _space_of(value) -> int:
+    """The last space whose values have the type of value: for a SuperopTensor, a space of any superoperator."""
+    for space, (kind, *_) in reversed(_SPACES.items()):
+        if isinstance(value, kind):
+            return space
+    raise ValueError(f"no space of phi holds a {type(value).__name__}")
+
+
+def apply(value, x: np.ndarray, basis: NiceBasis) -> np.ndarray:
+    """L(X) = S @ vec(X), with S the core superoperator of value, a value of any space of phi (found by
+    its type); raises ValueError when L(X) is not finite."""
+    with np.errstate(all="ignore"):
+        return _finite(core.apply(_to_core(_space_of(value), value, basis), x), "L(X)")
+
+
+def adjoint(value):
+    """The adjoint map S^dag, <E'(A), B> = <A, E(B)> in the Hilbert-Schmidt sense, in the space of value;
+    ValueError for a space of generators, as the adjoint of a generator is one only when it is unital."""
+    space = _space_of(value)
+    if _SPACES[space][4] is None:
+        raise ValueError(f"space {space} holds generators only, and the adjoint of a generator is not one in general")
+    return _SPACES[space][4](value)
+
+
+def superop_matrix(t: SuperopTensor, basis: NiceBasis) -> SuperopMatrix:
+    """E_ij = Tr[F_i E(F_j)]: phi(4, 7); raises ValueError when the matrix E is not finite."""
+    return phi(4, 7, t, basis)
 
 
 # --- decomposition and the image condition ---------------------------------

@@ -44,7 +44,7 @@ from lindblad_ode import (
     SuperopMatrix,
     SuperopTensor,
     Tensor4,
-    adjoint_tensor,
+    adjoint,
     core,
     forward_map,
     liouvillian_matrix,
@@ -134,7 +134,7 @@ def meq_to_x(p: MasterEqParams, basis) -> Tensor4:
         + 1j * np.einsum("ij,kl->ijkl", delta, h)
         + np.einsum("mn,mij,nkl->ijkl", p.rates, basis.traceless, basis.traceless, optimize=True)
     )
-    return Tensor4(entries=x, flavor="x")
+    return Tensor4(entries=x)
 
 
 def gc_to_x(pair: OdePair, basis) -> Tensor4:
@@ -148,7 +148,7 @@ def gc_to_x(pair: OdePair, basis) -> Tensor4:
     b = b + np.einsum("n,nab->ab", pair.c, ft) / d
     xt = np.einsum("nkj,nil->ijkl", g_tilde(pair.G, pair.c, basis), ft, optimize=True)
     x = xt - np.einsum("ij,kl->ijkl", b, eye) - np.einsum("ij,kl->ijkl", eye, b)
-    return Tensor4(entries=x, flavor="x")
+    return Tensor4(entries=x)
 
 
 def superop_to_gc(t: SuperopTensor, basis) -> OdePair:
@@ -247,7 +247,7 @@ def superop_hermitian(a, basis, tol):
     """The dissipator tensor, built one matrix unit at a time, against the tensor of its adjoint."""
     t = tensor_from_map(lambda x: apply_dissipator(a, x, basis), basis.dim)
     scale = max(1.0, float(np.max(np.abs(a), initial=0.0)))
-    return float(np.max(np.abs(t.entries - adjoint_tensor(t).entries), initial=0.0)) <= tol * scale
+    return float(np.max(np.abs(t.entries - adjoint(t).entries), initial=0.0)) <= tol * scale
 
 
 def dissipator_symmetry(a, basis):

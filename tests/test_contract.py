@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import lindblad_ode as lo
-from lindblad_ode import basis, core, cp, forward, inverse, odesolve, superop
+from lindblad_ode import basis, core, cp, forward, inverse, odesolve
 
 GM2 = lo.generate_gell_mann(2)
 SOLUTION = lo.solve(lo.OdePair(G=-np.eye(3), c=np.zeros(3)), np.zeros(3))
@@ -55,6 +55,9 @@ MALFORMED = {
         lambda: lo.apply_dissipator(np.zeros((2, 3, 3)), np.eye(2), GM2),
         "rate matrix must be 3x3 for dimension 2, got (2, 3, 3)",
     ),
+    "superop-matrix-not-square": (
+        lambda: lo.SuperopMatrix(np.zeros((2, 3))), "matrix must have 2 axes of one length, got shape (2, 3)"
+    ),
     "diagonalize-dissipator-stack": (
         lambda: lo.diagonalize_dissipator(np.zeros((2, 3, 3)), GM2),
         "rate matrix must be 3x3 for dimension 2, got (2, 3, 3)",
@@ -68,11 +71,16 @@ MALFORMED = {
 HUGE_PAIR = lo.OdePair(1e308 * np.ones((3, 3)), np.ones(3))
 HUGE_PARAMS = lo.MasterEqParams(np.zeros((2, 2)), 1e308 * np.eye(3))
 HUGE_FAF = lo.FAFRep(1e308 * np.ones((4, 4)))
+HUGE_MATRIX = lo.SuperopMatrix(1e308 * np.ones((4, 4)))
 GM3 = lo.generate_gell_mann(3)
 HUGE_G3 = 1.7e308 * np.ones((8, 8))
 # the H and Q of this G are finite, and one entry of R = G - Q is 5/3 of 1.2e308
 R_OVERFLOWS = np.zeros((8, 8))
 R_OVERFLOWS[[0, 1, 2, 4, 5, 6], [6, 2, 1, 5, 4, 0]] = 1.2e308 * np.array([1, -1, 1, -1, 1, 1])
+# a = ones - diag(0, 0, 2) has the eigenvalues -1.56, 0 and 2.56. Scaled by 7.2e307, its (G, c) and a are finite, but
+# the largest eigenvalue of a is inf: the CP threshold became -inf, and check_lindblad called the pair CP
+NON_CP = lo.forward_map(lo.MasterEqParams(np.zeros((2, 2)), np.ones((3, 3)) - np.diag([0, 0, 2])), GM2)
+HUGE_NON_CP = lo.OdePair(7.2e307 * NON_CP.G, 7.2e307 * NON_CP.c)
 
 # name: (call, message) on finite input whose result overflows; inverse_map returned rates holding inf+nanj
 # with a RuntimeWarning, and forward_map said "(G, c) of the superoperator has imaginary residue nan"
@@ -91,15 +99,31 @@ OVERFLOW = {
         "matrix E is not finite",
     ),
     # the superoperator maps warned and then blamed their own result as a bad operand, "tensor must be finite"
-    "tensor-from-matrix": (
-        lambda: lo.tensor_from_matrix(lo.SuperopMatrix(1e308 * np.ones((4, 4)), GM2)), "tensor T is not finite"
+    "phi-7-4": (lambda: lo.phi(7, 4, HUGE_MATRIX, GM2), "tensor of the superoperator is not finite"),
+    # the generator check read the overflowed S: "flavor-x_tilde invariants violated by nan"
+    "phi-7-6": (lambda: lo.phi(7, 6, HUGE_MATRIX, GM2), "tensor of the superoperator is not finite"),
+    "phi-4-8": (
+        lambda: lo.phi(4, 8, lo.SuperopTensor(1e308 * np.ones((2,) * 4)), GM2), "coefficient matrix c is not finite"
     ),
-    "faf-from-tensor": (
-        lambda: lo.faf_from_tensor(lo.SuperopTensor(1e308 * np.ones((2,) * 4)), GM2),
-        "coefficient matrix c is not finite",
+    "phi-8-4": (lambda: lo.phi(8, 4, HUGE_FAF, GM2), "tensor of the superoperator is not finite"),
+    # each returned inf or nan with a RuntimeWarning, "overflow encountered in matmul", "... in add"
+    "apply-faf": (lambda: lo.apply(HUGE_FAF, np.eye(2), GM2), "L(X) is not finite"),
+    "apply-tensor": (
+        lambda: lo.apply(lo.SuperopTensor(1e308 * np.ones((2,) * 4)), 1e308 * np.eye(2), GM2), "L(X) is not finite"
     ),
-    "tensor-from-faf": (lambda: lo.tensor_from_faf(HUGE_FAF, GM2), "tensor T is not finite"),
-    "apply-faf": (lambda: lo.apply_faf(HUGE_FAF, np.eye(2), GM2), "tensor T is not finite"),
+    "apply-params": (lambda: lo.apply(HUGE_PARAMS, 1e308 * np.eye(2), GM2), "L(X) is not finite"),
+    "apply-dissipator": (
+        lambda: lo.apply_dissipator(1e308 * np.eye(3), 1e308 * np.eye(2), GM2), "L(X) is not finite"
+    ),
+    # is_lindblad was True for this non-CP pair, and CLI check-cp failed to write the inf eigenvalue as JSON
+    "check-lindblad-spectrum": (
+        lambda: lo.check_lindblad(HUGE_NON_CP, GM2), "eigenvalue of the rate matrix a of (G, c) is not finite"
+    ),
+    # the cut ROUNDING * max|w| was inf, and every rate came back as 0
+    "diagonalize-dissipator": (
+        lambda: lo.diagonalize_dissipator(1.7e308 * np.ones((3, 3)), GM2),
+        "eigenvalue of the rate matrix a is not finite",
+    ),
     # check-cp warned eight times and then failed in eigvalsh with "Eigenvalues did not converge"
     "check-lindblad": (
         lambda: lo.check_lindblad(lo.OdePair(HUGE_G3, np.zeros(8)), GM3), "rate matrix a of (G, c) is not finite"
@@ -119,18 +143,16 @@ NON_FINITE = {
     "superop-tensor": (
         lambda bad: lo.superop_matrix(lo.SuperopTensor(_full((2,) * 4, bad)), GM2), "tensor must be finite"
     ),
-    "tensor4": (lambda bad: lo.Tensor4(_full((2,) * 4, bad), "x"), "tensor must be finite"),
-    "superop-matrix": (lambda bad: lo.SuperopMatrix(_full((4, 4), bad), GM2), "matrix must be finite"),
-    "faf": (lambda bad: lo.tensor_from_faf(lo.FAFRep(_full((4, 4), bad)), GM2), "coefficient matrix must be finite"),
+    "tensor4": (lambda bad: lo.Tensor4(_full((2,) * 4, bad)), "tensor must be finite"),
+    "superop-matrix": (lambda bad: lo.SuperopMatrix(_full((4, 4), bad)), "matrix must be finite"),
+    "faf": (lambda bad: lo.FAFRep(_full((4, 4), bad)), "coefficient matrix must be finite"),
     "apply-dissipator-a": (
         lambda bad: lo.apply_dissipator(_full((3, 3), bad), np.eye(2), GM2), "rate matrix a must be finite"
     ),
     "apply-dissipator-x": (
         lambda bad: lo.apply_dissipator(np.eye(3), _full((2, 2), bad), GM2), "operator X must be finite"
     ),
-    "apply-liouvillian-x": (
-        lambda bad: lo.apply_liouvillian(PARAMS, _full((2, 2), bad), GM2), "operator X must be finite"
-    ),
+    "apply-x": (lambda bad: lo.apply(PARAMS, _full((2, 2), bad), GM2), "operator X must be finite"),
     "coordinatize": (lambda bad: lo.coordinatize(_full((2, 2), bad), GM2), "operator X must be finite"),
     "decoordinatize": (lambda bad: lo.decoordinatize(_full(4, bad), GM2), "coordinates must be finite"),
     "q-from-h": (lambda bad: lo.q_from_h(_full((2, 2), bad), GM2), "Hamiltonian H must be finite"),
@@ -178,12 +200,12 @@ OPERANDS = {
     "basis": (lambda x: lo.NiceBasis(x), (4, 2, 2), "basis elements must be numbers"),
     "verify": (lambda x: lo.verify_nice_basis(x), (4, 2, 2), "basis elements must be numbers"),
     "superop-tensor": (lambda x: lo.SuperopTensor(x), (2,) * 4, "tensor must be numbers"),
-    "tensor4": (lambda x: lo.Tensor4(x, "x"), (2,) * 4, "tensor must be numbers"),
-    "superop-matrix": (lambda x: lo.SuperopMatrix(x, GM2), (4, 4), "matrix must be numbers"),
+    "tensor4": (lambda x: lo.Tensor4(x), (2,) * 4, "tensor must be numbers"),
+    "superop-matrix": (lambda x: lo.SuperopMatrix(x), (4, 4), "matrix must be numbers"),
     "faf": (lambda x: lo.FAFRep(x), (4, 4), "coefficient matrix must be numbers"),
     "apply-dissipator-a": (lambda x: lo.apply_dissipator(x, np.eye(2), GM2), (3, 3), "rate matrix a must be numbers"),
     "apply-dissipator-x": (lambda x: lo.apply_dissipator(np.eye(3), x, GM2), (2, 2), "operator X must be numbers"),
-    "apply-liouvillian-x": (lambda x: lo.apply_liouvillian(PARAMS, x, GM2), (2, 2), "operator X must be numbers"),
+    "apply-x": (lambda x: lo.apply(PARAMS, x, GM2), (2, 2), "operator X must be numbers"),
     "coordinatize": (lambda x: lo.coordinatize(x, GM2), (2, 2), "operator X must be numbers"),
     "decoordinatize": (lambda x: lo.decoordinatize(x, GM2), (4,), "coordinates must be numbers"),
     "q-from-h": (lambda x: lo.q_from_h(x, GM2), (2, 2), "Hamiltonian H must be numbers"),
@@ -229,7 +251,7 @@ def gate_calls(monkeypatch):
         calls.append(args[1])
         return gate(*args, **kwargs)
 
-    for module in (basis, core, cp, forward, inverse, odesolve, superop):
+    for module in (basis, core, cp, forward, inverse, odesolve):
         monkeypatch.setattr(module, "_numbers", counting_gate)
     return calls
 

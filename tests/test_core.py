@@ -10,9 +10,8 @@ from lindblad_ode import (
     OdePair,
     SuperopTensor,
     a_from_gc,
+    apply,
     apply_dissipator,
-    apply_faf,
-    apply_liouvillian,
     c_from_a,
     check_lindblad,
     coordinatize,
@@ -20,7 +19,6 @@ from lindblad_ode import (
     decompose_g,
     diagonalize_dissipator,
     evolve_density,
-    faf_from_tensor,
     forward_map,
     generate_gell_mann,
     h_from_g,
@@ -112,7 +110,7 @@ def test_superop_conversions_match_oracles(d):
     t = SuperopTensor(rng.normal(size=(d,) * 4) + 1j * rng.normal(size=(d,) * 4))
     scale = _size(t.entries)
     assert_close(superop_matrix(t, basis).entries, oracles.superop_matrix(t, basis), scale)
-    assert_close(faf_from_tensor(t, basis).c, oracles.faf_from_tensor(t, basis), scale)
+    assert_close(phi(4, 8, t, basis).c, oracles.faf_from_tensor(t, basis), scale)
 
 
 @pytest.mark.parametrize("d", ORACLE_DIMS)
@@ -126,9 +124,9 @@ def test_actions_match_oracles(d):
     for a in (p.rates, _complex(rng, j, j)):
         assert_close(apply_dissipator(a, x, basis), oracles.apply_dissipator(a, x, basis), _size(a) * _size(x))
     scale = _size(p.hamiltonian, p.rates) * _size(x)
-    assert_close(apply_liouvillian(p, x, basis), oracles.apply_liouvillian(p, x, basis), scale)
+    assert_close(apply(p, x, basis), oracles.apply_liouvillian(p, x, basis), scale)
     c = _complex(rng, j + 1, j + 1)
-    assert_close(apply_faf(FAFRep(c), x, basis), oracles.apply_faf(c, x, basis), _size(c) * _size(x))
+    assert_close(apply(FAFRep(c), x, basis), oracles.apply_faf(c, x, basis), _size(c) * _size(x))
 
 
 @pytest.mark.parametrize("d", ORACLE_DIMS)
@@ -236,7 +234,7 @@ _P3 = MasterEqParams(hamiltonian=_H3, rates=np.eye(8))
     [
         (forward_map, (_P3,)),
         (liouvillian_matrix, (_P3,)),
-        (apply_liouvillian, (_P3, np.eye(3))),
+        (apply, (_P3, np.eye(3))),
         (apply_dissipator, (np.eye(8), np.eye(3))),
         (q_from_h, (_H3,)),
         (r_from_a, (np.eye(8),)),

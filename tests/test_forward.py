@@ -9,7 +9,7 @@ import oracles
 from lindblad_ode import (
     MasterEqParams,
     OdePair,
-    apply_liouvillian,
+    apply,
     c_from_a,
     coordinatize,
     diagonalize_dissipator,
@@ -47,6 +47,23 @@ def test_params_normalize_trace():
     p = MasterEqParams(hamiltonian=h, rates=np.zeros((3, 3)))
     assert abs(np.trace(p.hamiltonian)) < 1e-14
     assert p.trace_shift == pytest.approx(2.0)
+
+
+def test_the_normal_form_moves_a_traceless_h_by_rounding_only():
+    # not idempotent, as README.md says why: building MasterEqParams again from an inverse_map result subtracts the
+    # rounding-sized trace that the first subtraction left, and moves H by at most eps * max|H|
+    eps, moved = np.finfo(float).eps, 0
+    for d in (3, 4, 5):
+        basis, rng = generate_gell_mann(d), np.random.default_rng(d)
+        for _ in range(20):
+            p = inverse_map(OdePair(rng.normal(size=(basis.J, basis.J)), rng.normal(size=basis.J)), basis)
+            again = MasterEqParams(p.hamiltonian, p.rates)
+            scale = np.max(np.abs(p.hamiltonian))
+            np.testing.assert_array_equal(again.rates, p.rates)
+            assert np.max(np.abs(again.hamiltonian - p.hamiltonian)) <= eps * scale
+            assert abs(again.trace_shift) <= eps * scale
+            moved += np.any(again.hamiltonian != p.hamiltonian)
+    assert moved > 0
 
 
 def test_params_reject_non_hermitian():
@@ -93,7 +110,7 @@ def test_dephasing_action_on_sigma_x(basis2):
     gamma = 0.6
     p = MasterEqParams(hamiltonian=np.zeros((2, 2)), rates=dephasing_a(gamma))
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    np.testing.assert_allclose(apply_liouvillian(p, sx, basis2), -2 * gamma * sx, atol=1e-12)
+    np.testing.assert_allclose(apply(p, sx, basis2), -2 * gamma * sx, atol=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -104,7 +121,7 @@ def test_liouvillian_output_traceless_and_hermitian(d, seed):
     p = random_meq(d, rng)
     x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     x = (x + x.conj().T) / 2
-    out = apply_liouvillian(p, x, basis)
+    out = apply(p, x, basis)
     assert abs(np.trace(out)) < 1e-12
     np.testing.assert_allclose(out, out.conj().T, atol=1e-12)
 
@@ -114,7 +131,7 @@ def test_symmetric_rates_annihilate_identity(basis3):
     a = rng.normal(size=(8, 8))
     a = a + a.T
     p = MasterEqParams(hamiltonian=np.zeros((3, 3)), rates=a)
-    np.testing.assert_allclose(apply_liouvillian(p, np.eye(3), basis3), 0, atol=1e-12)
+    np.testing.assert_allclose(apply(p, np.eye(3), basis3), 0, atol=1e-12)
 
 
 def test_qubit_hamiltonian_q(basis2):
@@ -208,7 +225,7 @@ def test_diagonalize_dissipator_reconstructs_action(basis3):
     p = MasterEqParams(hamiltonian=np.zeros((3, 3)), rates=a)
     for _ in range(5):
         x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        direct = apply_liouvillian(p, x, basis3)
+        direct = apply(p, x, basis3)
         rebuilt = sum(
             g * (op @ x @ op.conj().T - 0.5 * (op.conj().T @ op @ x + x @ op.conj().T @ op))
             for g, op in zip(diag.gamma, diag.lindblad_ops)

@@ -5,12 +5,15 @@ from hypothesis import strategies as st
 
 import oracles
 from lindblad_ode import (
+    FAFRep,
     MasterEqParams,
     NiceBasis,
     OdePair,
+    SuperopMatrix,
     SuperopTensor,
     Tensor4,
     a_from_gc,
+    apply,
     check_lindblad,
     decompose_g,
     forward_map,
@@ -98,7 +101,7 @@ def test_bijection_roundtrips(d, seed):
 
 
 @pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("space", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("space", [2, 3, 4, 5, 6, 7, 8])
 def test_phi_roundtrip_every_space(d, space):
     rng = np.random.default_rng(100 * d + space)
     basis = generate_gell_mann(d)
@@ -119,7 +122,7 @@ def test_phi_composed_route_matches_forward(basis2):
 
 
 def test_phi_validates_inputs(basis2):
-    bad = Tensor4(entries=np.ones((2, 2, 2, 2)), flavor="x")
+    bad = Tensor4(entries=np.ones((2, 2, 2, 2)))
     with pytest.raises(ValueError):
         phi(2, 1, bad, basis2)
     with pytest.raises(ValueError):
@@ -128,17 +131,20 @@ def test_phi_validates_inputs(basis2):
     for src, dst, value in [
         (4, 6, np.zeros((2, 2, 2, 2))),
         (2, 1, np.zeros((2, 2, 2, 2))),
-        (3, 6, SuperopTensor(np.zeros((2, 2, 2, 2)))),
+        (3, 6, Tensor4(np.zeros((2, 2, 2, 2)))),
+        (7, 6, FAFRep(np.zeros((4, 4)))),
     ]:
         with pytest.raises(ValueError, match=f"space {src} values must be"):
             phi(src, dst, value, basis2)
-    # a d=3 value with the d=2 basis
+    # a d=3 value with the d=2 basis, in the words of the core
     for src, value in [
         (1, MasterEqParams(hamiltonian=np.zeros((3, 3)), rates=np.zeros((8, 8)))),
-        (2, Tensor4(entries=np.zeros((3, 3, 3, 3)), flavor="x")),
+        (2, Tensor4(entries=np.zeros((3, 3, 3, 3)))),
         (4, SuperopTensor(np.zeros((3, 3, 3, 3)))),
+        (7, SuperopMatrix(np.zeros((9, 9)))),
+        (8, FAFRep(np.zeros((9, 9)))),
     ]:
-        with pytest.raises(ValueError, match="the basis has dimension 2"):
+        with pytest.raises(ValueError, match="^operand of dimension 3 does not match the basis of dimension 2$"):
             phi(src, 6, value, basis2)
     # the G of a space-6 value is checked by the core alone
     with pytest.raises(ValueError, match="^operand of dimension 3 does not match the basis of dimension 2$"):
@@ -160,7 +166,7 @@ def test_produced_tensors_satisfy_invariants(d):
     np.testing.assert_allclose(np.einsum("ijki->jk", xt), 0, atol=1e-10)
 
 
-SPACE_PAIRS = [(s, t) for s in range(1, 7) for t in range(1, 7)]
+SPACE_PAIRS = [(s, t) for s in range(1, 9) for t in range(1, 9)]
 
 
 def phi_cycle(p, s, t, basis):
@@ -180,6 +186,23 @@ def test_all_cycles_commute(d):
             value = phi_cycle(p, s, t, basis)
             assert np.max(np.abs(value.hamiltonian - p.hamiltonian)) <= 1e-9 * scale
             assert np.max(np.abs(value.rates - p.rates)) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_any_superoperator_converts_among_its_spaces_and_no_space_of_generators_takes_it(d):
+    # X -> iX is not Hermiticity-preserving: spaces 4, 5, 7 and 8 carry it, and 1, 2, 3 and 6 refuse it
+    basis = generate_gell_mann(d)
+    t = oracles.tensor_from_map(lambda x: 1j * x, d)
+    x = np.random.default_rng(d).normal(size=(d, d))
+    for s in (4, 5, 7, 8):
+        value = phi(4, s, t, basis)
+        for u in (4, 5, 7, 8):
+            back = phi(u, 4, phi(s, u, value, basis), basis)
+            assert np.max(np.abs(back.entries - t.entries)) <= 1e-12
+        np.testing.assert_allclose(apply(value, x, basis), 1j * x, atol=1e-12)
+        for g in (1, 2, 3, 6):
+            with pytest.raises(ValueError, match="^not a Hermiticity-preserving .* flavor-x_tilde invariants"):
+                phi(s, g, value, basis)
 
 
 @settings(max_examples=20, deadline=None)
