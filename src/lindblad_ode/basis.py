@@ -88,13 +88,16 @@ def _integer(value, low: int, high: float, requirement: str) -> int:
     return int(value)
 
 
-def _numbers(x, what: str, dtype: type = complex, finite: str | None = "") -> np.ndarray:
+def _numbers(x, what: str, dtype: type = complex, finite: str | None = "", shape: tuple | None = None) -> np.ndarray:
     """x as a float or complex (dtype) array: the one gate of every array argument.
 
     The ValueError names the operand what. Refused: a bool, string or object dtype, or a bool among
-    numbers (f"{what} must be numbers, got a bool", "integers or floats" for a float dtype); a non-finite
-    entry unless finite is None (f"{finite or what} must be finite"); and, for a float dtype, an imaginary
-    part not negligible at tolerance.DATA (f"{what} has imaginary residue ..."), which is dropped otherwise.
+    numbers (f"{what} must be numbers, got a bool", "integers or floats" for a float dtype); a shape other
+    than shape, when one is given, checked before any arithmetic (f"{what} must have shape (n, n), got (2, 3)"):
+    an int entry is a fixed length, and a str entry one length shared by every axis of that name, so that
+    ("n", "n") is square; a non-finite entry unless finite is None (f"{finite or what} must be finite"); and,
+    for a float dtype, an imaginary part not negligible at tolerance.DATA (f"{what} has imaginary residue ..."),
+    which is dropped otherwise.
     """
     a = np.asarray(x)
     kind = a.dtype.kind
@@ -104,10 +107,21 @@ def _numbers(x, what: str, dtype: type = complex, finite: str | None = "") -> np
     ):
         got = "a bool" if kind in "biufc" else f"dtype {a.dtype}"
         raise ValueError(f"{what} must be {'numbers' if dtype is complex else 'integers or floats'}, got {got}")
+    if shape is not None and not _fits(a.shape, shape):
+        text = ", ".join(map(str, shape)) + ("," if len(shape) == 1 else "")
+        raise ValueError(f"{what} must have shape ({text}), got {a.shape}")
     a = a.astype(complex if kind == "c" else dtype, copy=False)
     if finite is not None and not np.isfinite(a).all():
         raise ValueError(f"{finite or what} must be finite")
     return _real(a, what) if kind == "c" and dtype is float else a
+
+
+def _fits(got: tuple, shape: tuple) -> bool:
+    """Whether the axes of got match shape: an int entry is that length, a str one a length shared by its name."""
+    lengths = {}
+    return len(got) == len(shape) and all(
+        lengths.setdefault(s, n) == n if isinstance(s, str) else s == n for s, n in zip(shape, got)
+    )
 
 
 def _real(m: np.ndarray, what: str) -> np.ndarray:
@@ -203,32 +217,25 @@ def structure_constants(basis: NiceBasis) -> StructureConstants:
 
 def coordinatize(x: np.ndarray, basis: NiceBasis) -> np.ndarray:
     """Coordinates X_i = Tr(F_i X); real vector iff X is Hermitian."""
-    x = _numbers(x, "operator X")
-    d = basis.dim
-    if x.shape != (d, d):
-        raise ValueError(f"operator shape {x.shape} incompatible with dimension {d}")
+    x = _numbers(x, "operator X", shape=(basis.dim, basis.dim))
     return np.einsum("iab,ba->i", basis.elements, x)
 
 
 def decoordinatize(coords: np.ndarray, basis: NiceBasis) -> np.ndarray:
     """Inverse of coordinatize: X = sum_i coords_i F_i."""
-    coords = _numbers(coords, "coordinates")
-    if coords.shape != (basis.J + 1,):
-        raise ValueError(f"expected {basis.J + 1} coordinates, got {coords.shape}")
+    coords = _numbers(coords, "coordinates", shape=(basis.J + 1,))
     return np.einsum("i,iab->ab", coords, basis.elements)
 
 
 def coherence_vector(rho: np.ndarray, basis: NiceBasis) -> np.ndarray:
     """Real coordinates (v_1..v_J) of a density matrix in the traceless part.
 
-    Requires rho finite, Tr(rho) = 1 and rho Hermitian up to a negligible residue
-    (tolerance.DATA).  Warns when the purity bound ||v|| <= sqrt(1 - 1/d) is
-    exceeded by more than that.
+    Requires rho finite and of shape (d, d), Tr(rho) = 1 and rho Hermitian up to
+    a negligible residue (tolerance.DATA).  Warns when the purity bound
+    ||v|| <= sqrt(1 - 1/d) is exceeded by more than that.
     """
-    rho = _numbers(rho, "density matrix")
     d = basis.dim
-    if rho.shape != (d, d):
-        raise ValueError(f"density matrix shape {rho.shape} incompatible with dimension {d}")
+    rho = _numbers(rho, "density matrix", shape=(d, d))
     if not tolerance.negligible(np.trace(rho) - 1, rho, tolerance.DATA):
         raise ValueError(f"density matrix trace {np.trace(rho):.6g} != 1")
     _hermitian(rho, "density matrix")

@@ -113,9 +113,7 @@ def to_tensor(s: np.ndarray) -> np.ndarray:
 def apply(s: np.ndarray, x: np.ndarray) -> np.ndarray:
     """L(X) = S @ vec(X) for a d x d matrix X."""
     d = _dim(s)
-    x = _numbers(x, "operator X")
-    if x.shape != (d, d):
-        raise ValueError(f"operator shape {x.shape} incompatible with dimension {d}")
+    x = _numbers(x, "operator X", shape=(d, d))
     return (s @ x.ravel()).reshape(d, d)
 
 

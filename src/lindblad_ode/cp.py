@@ -70,12 +70,10 @@ def sample_extreme_ray(big_b: np.ndarray, basis: NiceBasis) -> OdePair:
 
     R_kl = Tr[F_k (B F_l B^dag - 1/2 {B^dag B, F_l})], c_k = (1/d) Tr([B, B^dag] F_k);
     equals the forward map of (H = 0, a = b b^dag) with b_m = Tr(F_m B). Raises
-    ValueError unless B is finite and d x d with a negligible trace (tolerance.DATA).
+    ValueError unless B is finite, of shape (d, d) and has a negligible trace (tolerance.DATA).
     """
-    big_b = _numbers(big_b, "B")
     d = basis.dim
-    if big_b.shape != (d, d):
-        raise ValueError(f"B must be {d}x{d}, got {big_b.shape}")
+    big_b = _numbers(big_b, "B", shape=(d, d))
     if not tolerance.negligible(np.trace(big_b), big_b, tolerance.DATA):
         raise ValueError("B must be traceless")
     b = coordinatize(big_b, basis)[1:]

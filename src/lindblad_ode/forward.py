@@ -16,8 +16,9 @@ from .basis import NiceBasis, _built, _finite, _hermitian, _numbers, _real
 class MasterEqParams:
     """Pair (H, a): traceless Hermitian Hamiltonian and Hermitian rate matrix.
 
-    Each is stored as its Hermitian part, once its Hermiticity defect is negligible at tolerance.DATA.
-    H is made traceless by subtracting (Tr H / d) I, recorded in trace_shift, which is not an argument.
+    H has shape (d, d) for some d and a shape (J, J), J = d^2 - 1, else ValueError. Each is stored as its
+    Hermitian part, once its Hermiticity defect is negligible at tolerance.DATA. H is made traceless by
+    subtracting (Tr H / d) I, recorded in trace_shift, which is not an argument.
     """
 
     hamiltonian: np.ndarray
@@ -25,8 +26,8 @@ class MasterEqParams:
     trace_shift: float = field(init=False)
 
     def __post_init__(self):
-        h = _hamiltonian_matrix(self.hamiltonian)
-        a = _rate_matrix(self.rates, h.shape[0])
+        h = _numbers(self.hamiltonian, "Hamiltonian H", shape=("n", "n"))
+        a = _numbers(self.rates, "rate matrix a", shape=(len(h) ** 2 - 1,) * 2)
         for name, value in _normal_form(_hermitian(h, "Hamiltonian"), _hermitian(a, "rate matrix")).items():
             object.__setattr__(self, name, value)
 
@@ -41,39 +42,21 @@ def _normal_form(h: np.ndarray, a: np.ndarray) -> dict:
     return {"hamiltonian": h - shift * np.eye(len(h)), "rates": a, "trace_shift": float(shift)}
 
 
-def _hamiltonian_matrix(h) -> np.ndarray:
-    """h through the input gate, once it is one square matrix."""
-    h = _numbers(h, "Hamiltonian H")
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"Hamiltonian must be square, got {h.shape}")
-    return h
-
-
-def _rate_matrix(a, d: int, any_size: bool = False) -> np.ndarray:
-    """a through the input gate, once it is one J x J matrix, J = d^2 - 1 (with any_size, one matrix the core sizes)."""
-    a, j = _numbers(a, "rate matrix a"), d**2 - 1
-    if a.ndim != 2 or not any_size and a.shape != (j, j):
-        raise ValueError(f"rate matrix must be {j}x{j} for dimension {d}, got {a.shape}")
-    return a
-
-
 @dataclass(frozen=True)
 class OdePair:
     """Real pair (G, c) defining v' = G v + c.
 
-    G and c pass basis._numbers as real operands: a negligible imaginary part (tolerance.DATA) is
-    dropped, and ValueError names a larger one. G = Q + R splits by q_from_h and r_from_a, or decompose_g.
+    G and c pass basis._numbers as real operands of shapes (n, n) and (n,): a negligible imaginary part
+    (tolerance.DATA) is dropped, and ValueError names a larger one. G = Q + R splits by q_from_h and
+    r_from_a, or decompose_g.
     """
 
     G: np.ndarray
     c: np.ndarray
 
     def __post_init__(self):
-        g, c = _numbers(self.G, "G", float, finite="G and c"), _numbers(self.c, "c", float, finite="G and c")
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise ValueError(f"G must be square, got {g.shape}")
-        if c.shape != (g.shape[0],):
-            raise ValueError(f"c must have length {g.shape[0]}, got {c.shape}")
+        g = _numbers(self.G, "G", float, finite="G and c", shape=("n", "n"))
+        c = _numbers(self.c, "c", float, finite="G and c", shape=(len(g),))
         object.__setattr__(self, "G", g)
         object.__setattr__(self, "c", c)
 
@@ -93,7 +76,7 @@ class DiagonalDissipator:
 def apply_dissipator(a: np.ndarray, x: np.ndarray, basis: NiceBasis) -> np.ndarray:
     """L(X) = sum_ij a_ij (F_i X F_j - 1/2 {F_j F_i, X}); a need not be Hermitian here. Raises ValueError
     when L(X) is not finite."""
-    a = _rate_matrix(a, basis.dim, any_size=True)
+    a = _numbers(a, "rate matrix a", shape=("n", "n"))
     with np.errstate(all="ignore"):
         return _finite(core.apply(core.dissipator_superop(a, basis), x), "L(X)")
 
@@ -119,8 +102,9 @@ def _core_to_meq(s: np.ndarray, basis: NiceBasis) -> MasterEqParams:
 
 def q_from_h(h: np.ndarray, basis: NiceBasis) -> np.ndarray:
     """Antisymmetric Q with Q_ij = -i Tr(F_i [H, F_j]), the G of H alone; H is read as MasterEqParams reads it."""
+    h = _hermitian(_numbers(h, "Hamiltonian H", shape=("n", "n")), "Hamiltonian")
     with np.errstate(all="ignore"):
-        return _core_to_gc(core.hamiltonian_superop(_hermitian(_hamiltonian_matrix(h), "Hamiltonian")), basis).G
+        return _core_to_gc(core.hamiltonian_superop(h), basis).G
 
 
 def r_from_a(a: np.ndarray, basis: NiceBasis) -> np.ndarray:
@@ -134,7 +118,7 @@ def c_from_a(a: np.ndarray, basis: NiceBasis) -> np.ndarray:
 
 
 def _dissipator_gc(a, basis: NiceBasis) -> OdePair:
-    a = _rate_matrix(a, basis.dim, any_size=True)
+    a = _numbers(a, "rate matrix a", shape=("n", "n"))
     core.basis_columns(a, basis, 1)
     with np.errstate(all="ignore"):
         return _core_to_gc(core.dissipator_superop(_hermitian(a, "rate matrix"), basis), basis)
@@ -191,11 +175,11 @@ def diagonalize_dissipator(a: np.ndarray, basis: NiceBasis) -> DiagonalDissipato
     """Diagonal form a = u^dag gamma u; L_alpha = sum_j u*_aj F_j.
 
     Eigenvalues at or below the scale-invariant cut tolerance.ROUNDING * ||a||
-    in magnitude are reported as exact zeros. Raises ValueError when a is not finite,
-    or not Hermitian at tolerance.DATA (eigh would read only its lower triangle), or
-    when an eigenvalue overflows.
+    in magnitude are reported as exact zeros. Raises ValueError when a is not a finite
+    J x J matrix, or not Hermitian at tolerance.DATA (eigh would read only its lower
+    triangle), or when an eigenvalue overflows.
     """
-    a = _rate_matrix(a, basis.dim, any_size=True)
+    a = _numbers(a, "rate matrix a", shape=("n", "n"))
     core.basis_columns(a, basis, 1)
     _hermitian(a, "rate matrix")
     w, v = np.linalg.eigh(a)

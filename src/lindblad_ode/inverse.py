@@ -25,14 +25,6 @@ from .basis import NiceBasis, _built, _finite, _numbers
 from .forward import MasterEqParams, OdePair, _core_to_gc, _core_to_meq, _superop
 
 
-def _equal_axes(entries, what: str, ndim: int) -> np.ndarray:
-    """entries as a complex array of finite entries with ndim axes of one length; otherwise ValueError."""
-    a = _numbers(entries, what)
-    if a.ndim != ndim or len(set(a.shape)) != 1:
-        raise ValueError(f"{what} must have {ndim} axes of one length, got shape {a.shape}")
-    return a
-
-
 @dataclass(frozen=True)
 class _Tensor:
     """A rank-4 tensor over matrix units; Tensor4 and SuperopTensor read it in two ways."""
@@ -40,7 +32,7 @@ class _Tensor:
     entries: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _equal_axes(self.entries, "tensor", 4))
+        object.__setattr__(self, "entries", _numbers(self.entries, "tensor", shape=("n",) * 4))
 
     @property
     def dim(self) -> int:
@@ -71,7 +63,7 @@ class SuperopMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _equal_axes(self.entries, "matrix", 2))
+        object.__setattr__(self, "entries", _numbers(self.entries, "matrix", shape=("n", "n")))
 
 
 @dataclass(frozen=True)
@@ -84,7 +76,7 @@ class FAFRep:
     c: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "c", _equal_axes(self.c, "coefficient matrix", 2))
+        object.__setattr__(self, "c", _numbers(self.c, "coefficient matrix", shape=("n", "n")))
 
 
 def _check_invariants(x: np.ndarray, flavor: str) -> None:
@@ -265,10 +257,8 @@ def r_image_check(r: np.ndarray, basis: NiceBasis) -> bool:
 
 
 def _with_hamiltonian(g, what: str, basis: NiceBasis) -> tuple[np.ndarray, np.ndarray]:
-    """(G, h_from_g(G)) of the real square operand what, which passes the gate once; ValueError unless H is finite."""
-    g = _numbers(g, what, float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise ValueError(f"{what} must be square, got {g.shape}")
+    """(G, h_from_g(G)) of the real (n, n) operand what, which passes the gate once; ValueError unless H is finite."""
+    g = _numbers(g, what, float, shape=("n", "n"))
     with np.errstate(all="ignore"):
         h = core.hamiltonian(_gc_to_core(_built(OdePair, None, G=g, c=np.zeros(len(g))), basis))
     return g, _finite(h, f"H of {what}")

@@ -215,13 +215,11 @@ def _step_outward(m: np.ndarray, x0: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def propagator(g: np.ndarray, t: float) -> np.ndarray:
-    """e^{Gt} for a real square matrix G and a real scalar t, each read by basis._numbers as a real operand.
+    """e^{Gt} for a real G of shape (n, n) and a real t of shape (), each read by basis._numbers as a real operand.
 
     Raises ValueError for any other input, and when e^{Gt} is not finite (see _expm), G t included.
     """
-    g, t = _numbers(g, "propagator G", float), _numbers(t, "propagator t", float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1] or t.ndim != 0:
-        raise ValueError(f"propagator needs a square matrix G and a scalar t, got G of shape {g.shape}")
+    g, t = _numbers(g, "propagator G", float, shape=("n", "n")), _numbers(t, "propagator t", float, shape=())
     with np.errstate(all="ignore"):
         return _finite(_expm(g * t), "propagator: e^{Gt}")
 
@@ -234,13 +232,15 @@ def solve(pair: OdePair, v0) -> OdeSolution:
     otherwise it steps (v, 1) under [[G, c], [0, 0]] (kind "general"). The
     ranks of G and [G c] behind v_infinity and frozen_consistent are taken at
     their own scale-invariant cut, tolerance.ROUNDING. Raises ValueError when
-    v0 has the wrong length or basis._numbers refuses it as a real operand.
+    basis._numbers refuses v0 as a real operand of the shape of c.
     """
+    return _solve(pair, _numbers(v0, "v0", float, shape=pair.c.shape))
+
+
+def _solve(pair: OdePair, v0: np.ndarray) -> OdeSolution:
+    """solve for a v0 that has passed the input gate."""
     g, c = pair.G, pair.c
     j = g.shape[0]
-    v0 = _numbers(v0, "v0", float)
-    if v0.shape != (j,):
-        raise ValueError(f"v0 must have length {j}, got {v0.shape}")
     sv = np.linalg.svd(g, compute_uv=False)
     rank_g = tolerance.rank(sv, tolerance.ROUNDING)
     v_inf = -np.linalg.solve(g, c) if j and rank_g == j else None
@@ -270,5 +270,5 @@ def evolve_density(
     rho0 = np.asarray(rho0, dtype=complex)  # coherence_vector has passed it through the input gate
     if not tolerance.is_psd(np.linalg.eigvalsh((rho0 + rho0.conj().T) / 2), tolerance.DATA):
         raise ValueError("density matrix is not positive semidefinite")
-    trajectory = solve(forward_map(params, basis), v0).trajectory(times)
+    trajectory = _solve(forward_map(params, basis), v0).trajectory(times)
     return list(np.eye(basis.dim) / basis.dim + np.einsum("tk,kab->tab", trajectory, basis.traceless))

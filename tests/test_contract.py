@@ -43,29 +43,76 @@ MALFORMED = {
         lambda: lo.evolve_density(PARAMS, RHO, [0.0, True], GM2), "times must be integers or floats, got a bool"
     ),
     # an operand that is not one matrix reached numpy: an IndexError, or a message about broadcasting
-    "q-from-h-vector": (lambda: lo.q_from_h(np.zeros(4), GM2), "Hamiltonian must be square, got (4,)"),
-    "q-from-h-not-square": (lambda: lo.q_from_h(np.zeros((2, 3)), GM2), "Hamiltonian must be square, got (2, 3)"),
+    "q-from-h-vector": (lambda: lo.q_from_h(np.zeros(4), GM2), "Hamiltonian H must have shape (n, n), got (4,)"),
+    "q-from-h-not-square": (
+        lambda: lo.q_from_h(np.zeros((2, 3)), GM2), "Hamiltonian H must have shape (n, n), got (2, 3)"
+    ),
     "r-from-a-stack": (
-        lambda: lo.r_from_a(np.zeros((2, 3, 3)), GM2), "rate matrix must be 3x3 for dimension 2, got (2, 3, 3)"
+        lambda: lo.r_from_a(np.zeros((2, 3, 3)), GM2), "rate matrix a must have shape (n, n), got (2, 3, 3)"
     ),
     "c-from-a-stack": (
-        lambda: lo.c_from_a(np.zeros((2, 3, 3)), GM2), "rate matrix must be 3x3 for dimension 2, got (2, 3, 3)"
+        lambda: lo.c_from_a(np.zeros((2, 3, 3)), GM2), "rate matrix a must have shape (n, n), got (2, 3, 3)"
     ),
     "apply-dissipator-stack": (
         lambda: lo.apply_dissipator(np.zeros((2, 3, 3)), np.eye(2), GM2),
-        "rate matrix must be 3x3 for dimension 2, got (2, 3, 3)",
+        "rate matrix a must have shape (n, n), got (2, 3, 3)",
     ),
     "superop-matrix-not-square": (
-        lambda: lo.SuperopMatrix(np.zeros((2, 3))), "matrix must have 2 axes of one length, got shape (2, 3)"
+        lambda: lo.SuperopMatrix(np.zeros((2, 3))), "matrix must have shape (n, n), got (2, 3)"
     ),
     "diagonalize-dissipator-stack": (
         lambda: lo.diagonalize_dissipator(np.zeros((2, 3, 3)), GM2),
-        "rate matrix must be 3x3 for dimension 2, got (2, 3, 3)",
+        "rate matrix a must have shape (n, n), got (2, 3, 3)",
     ),
     # each said "(G, c) of the superoperator has imaginary residue ...", naming neither operand nor condition
     "q-from-h-not-hermitian": (lambda: lo.q_from_h([[0, 1], [0, 0]], GM2), "Hamiltonian is not Hermitian"),
     "r-from-a-not-hermitian": (lambda: lo.r_from_a(1j * np.eye(3), GM2), "rate matrix is not Hermitian"),
     "c-from-a-not-hermitian": (lambda: lo.c_from_a(1j * np.eye(3), GM2), "rate matrix is not Hermitian"),
+}
+
+PAIR = lo.OdePair(G=-np.eye(3), c=np.zeros(3))
+
+# name: (call on an operand of the wrong shape, message); each operand's shape is stated once, in the input gate,
+# where thirteen checks stated it in eight wordings ("Hamiltonian must be square", "v0 must have length 3", ...).
+# A named length, n, is shared by every axis of that name; an int is fixed by the basis or by another operand.
+WRONG_SHAPE = {
+    "params-h-0d": (lambda: lo.MasterEqParams(5.0, np.zeros((3, 3))), "Hamiltonian H must have shape (n, n), got ()"),
+    "params-h-1d": (
+        lambda: lo.MasterEqParams(np.zeros(2), np.zeros((3, 3))), "Hamiltonian H must have shape (n, n), got (2,)"
+    ),
+    "params-h-2x3": (
+        lambda: lo.MasterEqParams(np.zeros((2, 3)), np.zeros((3, 3))),
+        "Hamiltonian H must have shape (n, n), got (2, 3)",
+    ),
+    "params-a-stack": (
+        lambda: lo.MasterEqParams(np.zeros((2, 2)), np.zeros((2, 3, 3))),
+        "rate matrix a must have shape (3, 3), got (2, 3, 3)",
+    ),
+    "rate-matrix-stack": (
+        lambda: lo.diagonalize_dissipator(np.zeros((2, 3, 3)), GM2),
+        "rate matrix a must have shape (n, n), got (2, 3, 3)",
+    ),
+    "ode-pair-g": (lambda: lo.OdePair(np.zeros((3, 2)), np.zeros(3)), "G must have shape (n, n), got (3, 2)"),
+    "ode-pair-c": (lambda: lo.OdePair(-np.eye(3), np.zeros(2)), "c must have shape (3,), got (2,)"),
+    "tensor-3-axes": (lambda: lo.Tensor4(np.zeros((2, 2, 2))), "tensor must have shape (n, n, n, n), got (2, 2, 2)"),
+    "tensor-unequal-axes": (
+        lambda: lo.SuperopTensor(np.zeros((2, 2, 2, 3))), "tensor must have shape (n, n, n, n), got (2, 2, 2, 3)"
+    ),
+    "faf-not-square": (lambda: lo.FAFRep(np.zeros((4, 3))), "coefficient matrix must have shape (n, n), got (4, 3)"),
+    "h-from-g": (lambda: lo.h_from_g(np.zeros((3, 2)), GM2), "G must have shape (n, n), got (3, 2)"),
+    "r-image-check": (lambda: lo.r_image_check(np.zeros(3), GM2), "R must have shape (n, n), got (3,)"),
+    "rho": (lambda: lo.coherence_vector(np.eye(3) / 3, GM2), "density matrix must have shape (2, 2), got (3, 3)"),
+    "evolve-rho0": (
+        lambda: lo.evolve_density(PARAMS, np.eye(3) / 3, [0.0], GM2),
+        "density matrix must have shape (2, 2), got (3, 3)",
+    ),
+    "coordinatize-x": (lambda: lo.coordinatize(np.zeros((2, 3)), GM2), "operator X must have shape (2, 2), got (2, 3)"),
+    "apply-x": (lambda: lo.apply(PARAMS, np.zeros((3, 3)), GM2), "operator X must have shape (2, 2), got (3, 3)"),
+    "extreme-ray-b": (lambda: lo.sample_extreme_ray(np.zeros((3, 3)), GM2), "B must have shape (2, 2), got (3, 3)"),
+    "coordinates": (lambda: lo.decoordinatize(np.zeros(3), GM2), "coordinates must have shape (4,), got (3,)"),
+    "solve-v0": (lambda: lo.solve(PAIR, np.zeros(2)), "v0 must have shape (3,), got (2,)"),
+    "propagator-g": (lambda: lo.propagator(np.zeros((2, 3)), 1.0), "propagator G must have shape (n, n), got (2, 3)"),
+    "propagator-t": (lambda: lo.propagator(np.eye(2), [1.0]), "propagator t must have shape (), got (1,)"),
 }
 
 HUGE_PAIR = lo.OdePair(1e308 * np.ones((3, 3)), np.ones(3))
@@ -161,8 +208,6 @@ NON_FINITE = {
     "extreme-ray": (lambda bad: lo.sample_extreme_ray(_full((2, 2), bad), GM2), "B must be finite"),
 }
 
-PAIR = lo.OdePair(G=-np.eye(3), c=np.zeros(3))
-
 
 def _not_numbers(shape, bad):
     """The entries of each NOT_NUMBERS case at a shape: every entry bad, or one bad entry among floats."""
@@ -236,6 +281,31 @@ def test_malformed_input_raises_its_message_without_a_warning(name):
     _raises_without_a_warning(*MALFORMED[name])
 
 
+@pytest.mark.parametrize("name", WRONG_SHAPE)
+def test_an_operand_of_the_wrong_shape_raises_one_message_without_a_warning(name):
+    _raises_without_a_warning(*WRONG_SHAPE[name])
+
+
+@pytest.mark.parametrize(
+    "got, shape, fits",
+    [
+        ((2, 2), ("n", "n"), True),
+        ((0, 0), ("n", "n"), True),
+        ((2, 3), ("n", "n"), False),
+        ((2, 2, 2), ("n", "n"), False),
+        ((2, 3), ("n", 3), True),
+        ((2, 3), ("n", "m"), True),
+        ((2, 3, 2), ("n", "m", "n"), True),
+        ((2, 3, 3), ("n", "m", "n"), False),
+        ((3,), (3,), True),
+        ((), (), True),
+        ((1,), (), False),
+    ],
+)
+def test_the_gate_reads_a_shape_of_fixed_and_named_lengths(got, shape, fits):
+    assert basis._fits(got, shape) is fits
+
+
 @pytest.mark.parametrize("name", OVERFLOW)
 def test_a_result_that_overflows_raises_its_message_without_a_warning(name):
     _raises_without_a_warning(*OVERFLOW[name])
@@ -273,12 +343,13 @@ def test_the_conversions_do_not_pass_their_own_results_through_the_input_gate(ga
 
 
 def test_an_input_passes_the_gate_once(gate_calls):
-    # NiceBasis, then verify_nice_basis, scanned the elements; evolve_density, then coherence_vector, rho0
+    # NiceBasis, then verify_nice_basis, scanned the elements; evolve_density, then coherence_vector, rho0;
+    # and solve scanned the v0 that coherence_vector had built, which recorded ["density matrix", "v0", "times"]
     lo.NiceBasis(GM2.elements)
     assert gate_calls == ["basis elements"]
     gate_calls.clear()
     lo.evolve_density(PARAMS, RHO, [0.0, 1.0], GM2)
-    assert gate_calls.count("density matrix") == 1
+    assert gate_calls == ["density matrix", "times"]
     # decompose_g scanned G twice and then the H it had computed; r_image_check recorded ["R", "G", "c"]
     gate_calls.clear()
     lo.decompose_g(-np.eye(8), GM3)

@@ -98,7 +98,7 @@ def test_quadratic_form_negative_direction(basis2):
 def test_extreme_ray_requires_traceless(basis2):
     with pytest.raises(ValueError, match=r"^B must be traceless$"):
         sample_extreme_ray(np.eye(2), basis2)
-    with pytest.raises(ValueError, match=r"^B must be 2x2, got \(3, 3\)$"):
+    with pytest.raises(ValueError, match=r"^B must have shape \(2, 2\), got \(3, 3\)$"):
         sample_extreme_ray(np.zeros((3, 3)), basis2)
     pair = OdePair(G=np.zeros((3, 3)), c=np.zeros(3))
     assert oracles.cp_quadratic_form(pair, np.zeros((2, 2)), basis2) == 0.0

@@ -75,7 +75,7 @@ def test_params_reject_non_hermitian():
 
 @pytest.mark.parametrize("h", [5.0, np.zeros(2), np.zeros((2, 3))], ids=["0-d", "1-d", "not-square"])
 def test_params_reject_a_hamiltonian_that_is_not_square(h):
-    with pytest.raises(ValueError, match=r"^Hamiltonian must be square, got \("):
+    with pytest.raises(ValueError, match=r"^Hamiltonian H must have shape \(n, n\), got \("):
         MasterEqParams(hamiltonian=h, rates=np.zeros((3, 3)))
 
 
