@@ -92,14 +92,18 @@ def _numbers(x, what: str, dtype: type = complex, finite: str | None = "", shape
     """x as a float or complex (dtype) array: the one gate of every array argument.
 
     The ValueError names the operand what. Refused: a bool, string or object dtype, or a bool among
-    numbers (f"{what} must be numbers, got a bool", "integers or floats" for a float dtype); a shape other
+    numbers (f"{what} must be numbers, got a bool", "integers or floats" for a float dtype); a ragged nested
+    sequence (f"{what} must be a rectangular array, got a ragged sequence"); a shape other
     than shape, when one is given, checked before any arithmetic (f"{what} must have shape (n, n), got (2, 3)"):
     an int entry is a fixed length, and a str entry one length shared by every axis of that name, so that
     ("n", "n") is square; a non-finite entry unless finite is None (f"{finite or what} must be finite"); and,
     for a float dtype, an imaginary part not negligible at tolerance.DATA (f"{what} has imaginary residue ..."),
     which is dropped otherwise.
     """
-    a = np.asarray(x)
+    try:
+        a = np.asarray(x)
+    except ValueError:  # numpy refuses a nested sequence whose lengths differ at one depth
+        raise ValueError(f"{what} must be a rectangular array, got a ragged sequence") from None
     kind = a.dtype.kind
     # a list that mixes bools with numbers converts to a number dtype, so its entries are read as well
     if kind not in "iufc" or not isinstance(x, np.ndarray) and any(

@@ -61,12 +61,13 @@ def _parse_number(v) -> complex:
 
 
 def _parse_matrix(rows, name: str) -> np.ndarray:
-    if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
-        raise CliError(f"{name} must be a non-empty nested array")
-    width = len(rows[0])
+    """A list of row lists as a matrix; [] is the 0 x 0 matrix of d = 1, whose shape the input gate judges."""
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise CliError(f"{name} must be a nested array")
+    width = len(rows[0]) if rows else 0
     if any(len(r) != width for r in rows):
         raise CliError(f"{name} must be rectangular")
-    m = np.array([[_parse_number(v) for v in r] for r in rows])
+    m = np.array([[_parse_number(v) for v in r] for r in rows], dtype=complex).reshape(len(rows), width)
     return m if name in _COMPLEX_FIELDS else _real(m, name)
 
 

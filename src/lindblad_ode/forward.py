@@ -16,7 +16,7 @@ from .basis import NiceBasis, _built, _finite, _hermitian, _numbers, _real
 class MasterEqParams:
     """Pair (H, a): traceless Hermitian Hamiltonian and Hermitian rate matrix.
 
-    H has shape (d, d) for some d and a shape (J, J), J = d^2 - 1, else ValueError. Each is stored as its
+    H has shape (d, d) for some d >= 1 and a shape (J, J), J = d^2 - 1, else ValueError. Each is stored as its
     Hermitian part, once its Hermiticity defect is negligible at tolerance.DATA. H is made traceless by
     subtracting (Tr H / d) I, recorded in trace_shift, which is not an argument.
     """
@@ -27,6 +27,8 @@ class MasterEqParams:
 
     def __post_init__(self):
         h = _numbers(self.hamiltonian, "Hamiltonian H", shape=("n", "n"))
+        if not len(h):  # d = 0 is no Hilbert space, and would ask a of shape (-1, -1)
+            raise ValueError("Hamiltonian H must have shape (n, n) with n >= 1, got (0, 0)")
         a = _numbers(self.rates, "rate matrix a", shape=(len(h) ** 2 - 1,) * 2)
         for name, value in _normal_form(_hermitian(h, "Hamiltonian"), _hermitian(a, "rate matrix")).items():
             object.__setattr__(self, name, value)

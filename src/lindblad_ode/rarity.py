@@ -20,10 +20,15 @@ Work is done in chunks of _CHUNK samples:
 
 - Memory. An estimate, and the moment loop, allocate one buffer of _CHUNK
   rows and refill it for each chunk, so no two chunks of rows are alive at
-  once. M is built J unit rows at a time, so its build holds M and the work
-  arrays of one block. The working set is therefore one chunk of rows, M,
-  and the pruning stages' arrays over part of a chunk, whatever the number
-  of samples.
+  once. An estimate keeps of M only what the PSD prefilter reads (see
+  Pruning), a few KB cached once per (ensemble, size). It builds the dense
+  M (0.8 MB at d = 4, 5.3 MB at d = 5) at the first chunk of the call with
+  a PSD candidate, which at d >= 3 few calls have, and holds it for the
+  rest of that call; the moment loop reads every a, so it builds M. M is
+  built J unit rows at a time, so its build holds M and the work arrays of
+  one block. The working set of an estimate is therefore one chunk of rows
+  and the pruning stages' arrays over part of a chunk, and M only in a call
+  with a candidate, whatever the number of samples.
 - Sampling. A Philox stream is defined by its key alone (Salmon et al.,
   SC'11), so a chunk builds one Philox and re-keys it for each sample
   through its public state: key [seed, index], counter 0, empty buffer.
@@ -36,10 +41,13 @@ Work is done in chunks of _CHUNK samples:
   and its largest |eigenvalue| is at most ||a||_F, so a PSD sample
   (lambda_min >= -tol max(1, max|lambda|)) has
   min_m Re a_mm >= -tol max(1, ||a||_F). For a = z @ M the diagonal is
-  z @ M[:, ::J+1] and ||a||_F <= B = ||z|| ||M||_F, so the test runs on z
-  with B in place of ||a||_F; a is formed, and eigvalsh run, only for the
-  rows that pass. The diagonal columns of M and ||M||_F are taken once per
-  estimate.
+  z @ M[:, ::J+1], to which only the rows nz of M with a nonzero diagonal
+  entry contribute (24 of 240 at d = 4, and j of 2 j^2 for GUE), so it is
+  taken as z[nz] @ M[nz, ::J+1]: the nonzero products of the dense
+  product, summed without its exact zeros. ||a||_F <= B = ||z|| ||M||_F, so
+  the test runs on z with B in place of ||a||_F; a is formed, and eigvalsh
+  run, only for the rows that pass. nz, M[nz, ::J+1] and ||M||_F are
+  taken once per (ensemble, size) by _prefilter, which keeps no M.
   Stability (GinOE): with H = G - tol I, the characteristic polynomial
   det(sI - H) = s^J + c_1 s^(J-1) + ... + c_J of a real H whose eigenvalues
   all have Re <= 0 is a product of factors s + |mu| and
@@ -71,8 +79,8 @@ Work is done in chunks of _CHUNK samples:
   condition computed for a sample that eigvals finds stable is within a few
   hundred J eps r^k (a few thousand for Delta_3) of its exact value at
   G + E, which is >= 0.
-  For GinOE the diagonal z @ M[:, ::J+1] is a sum of J^2 + J products,
-  within (J^2 + J) eps B of the diagonal of the a that eigvalsh sees; for
+  For GinOE the diagonal z[nz] @ M[nz, ::J+1] sums at most J^2 + J
+  products, within (J^2 + J) eps B of the diagonal of the a that eigvalsh sees; for
   GUE each diagonal column of M holds the one nonzero entry sqrt(1/2), so
   the diagonal is a single exact product, the same one that a holds. Each
   condition is therefore widened by MARGIN (1 + r^k), with k = 3 for
@@ -91,6 +99,7 @@ Work is done in chunks of _CHUNK samples:
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -193,7 +202,7 @@ def _gue_matrix(j: int) -> np.ndarray:
     a_mn = h (X_mn + X_nm) + i h (Y_mn - Y_nm) with h = sqrt(1/2)/2, so the
     column of a_mm holds one nonzero entry, 2h = sqrt(1/2).
     """
-    j = _integer(j, 1, math.inf, "GUE needs size j >= 1 (an integer)")
+    j = _size("GUE", j)
     h = np.sqrt(0.5) / 2
     eye = np.eye(j * j)
     swap = eye.reshape(j, j, -1).transpose(1, 0, 2).reshape(j * j, j * j)  # row mn is e_nm
@@ -212,24 +221,31 @@ def _rates(rows: np.ndarray, m: np.ndarray) -> np.ndarray:
     return a.reshape(len(rows), j, j)
 
 
-def _diagonal_bound(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """What _psd_candidates reads of M: its real diagonal columns M[:, ::J+1], contiguous, and ||M||_F."""
+@functools.lru_cache(maxsize=None)
+def _prefilter(ensemble: str, size: int) -> tuple[int, np.ndarray, np.ndarray, float]:
+    """What _psd_candidates reads of M = _linearisation(ensemble, size), taken once per (ensemble, size) and
+    read-only: the row width len(M), the indices of the rows of M with a nonzero diagonal entry, those rows
+    of the real diagonal columns M[:, ::J+1], contiguous, and ||M||_F. M itself is not kept."""
+    m = _linearisation(ensemble, size)
     j = math.isqrt(m.shape[1])
-    return np.ascontiguousarray(m[:, :: j + 1].real), float(np.linalg.norm(m))
+    nonzero = np.flatnonzero(m[:, :: j + 1].real.any(axis=1))
+    diagonal = np.ascontiguousarray(m[nonzero, :: j + 1].real)
+    nonzero.flags.writeable = diagonal.flags.writeable = False
+    return len(m), nonzero, diagonal, float(np.linalg.norm(m))
 
 
-def _psd_candidates(rows: np.ndarray, diagonal: np.ndarray, m_norm: float, tol: float) -> np.ndarray:
+def _psd_candidates(rows: np.ndarray, prefilter: tuple, tol: float) -> np.ndarray:
     """Mask of the Philox rows z whose a = z @ M can pass tolerance.is_psd, from the diagonal of a alone;
-    diagonal and m_norm come from _diagonal_bound(M)."""
-    min_diag = (rows @ diagonal).min(axis=1)
+    prefilter is _prefilter of the M, whose zero diagonal rows add nothing to the diagonal of a."""
+    _, nonzero, diagonal, m_norm = prefilter
+    min_diag = (rows[:, nonzero] @ diagonal).min(axis=1)
     fro_bound = np.sqrt(np.einsum("ij,ij->i", rows, rows)) * m_norm  # >= ||a||_F
     return min_diag >= -tolerance.bound(fro_bound, tol) - tolerance.MARGIN * (1.0 + fro_bound)
 
 
-def _count_psd(rows: np.ndarray, m: np.ndarray, diagonal: np.ndarray, m_norm: float, tol: float) -> int:
-    """Rows z whose a = z @ M tolerance.is_psd accepts at rtol tol; a and eigvalsh are for candidates only."""
-    a = _rates(rows[_psd_candidates(rows, diagonal, m_norm, tol)], m)
-    return int(np.sum(tolerance.is_psd(np.linalg.eigvalsh(a), tol)))
+def _count_psd(rows: np.ndarray, m: np.ndarray, tol: float) -> int:
+    """Rows z whose a = z @ M tolerance.is_psd accepts at rtol tol; the rows are the prefilter's candidates."""
+    return int(np.sum(tolerance.is_psd(np.linalg.eigvalsh(_rates(rows, m)), tol)))
 
 
 def _char_coefficients(p: list) -> list:
@@ -290,20 +306,40 @@ def _count_stable(gs: np.ndarray, tol: float) -> int:
 def _ginoe_basis(d: int) -> NiceBasis:
     """The Gell-Mann basis of a GinOE experiment in dimension d. Nice bases differ by an orthogonal O on
     their traceless parts, and GinOE is invariant under (G, c) -> (O G O^T, O c), so no other is needed."""
-    return generate_gell_mann(_integer(d, 2, math.inf, "GinOE needs dimension d >= 2 (an integer)"))
+    return generate_gell_mann(_size("GinOE", d))
 
 
-def _estimate(ensemble: str, size: int, n_samples: int, seed: int, m: np.ndarray, tol: float) -> RarityEstimate:
-    """Count the samples whose a = z @ M is PSD at rtol tol and, for GinOE, whose G = z[:J^2] is stable."""
+def _size(ensemble: str, size) -> int:
+    """size as an int, once it is a valid size of the ensemble: d >= 2 for GinOE, j >= 1 for GUE."""
+    if ensemble == "GinOE":
+        return _integer(size, 2, math.inf, "GinOE needs dimension d >= 2 (an integer)")
+    return _integer(size, 1, math.inf, "GUE needs size j >= 1 (an integer)")
+
+
+def _linearisation(ensemble: str, size: int) -> np.ndarray:
+    """The M of the ensemble at this size, with a = z @ M."""
+    return _rates_matrix(_ginoe_basis(size)) if ensemble == "GinOE" else _gue_matrix(size)
+
+
+def _estimate(ensemble: str, size: int, n_samples: int, seed: int, tol: float) -> RarityEstimate:
+    """Count the samples whose a = z @ M is PSD at rtol tol and, for GinOE, whose G = z[:J^2] is stable.
+
+    M is built at the first chunk with a PSD candidate, and kept for the rest of the call.
+    """
+    size = _size(ensemble, size)
     n_samples = _integer(n_samples, 1, math.inf, "the sample count must be an integer >= 1")
-    j = math.isqrt(m.shape[1])
-    diagonal, m_norm = _diagonal_bound(m)
+    prefilter = _prefilter(ensemble, size)
+    width, j = prefilter[0], prefilter[2].shape[1]  # the diagonal has one column per a_mm
+    m = None
     n_psd = 0
     n_stable = 0 if ensemble == "GinOE" else None
-    buffer = np.empty((min(_CHUNK, n_samples), len(m)))
+    buffer = np.empty((min(_CHUNK, n_samples), width))
     for start in range(0, n_samples, _CHUNK):
-        rows = _normals(seed, start, min(_CHUNK, n_samples - start), len(m), buffer)
-        n_psd += _count_psd(rows, m, diagonal, m_norm, tol)
+        rows = _normals(seed, start, min(_CHUNK, n_samples - start), width, buffer)
+        candidates = rows[_psd_candidates(rows, prefilter, tol)]
+        if len(candidates):
+            m = _linearisation(ensemble, size) if m is None else m
+            n_psd += _count_psd(candidates, m, tol)
         if n_stable is not None:
             n_stable += _count_stable(rows[:, : j * j].reshape(-1, j, j), tol)
     lo, hi = wilson_interval(n_psd, n_samples)
@@ -329,7 +365,7 @@ def estimate_p_lindblad_ginoe(d: int, n_samples: int, seed: int) -> RarityEstima
     spectrum is stable (all real parts <= 0); the PSD count never exceeds
     the stable count.
     """
-    return _estimate("GinOE", d, n_samples, seed, _rates_matrix(_ginoe_basis(d)), tolerance.DATA)
+    return _estimate("GinOE", d, n_samples, seed, tolerance.DATA)
 
 
 def estimate_p_gue(j: int, n_samples: int, seed: int) -> RarityEstimate:
@@ -339,7 +375,7 @@ def estimate_p_gue(j: int, n_samples: int, seed: int) -> RarityEstimate:
     of A are i.i.d. N(0, 1/2): A = sqrt(1/2) (X + iY), with vec X and then
     vec Y drawn from the Philox stream (seed, k) of sample k.
     """
-    return _estimate("GUE", j, n_samples, seed, _gue_matrix(j), 0.0)
+    return _estimate("GUE", j, n_samples, seed, 0.0)
 
 
 def gue_p_analytic(j: int) -> float:

@@ -310,6 +310,24 @@ MALFORMED = {
     "config-unknown-ensemble": (
         ["--config", '{"ensemble": "goe"}', "rarity", "--dim", "2", "--samples", "10"], None, "ensemble"
     ),
+    # at d = 1 the library refuses every rate matrix, G, c and v0 that is not empty, and an empty H or rho0
+    "forward-dim-1-a-of-one-empty-row": (
+        ["forward", "--dim", "1"], '{"H": [[0]], "a": [[]]}', "rate matrix a must have shape (0, 0), got (1, 0)"
+    ),
+    "roundtrip-dim-1-a-1x1": (
+        ["roundtrip", "--dim", "1"], '{"H": [[0]], "a": [[1]]}', "rate matrix a must have shape (0, 0), got (1, 1)"
+    ),
+    "forward-empty-H": (
+        ["forward", "--dim", "1"], '{"H": [], "a": []}', "Hamiltonian H must have shape (n, n) with n >= 1, got (0, 0)"
+    ),
+    "check-cp-dim-1-G-1x1": (["check-cp", "--dim", "1"], '{"G": [[0]]}', "G size 1 does not match --dim 1"),
+    "inverse-dim-1-c-of-one": (["inverse", "--dim", "1"], '{"G": [], "c": [1]}', "c must have shape (0,), got (1,)"),
+    "solve-dim-1-v0-of-one": (["solve", "--dim", "1"], '{"G": [], "v0": [1]}', "v0 must have shape (0,), got (1,)"),
+    "evolve-dim-1-empty-rho0": (
+        ["evolve", "--dim", "1"],
+        '{"H": [[0]], "a": [], "rho0": [], "times": [0]}',
+        "density matrix must have shape (1, 1), got (0, 0)",
+    ),
 }
 
 
@@ -330,6 +348,37 @@ def test_malformed_input_exits_1_without_traceback(name, tmp_path, capsys):
     assert code == 1
     assert err.startswith("error: ") and needle in err
     assert "Traceback" not in err and err.count("\n") == 1
+
+
+_D1_MEQ = {"H": [[0]], "a": []}
+_D1_PAIR = {"G": [], "c": []}
+# subcommand: (its other flags, its input or None, fields of its output); at d = 1, J = 0, so a, G, c and v0 are
+# empty, and [] is read as the 0 x 0 matrix. Every call but basis, verify and rarity used to exit 1 with
+# "must be a non-empty nested array"
+DIM_ONE = {
+    "basis": ([], None, {"elements": [[[[1.0, 0.0]]]], "structure_constants": []}),
+    "verify": ([], None, {"passed": True}),
+    "forward": ([], _D1_MEQ, {"G": [], "c": [], "Q": [], "R": []}),
+    "inverse": ([], _D1_PAIR, {"H": [[[0.0, 0.0]]], "a": []}),
+    "decompose": ([], {"G": []}, {"Q": [], "R": [], "H": [[[0.0, 0.0]]], "r_image_condition": True}),
+    "check-cp": ([], _D1_PAIR, {"is_lindblad": True, "a": [], "eigenvalues": []}),
+    "solve": ([], {**_D1_PAIR, "v0": [], "times": [0, 1]}, {"times": [0.0, 1.0], "trajectory": [[], []]}),
+    "evolve": ([], {**_D1_MEQ, "rho0": [[1]], "times": [0, 1]}, {"states": [[[[1.0, 0.0]]]] * 2}),
+    "rarity": (["--ensemble", "gue", "--samples", "16"], None, {"ensemble": "GUE", "dim": 1, "n_samples": 16}),
+    "roundtrip": ([], _D1_MEQ, {"a_recovered": [], "max_error_H": 0.0, "max_error_a": 0.0}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(DIM_ONE))
+def test_every_subcommand_runs_at_dimension_one(command, tmp_path):
+    args, payload, fields = DIM_ONE[command]
+    argv = [command, "--dim", "1", *args]
+    if payload is not None:
+        argv += ["--in", _write_json(tmp_path / "in.json", payload)]
+    code, out = _run(argv, tmp_path / "out.json")
+    assert code == 0
+    out = json.loads(out)
+    assert {name: out[name] for name in fields} == fields
 
 
 def test_config_keys_are_shared_and_ignored_where_unread(tmp_path, capsys):

@@ -80,6 +80,10 @@ WRONG_SHAPE = {
     "params-h-1d": (
         lambda: lo.MasterEqParams(np.zeros(2), np.zeros((3, 3))), "Hamiltonian H must have shape (n, n), got (2,)"
     ),
+    "params-h-0x0": (
+        lambda: lo.MasterEqParams(np.zeros((0, 0)), np.zeros((0, 0))),
+        "Hamiltonian H must have shape (n, n) with n >= 1, got (0, 0)",
+    ),
     "params-h-2x3": (
         lambda: lo.MasterEqParams(np.zeros((2, 3)), np.zeros((3, 3))),
         "Hamiltonian H must have shape (n, n), got (2, 3)",
@@ -113,6 +117,15 @@ WRONG_SHAPE = {
     "solve-v0": (lambda: lo.solve(PAIR, np.zeros(2)), "v0 must have shape (3,), got (2,)"),
     "propagator-g": (lambda: lo.propagator(np.zeros((2, 3)), 1.0), "propagator G must have shape (n, n), got (2, 3)"),
     "propagator-t": (lambda: lo.propagator(np.eye(2), [1.0]), "propagator t must have shape (), got (1,)"),
+    # a ragged nested list let numpy's "setting an array element with a sequence" escape, naming no operand
+    "params-h-ragged": (
+        lambda: lo.MasterEqParams([[1, 2], [3]], np.zeros((3, 3))),
+        "Hamiltonian H must be a rectangular array, got a ragged sequence",
+    ),
+    "ode-pair-g-ragged": (
+        lambda: lo.OdePair([[1, 2], [3]], [0, 0]), "G must be a rectangular array, got a ragged sequence"
+    ),
+    "solve-v0-ragged": (lambda: lo.solve(PAIR, [1, [2], 3]), "v0 must be a rectangular array, got a ragged sequence"),
 }
 
 HUGE_PAIR = lo.OdePair(1e308 * np.ones((3, 3)), np.ones(3))

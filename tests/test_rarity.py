@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -14,13 +15,14 @@ from lindblad_ode import (
     inverse_map,
     wilson_interval,
 )
+from lindblad_ode import rarity
 from lindblad_ode.basis import generate_gell_mann
 from lindblad_ode.rarity import (
     _CHUNK,
     _count_psd,
-    _diagonal_bound,
     _gue_matrix,
     _normals,
+    _prefilter,
     _psd_candidates,
     _rates,
     _rates_matrix,
@@ -446,10 +448,11 @@ def test_psd_prefilter_keeps_every_psd_rate_matrix(d):
         edge[mm, mm] = -(15 / 16) * _PSD_TOL * max(1.0, scale)
         rows.append(_row_of(edge, basis))
     rows = np.array(rows)
-    assert _psd_candidates(rows, *_diagonal_bound(m), _PSD_TOL).all()
-    assert _count_psd(rows, m, *_diagonal_bound(m), _PSD_TOL) == len(rows)
+    prefilter = _prefilter("GinOE", d)
+    assert _psd_candidates(rows, prefilter, _PSD_TOL).all()
+    assert _count_psd(rows[_psd_candidates(rows, prefilter, _PSD_TOL)], m, _PSD_TOL) == len(rows)
     # -a of a PSD a of rank >= 1 has a negative diagonal entry
-    assert not _psd_candidates(-rows, *_diagonal_bound(m), _PSD_TOL).any()
+    assert not _psd_candidates(-rows, prefilter, _PSD_TOL).any()
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -466,7 +469,7 @@ def test_psd_prefilter_keeps_every_row_at_rtol_one(d):
     unit = np.concatenate([cols, g_part, c_part, np.random.default_rng(d).normal(size=(50, j * j + j))])
     rows = np.concatenate([s * unit for s in (1e-3, 1.0, 1e3)])
     assert is_psd(np.linalg.eigvalsh(_rates(rows, m)), 1.0).all()
-    assert _psd_candidates(rows, *_diagonal_bound(m), 1.0).all()
+    assert _psd_candidates(rows, _prefilter("GinOE", d), 1.0).all()
 
 
 # (n_positive, n_spectrum_stable) recorded before the Routh-Hurwitz and diagonal prefilters
@@ -536,13 +539,78 @@ def _peak_bytes(fn):
 
 @pytest.mark.parametrize("d", [4, 5])
 def test_estimate_memory_is_one_chunk_of_rows_and_m(d):
-    # one row buffer serves every chunk, the last one partial, and M is built J rows at a time
+    # one row buffer serves every chunk, the last one partial; no chunk of these has a PSD candidate, so M,
+    # of 0.4 (d = 4) and 1.1 (d = 5) chunks, is never built, and the prefilter's constants are cached
     j = d * d - 1
     chunk_bytes = _CHUNK * (j * j + j) * np.dtype(float).itemsize
-    m_bytes = _rates_matrix(generate_gell_mann(d)).nbytes
     estimate_p_lindblad_ginoe(d, n_samples=1, seed=8)  # the first call imports numpy.random, which stays
     peak = _peak_bytes(lambda: estimate_p_lindblad_ginoe(d, n_samples=3 * _CHUNK + 5, seed=8))
-    assert peak <= 1.6 * (chunk_bytes + m_bytes)
+    assert peak <= 2.0 * chunk_bytes
+
+
+@pytest.mark.parametrize("ensemble, size", [("GinOE", 2), ("GinOE", 4), ("GUE", 1), ("GUE", 3)])
+def test_prefilter_keeps_the_rows_of_m_that_reach_the_diagonal_and_no_m(ensemble, size):
+    m = _rates_matrix(generate_gell_mann(size)) if ensemble == "GinOE" else _gue_matrix(size)
+    j = math.isqrt(m.shape[1])
+    width, nonzero, diagonal, m_norm = _prefilter(ensemble, size)
+    keep = m[:, :: j + 1].real.any(axis=1)
+    assert width == len(m) and m_norm == np.linalg.norm(m)
+    np.testing.assert_array_equal(nonzero, np.flatnonzero(keep))
+    np.testing.assert_array_equal(diagonal, m[keep, :: j + 1].real)
+    assert diagonal.flags.c_contiguous and not (diagonal.flags.writeable or nonzero.flags.writeable)
+    # at most half the rows of M reach a diagonal entry of a, and the cache keeps J of its J^2 columns
+    assert 2 * len(nonzero) <= width and diagonal.nbytes <= m.nbytes / (2 * j)
+    # the products it drops are exact zeros, so the diagonal of a is the one of the dense product
+    rows = np.random.default_rng(size).normal(size=(50, width))
+    bound = (j * j + j) * np.finfo(float).eps * np.linalg.norm(rows, axis=1) * m_norm
+    assert np.all(np.abs(rows[:, nonzero] @ diagonal - rows @ m[:, :: j + 1].real).max(axis=1) <= bound)
+
+
+def test_an_estimate_without_a_psd_candidate_builds_no_m(monkeypatch):
+    _prefilter("GinOE", 4)
+
+    def refuse(basis):
+        raise AssertionError("M was built")
+
+    monkeypatch.setattr(rarity, "_rates_matrix", refuse)
+    est = estimate_p_lindblad_ginoe(4, n_samples=8192, seed=3)
+    assert (est.n_positive, est.n_spectrum_stable) == _PINNED_GINOE[4, 8192, 3]
+
+
+def test_m_is_built_once_per_call_not_once_per_chunk(monkeypatch):
+    _prefilter("GinOE", 2)
+    builds, masks = [], []
+    build, candidates = rarity._rates_matrix, rarity._psd_candidates
+
+    def counted_build(basis):
+        builds.append(basis.dim)
+        return build(basis)
+
+    def recorded_candidates(*args):
+        masks.append(candidates(*args))
+        return masks[-1]
+
+    monkeypatch.setattr(rarity, "_rates_matrix", counted_build)
+    monkeypatch.setattr(rarity, "_psd_candidates", recorded_candidates)
+    est = estimate_p_lindblad_ginoe(2, n_samples=20_000, seed=12)
+    assert (est.n_positive, est.n_spectrum_stable) == _PINNED_GINOE[2, 20_000, 12]
+    assert len(masks) == 20 and sum(mask.any() for mask in masks) > 1
+    assert builds == [2]
+
+
+def test_prefilter_constants_are_taken_once_per_ensemble_and_size(monkeypatch):
+    _prefilter.cache_clear()
+    built = []
+    linearisation = rarity._linearisation
+    monkeypatch.setattr(rarity, "_linearisation", lambda *key: built.append(key) or linearisation(*key))
+    for _ in range(2):
+        for d in (2, 3):
+            estimate_p_lindblad_ginoe(d, n_samples=200, seed=5)
+        estimate_p_gue(2, n_samples=200, seed=5)
+    info = _prefilter.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (3, 3, 3)
+    # M is built once per key for the cache, and at most once more per call, for its PSD candidates
+    assert sorted(set(built)) == [("GUE", 2), ("GinOE", 2), ("GinOE", 3)] and len(built) <= 3 + 6
 
 
 def test_covariance_memory_does_not_grow_with_samples():
