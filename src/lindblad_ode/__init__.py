@@ -13,36 +13,32 @@ from .basis import (
     structure_constants,
     verify_nice_basis,
 )
-from .cp import (
+from .maps import (
     CPReport,
-    check_lindblad,
-    sample_extreme_ray,
-)
-from .forward import (
     DiagonalDissipator,
+    FAFRep,
     MasterEqParams,
     OdePair,
-    apply_dissipator,
-    c_from_a,
-    diagonalize_dissipator,
-    forward_map,
-    liouvillian_matrix,
-    q_from_h,
-    r_from_a,
-)
-from .inverse import (
-    FAFRep,
     SuperopMatrix,
     SuperopTensor,
     Tensor4,
     a_from_gc,
     adjoint,
     apply,
+    apply_dissipator,
+    c_from_a,
+    check_lindblad,
     decompose_g,
+    diagonalize_dissipator,
+    forward_map,
     h_from_g,
     inverse_map,
+    liouvillian_matrix,
     phi,
+    q_from_h,
+    r_from_a,
     r_image_check,
+    sample_extreme_ray,
     superop_matrix,
 )
 from .odesolve import OdeSolution, evolve_density, propagator, solve

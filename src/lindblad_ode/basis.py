@@ -88,7 +88,7 @@ def _integer(value, low: int, high: float, requirement: str) -> int:
     return int(value)
 
 
-def _numbers(x, what: str, dtype: type = complex, finite: str | None = "", shape: tuple | None = None) -> np.ndarray:
+def _numbers(x, what: str, dtype: type = complex, finite: bool = True, shape: tuple | None = None) -> np.ndarray:
     """x as a float or complex (dtype) array: the one gate of every array argument.
 
     The ValueError names the operand what. Refused: a bool, string or object dtype, or a bool among
@@ -96,7 +96,7 @@ def _numbers(x, what: str, dtype: type = complex, finite: str | None = "", shape
     sequence (f"{what} must be a rectangular array, got a ragged sequence"); a shape other
     than shape, when one is given, checked before any arithmetic (f"{what} must have shape (n, n), got (2, 3)"):
     an int entry is a fixed length, and a str entry one length shared by every axis of that name, so that
-    ("n", "n") is square; a non-finite entry unless finite is None (f"{finite or what} must be finite"); and,
+    ("n", "n") is square; a non-finite entry, when finite (f"{what} must be finite"); and,
     for a float dtype, an imaginary part not negligible at tolerance.DATA (f"{what} has imaginary residue ..."),
     which is dropped otherwise.
     """
@@ -115,8 +115,8 @@ def _numbers(x, what: str, dtype: type = complex, finite: str | None = "", shape
         text = ", ".join(map(str, shape)) + ("," if len(shape) == 1 else "")
         raise ValueError(f"{what} must have shape ({text}), got {a.shape}")
     a = a.astype(complex if kind == "c" else dtype, copy=False)
-    if finite is not None and not np.isfinite(a).all():
-        raise ValueError(f"{finite or what} must be finite")
+    if finite and not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite")
     return _real(a, what) if kind == "c" and dtype is float else a
 
 

@@ -23,9 +23,10 @@ import numpy as np
 
 from . import tolerance
 from .basis import NiceBasis, generate_gell_mann, structure_constants, verify_nice_basis
-from .cp import check_lindblad
-from .forward import MasterEqParams, OdePair, forward_map, q_from_h, r_from_a
-from .inverse import decompose_g, h_from_g, inverse_map, r_image_check
+from .maps import (
+    MasterEqParams, OdePair, check_lindblad, decompose_g, forward_map, h_from_g, inverse_map, q_from_h, r_from_a,
+    r_image_check,
+)
 from .odesolve import evolve_density, solve
 from .rarity import estimate_p_gue, estimate_p_lindblad_ginoe
 
@@ -126,7 +127,8 @@ def _require(data: dict, key: str):
 
 
 def _tol(args) -> float:
-    return tolerance.check_rtol(tolerance.DATA if args.tol is None else args.tol, "--tol")
+    # one tolerance prints one way: float() makes a config's int 1 print as 1.0, and + 0.0 turns -0.0 into 0.0
+    return float(tolerance.check_rtol(tolerance.DATA if args.tol is None else args.tol, "--tol")) + 0.0
 
 
 def _pair_from_input(data: dict, basis) -> OdePair:

@@ -479,7 +479,7 @@ def gue_covariance_check(j, n_samples, seed):
 
 
 def canonical_eig_order(w, v):
-    """forward._canonical_eig_order with its cluster tie-break as a Python loop over every eigenvalue,
+    """maps._canonical_eig_order with its cluster tie-break as a Python loop over every eigenvalue,
     each cluster sorted by tuple keys of its rounded components."""
     order = np.argsort(-w, kind="stable")
     w, v = w[order], v[:, order]

@@ -218,6 +218,19 @@ def test_check_cp_tolerance_resolution(tmp_path):
     assert _tolerance_used(tmp_path, ["--config", cfg, "check-cp", "--dim", "2", "--tol", "1e-6"]) == 1e-6
 
 
+def test_one_tolerance_prints_one_way(tmp_path, capsys):
+    # the flag 0 printed 0.0, the flag -0.0 printed -0.0 (and verify's stderr "beyond the tolerance -0"),
+    # and a config's int 0 printed 0; verify fails at tol 0, so its stderr is compared as well
+    gc = _write_json(tmp_path / "gc.json", {"G": np.diag([-2.0, -2.0, 0.0]).tolist()})
+    cfg = _write_json(tmp_path / "cfg.json", {"tol": 0})
+    for command in (["check-cp", "--dim", "2", "--in", gc], ["verify", "--dim", "2"]):
+        runs = []
+        for argv in (command + ["--tol", "0"], command + ["--tol", "-0.0"], ["--config", cfg] + command):
+            code = main(argv)
+            runs.append((code, *capsys.readouterr()))
+        assert runs[0] == runs[1] == runs[2]
+
+
 _G3 = "[[-1, 0, 0], [0, -1, 0], [0, 0, -2]]"
 _ZERO_MEQ = '"H": [[0, 0], [0, 0]], "a": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]'
 # a valid d=3 master equation, given with --dim 2

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import lindblad_ode as lo
-from lindblad_ode import basis, core, cp, forward, inverse, odesolve
+from lindblad_ode import basis, core, maps, odesolve
 
 GM2 = lo.generate_gell_mann(2)
 SOLUTION = lo.solve(lo.OdePair(G=-np.eye(3), c=np.zeros(3)), np.zeros(3))
@@ -68,6 +68,15 @@ MALFORMED = {
     "q-from-h-not-hermitian": (lambda: lo.q_from_h([[0, 1], [0, 0]], GM2), "Hamiltonian is not Hermitian"),
     "r-from-a-not-hermitian": (lambda: lo.r_from_a(1j * np.eye(3), GM2), "rate matrix is not Hermitian"),
     "c-from-a-not-hermitian": (lambda: lo.c_from_a(1j * np.eye(3), GM2), "rate matrix is not Hermitian"),
+    # a value of the other end's type: forward_map read params.hamiltonian and raised AttributeError
+    "forward-map-wrong-type": (
+        lambda: lo.forward_map(lo.OdePair(-np.eye(3), np.zeros(3)), GM2),
+        "space 1 values must be MasterEqParams, got OdePair",
+    ),
+    "inverse-map-wrong-type": (
+        lambda: lo.inverse_map(lo.MasterEqParams(np.zeros((2, 2)), np.eye(3)), GM2),
+        "space 6 values must be OdePair, got MasterEqParams",
+    ),
 }
 
 PAIR = lo.OdePair(G=-np.eye(3), c=np.zeros(3))
@@ -334,7 +343,7 @@ def gate_calls(monkeypatch):
         calls.append(args[1])
         return gate(*args, **kwargs)
 
-    for module in (basis, core, cp, forward, inverse, odesolve):
+    for module in (basis, core, maps, odesolve):
         monkeypatch.setattr(module, "_numbers", counting_gate)
     return calls
 

@@ -24,7 +24,7 @@ from lindblad_ode import (
     structure_constants,
 )
 from lindblad_ode import tolerance
-from lindblad_ode.forward import _canonical_eig_order
+from lindblad_ode.maps import _canonical_eig_order
 
 from conftest import (
     amplitude_damping_a,
@@ -91,7 +91,7 @@ def test_ode_pair_rejects_an_imaginary_part_and_names_it():
         OdePair(G=-np.eye(3) + 1j * np.eye(3), c=np.zeros(3))
     with pytest.raises(ValueError, match=r"^c has imaginary residue 2\.000e-06$"):
         OdePair(G=-np.eye(3), c=np.array([0.0, 2e-6j, 0.0]))
-    with pytest.raises(ValueError, match=r"^G and c must be finite$"):
+    with pytest.raises(ValueError, match=r"^c must be finite$"):
         OdePair(G=-np.eye(3), c=np.array([0.0, complex(0.0, np.inf), 0.0]))
 
 
